@@ -129,10 +129,19 @@ def _load_partition(args, H) -> Partition | None:
     if os.path.exists(side):
         with open(side) as fh:
             meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise ValueError(f"{side}: sidecar must be a JSON object")
         part = meta.get("partition")
         if part:
-            return Partition(H.n, part["W"], part["d"])
+            W, d = (part.get("W"), part.get("d")) if isinstance(part, dict) else (None, None)
+            if not (isinstance(W, list) and all(_is_int(v) for v in W) and _is_int(d)):
+                raise ValueError(f"{side}: partition needs an integer list \"W\" and an integer \"d\"")
+            return Partition(H.n, W, d)
     return None
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _cmd_solve(args) -> int:

@@ -1,22 +1,31 @@
 """Exact maximum-matching oracle via branch and bound.
 
-Search state is a partial matching plus the list of still-available
-edges (pairwise disjoint from the chosen ones).  Branching rule: among
-uncovered vertices that still lie on an available edge, pick the one
-with minimum remaining degree (lowest index on ties) and branch on each
-of its edges in lexicographic order, with the "leave it unmatched"
-branch explored last.  With a target size and early exit this makes the
-first descent a greedy dive, which produces certificates fast on dense
-instances.
+The search state is one int over edge indices: bit i is set iff edge i
+is still available (inside the solved vertex set and disjoint from the
+chosen edges).  With H.incidence[v] the mask of edges at v, the degree
+of v is (avail & incidence[v]).bit_count(), and choosing edge (a, b, c)
+leaves avail & ~(incidence[a] | incidence[b] | incidence[c]).
+
+Branching rule: among uncovered vertices that still lie on an available
+edge, pick the one with minimum remaining degree (lowest index on ties)
+and branch on each of its edges in lexicographic order, with the "leave
+it unmatched" branch explored last.  With a target size and early exit
+this makes the first descent a greedy dive, which produces certificates
+fast on dense instances.  Nodes sit on an explicit stack (the unmatched
+branch pushed first, the edges in reverse order), which visits them in
+that same order without a recursion depth limit.
 
 Pruning at each node, against the best size found so far:
   * counting bound: |chosen| + floor(#coverable_vertices / 3),
   * cover bound:    |chosen| + (size of a greedy vertex cover of the
-                    available edges), since any vertex cover bounds the
-                    matching size from above.
+                    available edges: maximum degree first, lowest index
+                    on ties), since any vertex cover bounds the matching
+                    size from above.
 The cover bound is what keeps certification cheap on instances whose
-edges all pass through a small blocker set.  Vertices with no available
-edge are dropped from the counting bound (degree-zero elimination).
+edges all pass through a small blocker set.  The greedy cover stops as
+soon as it is too large to prune, which changes no decision.  Vertices
+with no available edge are dropped from the counting bound (degree-zero
+elimination).
 
 Everything is deterministic: identical inputs give identical reports,
 including node counts.
@@ -75,122 +84,110 @@ class SolveReport:
         }
 
 
-class _Stop(Exception):
-    pass
+def _search(H: Hypergraph3, active: int, budget: SolveBudget) -> SolveReport:
+    t0 = time.perf_counter()
+    inc, edges, edge_masks = H.incidence, H.edges, H.edge_masks
+    node_limit, time_limit, target = budget.node_limit, budget.time_limit_ms, budget.target
+    inside = outside = 0
+    for v, vinc in enumerate(inc):
+        if active >> v & 1:
+            inside |= vinc
+        else:
+            outside |= vinc
+    nodes = best_size = 0
+    best = None
+    optimal, detail = True, None
+    # frame: (available edges, vertices that may still lie on one, depth, chosen chain)
+    stack = [(inside & ~outside, active, 0, None)]
+    while stack:
+        avail, free, depth, chosen = stack.pop()
+        nodes += 1
+        if nodes > node_limit:
+            optimal, detail = False, "node budget exhausted"
+            break
+        if time_limit is not None and nodes % 256 == 0 and (time.perf_counter() - t0) * 1000.0 > time_limit:
+            optimal, detail = False, "time budget exhausted"
+            break
+        if depth > best_size:
+            best_size, best = depth, chosen
+            if target is not None and depth >= target:
+                detail = "target reached"
+                break
+        slack = best_size - depth
+        # the counting bound cannot exceed |free| // 3: skip the degree pass
+        if not avail or free.bit_count() // 3 <= slack:
+            continue
+
+        # live vertices and their degrees; the pivot has minimum degree, lowest index
+        live = []
+        live_mask = 0
+        pivot_deg = None
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            deg = (avail & inc[v]).bit_count()
+            if deg:
+                live.append(v)
+                live_mask |= low
+                if pivot_deg is None or deg < pivot_deg:
+                    pivot, pivot_deg = v, deg
+        if len(live) // 3 <= slack or _cover_at_most(avail, live, inc, slack):
+            continue
+
+        stack.append((avail & ~inc[pivot], live_mask & ~(1 << pivot), depth, chosen))
+        branch = avail & inc[pivot]
+        while branch:
+            i = branch.bit_length() - 1
+            branch ^= 1 << i
+            a, b, c = edges[i]
+            stack.append(
+                (avail & ~(inc[a] | inc[b] | inc[c]), live_mask & ~edge_masks[i], depth + 1, (edges[i], chosen))
+            )
+
+    chain = []
+    while best is not None:
+        edge, best = best
+        chain.append(edge)
+    return SolveReport(
+        size=best_size,
+        edges=tuple(reversed(chain)),
+        optimal=optimal,
+        nodes=nodes,
+        wall_ms=(time.perf_counter() - t0) * 1000.0,
+        detail=detail,
+    )
 
 
-class _Search:
-    def __init__(self, H: Hypergraph3, active: int, budget: SolveBudget):
-        self.H = H
-        self.budget = budget
-        self.nodes = 0
-        self.best: list[Edge] = []
-        self.stopped: str | None = None
-        self.t0 = time.perf_counter()
-        self.edge_items = [
-            (H.edge_masks[i], H.edges[i])
-            for i in range(H.m)
-            if H.edge_masks[i] & active == H.edge_masks[i]
-        ]
-        self.active = active
+def _cover_at_most(avail: int, live: list[int], inc, limit: int) -> bool:
+    """True iff the greedy vertex cover of the available edges has at most limit vertices.
 
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget.node_limit:
-            self.stopped = "node budget exhausted"
-            raise _Stop
-        if (
-            self.budget.time_limit_ms is not None
-            and self.nodes % 256 == 0
-            and (time.perf_counter() - self.t0) * 1000.0 > self.budget.time_limit_ms
-        ):
-            self.stopped = "time budget exhausted"
-            raise _Stop
-
-    def run(self) -> SolveReport:
-        try:
-            self._node(0, self.active, self.edge_items, [])
-            optimal = True
-            detail = None
-        except _Stop:
-            if self.stopped == "target reached":
-                optimal = True
-                detail = self.stopped
-            else:
-                optimal = False
-                detail = self.stopped
-        wall = (time.perf_counter() - self.t0) * 1000.0
-        return SolveReport(
-            size=len(self.best),
-            edges=tuple(self.best),
-            optimal=optimal,
-            nodes=self.nodes,
-            wall_ms=wall,
-            detail=detail,
-        )
-
-    def _node(self, covered: int, active: int, avail, chosen: list[Edge]):
-        self._tick()
-        if len(chosen) > len(self.best):
-            self.best = list(chosen)
-            if self.budget.target is not None and len(self.best) >= self.budget.target:
-                self.stopped = "target reached"
-                raise _Stop
-        if not avail:
-            return
-
-        free = active & ~covered
-        coverable = 0
-        degs: dict[int, int] = {}
-        for mask, _ in avail:
-            mm = mask & free
-            while mm:
-                v = (mm & -mm).bit_length() - 1
-                degs[v] = degs.get(v, 0) + 1
-                mm &= mm - 1
-        coverable = len(degs)
-
-        limit = len(self.best)
-        if len(chosen) + coverable // 3 <= limit:
-            return
-        if len(chosen) + min(coverable // 3, self._cover_bound(avail)) <= limit:
-            return
-
-        pivot = min(degs, key=lambda v: (degs[v], v))
-        pbit = 1 << pivot
-        branch = [(mask, edge) for mask, edge in avail if mask & pbit]
-        rest = [(mask, edge) for mask, edge in avail if not mask & pbit]
-        for mask, edge in branch:
-            chosen.append(edge)
-            sub = [(m2, e2) for m2, e2 in avail if not m2 & mask]
-            self._node(covered | mask, active, sub, chosen)
-            chosen.pop()
-        # pivot left unmatched: remove it from play entirely
-        self._node(covered, active & ~pbit, rest, chosen)
-
-    def _cover_bound(self, avail) -> int:
-        masks = [m for m, _ in avail]
-        count = 0
-        while masks:
-            degs: dict[int, int] = {}
-            for m in masks:
-                mm = m
-                while mm:
-                    v = (mm & -mm).bit_length() - 1
-                    degs[v] = degs.get(v, 0) + 1
-                    mm &= mm - 1
-            v = max(degs, key=lambda u: (degs[u], -u))
-            bit = 1 << v
-            masks = [m for m in masks if not m & bit]
-            count += 1
-        return count
+    Greedy picks the vertex of maximum remaining degree, lowest index on
+    ties, and stops as soon as it would exceed limit.
+    """
+    count = 0
+    while avail:
+        if count == limit:
+            return False
+        best_deg = 0
+        keep = []
+        for v in live:
+            deg = (avail & inc[v]).bit_count()
+            if deg:
+                keep.append(v)
+                if deg > best_deg:
+                    pick, best_deg = v, deg
+        avail &= ~inc[pick]
+        live = keep
+        count += 1
+    return True
 
 
 def max_matching(H: Hypergraph3, budget: SolveBudget | None = None) -> SolveReport:
     """Maximum matching of H, exact unless the budget runs out first."""
     budget = budget or SolveBudget()
     active = (1 << H.n) - 1 if H.n else 0
-    return _Search(H, active, budget).run()
+    return _search(H, active, budget)
 
 
 def max_matching_in_subset(H: Hypergraph3, subset, budget: SolveBudget | None = None) -> SolveReport:
@@ -201,7 +198,7 @@ def max_matching_in_subset(H: Hypergraph3, subset, budget: SolveBudget | None = 
         if not 0 <= v < H.n:
             raise ValueError(f"vertex {v} out of range 0..{H.n - 1}")
         active |= 1 << v
-    return _Search(H, active, budget).run()
+    return _search(H, active, budget)
 
 
 def has_d_matching(

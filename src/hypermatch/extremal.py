@@ -478,6 +478,10 @@ def staged_matching(
         log.detail = f"residual target {target5} infeasible with {len(w3)} W-vertices left"
         return None, log
     sub, new_to_old = H.remove_vertices(sorted(covered))
+    if 3 * len(w3) > sub.n:
+        log.stalled_stage = "M5"
+        log.detail = f"{len(w3)} W-vertices left exceed a third of the {sub.n} residual vertices"
+        return None, log
     old_to_new = {v: i for i, v in enumerate(new_to_old)}
     P5 = Partition(sub.n, [old_to_new[w] for w in w3], len(w3))
     m5 = good_case_matching(sub, P5, target5, alpha)

@@ -91,6 +91,19 @@ class TestSolveCmd:
         assert rep["size"] == 10
         assert rep["stage_log"]["stalled_stage"] is None
 
+    @pytest.mark.parametrize(
+        "partition",
+        [{"W": [10, 11]}, {"d": 4}, {"W": 3, "d": 4},
+         {"W": [10, "x"], "d": 4}, {"W": [10, 11], "d": "4"}, [10, 11]],
+        ids=["no-d", "no-W", "W-not-list", "W-not-ints", "d-not-int", "partition-not-object"],
+    )
+    def test_extremal_bad_sidecar_is_usage_error(self, tmp_path, capsys, partition):
+        h3 = tmp_path / "hnd12.h3"
+        main(["gen", "hnd", "--n", "12", "--d", "4", "--out", str(h3)])
+        (tmp_path / "hnd12.json").write_text(json.dumps({"partition": partition}))
+        assert main(["solve", "--extremal", str(h3), "--d", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_absorbing(self, tmp_path):
         h3 = tmp_path / "r15.h3"
         main(["gen", "random", "--n", "15", "--p", "0.8", "--seed", "4", "--out", str(h3)])

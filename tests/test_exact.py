@@ -3,8 +3,10 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypermatch.constructions import cut_family, extremal_star, random_triples
+from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples
 from hypermatch.core import Matching, build
 from hypermatch.exact import SolveBudget, has_d_matching, max_matching, max_matching_in_subset
 from oracles import naive_max_matching, pairing_has_pm_n6
@@ -120,3 +122,148 @@ def test_budget_validation():
         SolveBudget(node_limit=0)
     with pytest.raises(ValueError):
         SolveBudget(time_limit_ms=-1)
+
+
+# --- pinned regression table ---------------------------------------------------
+#
+# (size, nodes, optimal, detail) and the returned edges, recorded from the
+# list-based solver that the bitset search replaced.  Any change to the
+# pivot rule, the branch order, a bound or the budget checks shows up here.
+
+PINNED = [
+    (("random", 9, 0.2, 1), (2, 6, True, None),
+     ((1, 2, 3), (0, 5, 7))),
+    (("random", 9, 0.5, 2), (3, 23, True, None),
+     ((0, 1, 6), (2, 3, 7), (4, 5, 8))),
+    (("random", 9, 0.5, 3), (3, 22, True, None),
+     ((0, 1, 2), (3, 4, 6), (5, 7, 8))),
+    (("random", 12, 0.2, 1), (4, 23, True, None),
+     ((0, 2, 8), (4, 5, 11), (1, 3, 7), (6, 9, 10))),
+    (("random", 12, 0.5, 2), (4, 44, True, None),
+     ((0, 1, 6), (2, 3, 8), (4, 5, 11), (7, 9, 10))),
+    (("random", 12, 0.5, 3), (4, 49, True, None),
+     ((0, 3, 8), (1, 2, 4), (5, 6, 10), (7, 9, 11))),
+    (("random", 15, 0.2, 1), (5, 31, True, None),
+     ((0, 6, 9), (1, 4, 5), (2, 3, 10), (8, 11, 13), (7, 12, 14))),
+    (("random", 15, 0.5, 2), (5, 89, True, None),
+     ((0, 1, 12), (2, 4, 7), (3, 6, 9), (5, 10, 11), (8, 13, 14))),
+    (("random", 15, 0.5, 3), (5, 90, True, None),
+     ((0, 3, 11), (1, 2, 13), (4, 5, 7), (6, 8, 9), (10, 12, 14))),
+    (("random", 18, 0.2, 1), (6, 62, True, None),
+     ((0, 6, 7), (1, 8, 11), (3, 4, 15), (2, 5, 13), (9, 12, 16), (10, 14, 17))),
+    (("random", 18, 0.5, 2), (6, 143, True, None),
+     ((0, 3, 14), (1, 5, 12), (2, 4, 8), (6, 7, 11), (9, 10, 16), (13, 15, 17))),
+    (("random", 18, 0.5, 3), (6, 152, True, None),
+     ((0, 3, 17), (1, 4, 13), (2, 5, 12), (6, 8, 16), (7, 9, 10), (11, 14, 15))),
+    (("random", 21, 0.2, 1), (7, 96, True, None),
+     ((0, 2, 9), (1, 13, 16), (3, 7, 14), (4, 10, 17), (8, 11, 15), (5, 6, 18), (12, 19, 20))),
+    (("random", 21, 0.5, 2), (7, 232, True, None),
+     ((0, 1, 10), (2, 4, 9), (3, 5, 11), (6, 7, 14), (8, 13, 15), (16, 17, 19), (12, 18, 20))),
+    (("random", 21, 0.5, 3), (7, 255, True, None),
+     ((0, 1, 2), (3, 8, 9), (4, 5, 7), (6, 11, 13), (10, 14, 16), (12, 15, 17), (18, 19, 20))),
+    (("random", 24, 0.2, 1), (8, 131, True, None),
+     ((0, 3, 12), (1, 14, 21), (4, 9, 16), (2, 19, 20), (5, 7, 13), (10, 11, 22), (6, 15, 23), (8, 17, 18))),
+    (("random", 24, 0.5, 2), (8, 355, True, None),
+     ((0, 1, 21), (2, 6, 10), (3, 8, 11), (4, 9, 23), (5, 7, 17), (12, 13, 18), (14, 15, 16), (19, 20, 22))),
+    (("random", 24, 0.5, 3), (8, 361, True, None),
+     ((0, 7, 9), (1, 2, 10), (3, 5, 15), (4, 8, 16), (6, 11, 23), (12, 14, 20), (13, 17, 22), (18, 19, 21))),
+    # very sparse: these two see the greedy cover's lowest-index tie-break
+    (("random", 17, 0.03, 23774), (4, 25, True, None),
+     ((2, 9, 12), (0, 1, 8), (5, 10, 13), (7, 11, 14))),
+    (("random", 24, 0.03, 7943), (8, 60, True, None),
+     ((2, 18, 22), (5, 6, 21), (1, 3, 4), (10, 12, 16), (11, 15, 20), (0, 9, 19), (13, 17, 23), (7, 8, 14))),
+    (("star", 9), (2, 20, True, None),
+     ((0, 1, 7), (2, 3, 8))),
+    (("star", 12), (3, 48, True, None),
+     ((0, 1, 9), (2, 3, 10), (4, 5, 11))),
+    (("star", 15), (4, 95, True, None),
+     ((0, 1, 11), (2, 3, 12), (4, 5, 13), (6, 7, 14))),
+    (("star", 18), (5, 166, True, None),
+     ((0, 1, 13), (2, 3, 14), (4, 5, 15), (6, 7, 16), (8, 9, 17))),
+    (("star", 21), (6, 266, True, None),
+     ((0, 1, 15), (2, 3, 16), (4, 5, 17), (6, 7, 18), (8, 9, 19), (10, 11, 20))),
+    (("star", 24), (7, 400, True, None),
+     ((0, 1, 17), (2, 3, 18), (4, 5, 19), (6, 7, 20), (8, 9, 21), (10, 11, 22), (12, 13, 23))),
+    (("blocker", 9, 3), (2, 20, True, None),
+     ((0, 1, 7), (2, 3, 8))),
+    (("blocker", 12, 4), (3, 48, True, None),
+     ((0, 1, 9), (2, 3, 10), (4, 5, 11))),
+    (("blocker", 15, 4), (3, 66, True, None),
+     ((0, 1, 12), (2, 3, 13), (4, 5, 14))),
+    (("blocker", 18, 5), (4, 125, True, None),
+     ((0, 1, 14), (2, 3, 15), (4, 5, 16), (6, 7, 17))),
+    (("blocker", 21, 6), (5, 211, True, None),
+     ((0, 1, 16), (2, 3, 17), (4, 5, 18), (6, 7, 19), (8, 9, 20))),
+    (("blocker", 24, 7), (6, 329, True, None),
+     ((0, 1, 18), (2, 3, 19), (4, 5, 20), (6, 7, 21), (8, 9, 22), (10, 11, 23))),
+    (("cut", 9, 3), (3, 4, True, "target reached"),
+     ((0, 1, 6), (2, 3, 7), (4, 5, 8))),
+    (("cut", 15, 5), (5, 6, True, "target reached"),
+     ((0, 1, 10), (2, 3, 11), (4, 5, 12), (6, 7, 13), (8, 9, 14))),
+    (("cut", 21, 7), (7, 8, True, "target reached"),
+     ((0, 1, 14), (2, 3, 15), (4, 5, 16), (6, 7, 17), (8, 9, 18), (10, 11, 19), (12, 13, 20))),
+    (("budget", 15, 0.5, 4, 40), (5, 41, False, "node budget exhausted"),
+     ((0, 3, 7), (1, 4, 9), (2, 5, 12), (6, 8, 10), (11, 13, 14))),
+    (("budget", 21, 0.3, 5, 60), (7, 61, False, "node budget exhausted"),
+     ((0, 6, 7), (1, 2, 10), (3, 8, 14), (4, 5, 9), (11, 12, 17), (13, 15, 16), (18, 19, 20))),
+    (("subset", 18, 0.5, 6, (0, 2, 3, 5, 7, 8, 11, 13, 16), 3), (3, 4, True, "target reached"),
+     ((0, 2, 16), (3, 5, 11), (7, 8, 13))),
+    (("subset", 24, 0.3, 7, tuple(range(0, 24, 2)), 4), (4, 5, True, "target reached"),
+     ((0, 2, 20), (4, 6, 18), (10, 14, 22), (8, 12, 16))),
+    (("subset", 21, 0.6, 8, tuple(range(3, 21)), 7), (6, 182, True, None),
+     ((3, 4, 6), (5, 7, 17), (8, 9, 15), (10, 11, 13), (12, 14, 20), (16, 18, 19))),
+]
+
+
+def _solve_spec(spec):
+    kind = spec[0]
+    if kind == "random":
+        return max_matching(random_triples(*spec[1:]))
+    if kind == "star":
+        return max_matching(extremal_star(spec[1])[0])
+    if kind == "blocker":
+        return max_matching(blocker_family(*spec[1:])[0])
+    if kind == "cut":
+        _, n, d = spec
+        return max_matching(cut_family(n, d)[0], SolveBudget(target=d))
+    if kind == "budget":
+        _, n, p, seed, limit = spec
+        return max_matching(random_triples(n, p, seed), SolveBudget(node_limit=limit))
+    _, n, p, seed, subset, target = spec
+    return max_matching_in_subset(random_triples(n, p, seed), subset, SolveBudget(target=target))
+
+
+@pytest.mark.parametrize("spec,stats,edges", PINNED, ids=[str(row[0]) for row in PINNED])
+def test_pinned_reports(spec, stats, edges):
+    rep = _solve_spec(spec)
+    assert (rep.size, rep.nodes, rep.optimal, rep.detail) == stats
+    assert rep.edges == edges
+
+
+def test_deep_disjoint_edges():
+    # deeper than the default recursion limit: one dive of k nodes, then k
+    # "pivot unmatched" siblings cut by the counting bound
+    k = 1100
+    rep = max_matching(build(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)]))
+    assert (rep.size, rep.nodes, rep.optimal) == (k, 2 * k + 1, True)
+
+
+small_instances = st.tuples(
+    st.integers(3, 12), st.sampled_from([0.05, 0.1, 0.2, 0.35, 0.5, 0.8]), st.integers(0, 2**32)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances)
+def test_property_matches_naive(inst):
+    H = random_triples(*inst)
+    assert max_matching(H).size == naive_max_matching(H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances, st.integers(0, 2**12 - 1))
+def test_property_subset_matches_naive(inst, bits):
+    H = random_triples(*inst)
+    S = [v for v in range(H.n) if bits >> v & 1]
+    sub, _ = H.remove_vertices([v for v in range(H.n) if not bits >> v & 1])
+    assert max_matching_in_subset(H, S).size == naive_max_matching(sub)

@@ -209,6 +209,13 @@ class TestStaged:
         assert log.stalled_stage is not None
         assert max_matching(H).size == 2
 
+    def test_oversized_residual_w_stalls_at_m5(self):
+        # W is larger than a third of the vertices, so the stage-5 residual
+        # partition cannot be formed: a stall, not a ValueError
+        M, log = staged_matching(complete(9), Partition(9, {5, 6, 7, 8}, 3), 3)
+        assert M is None
+        assert log.stalled_stage == "M5" and log.detail
+
     def test_bde_inequality_logged(self):
         H, P = cut_family(9, 3)
         _, log = staged_matching(H, P, 3)
