@@ -298,17 +298,18 @@ def perfect_via_absorbing(
 
     Phases: find_absorbing on H; the augmenting solver on H - V(M*);
     absorb_leftover on whatever stayed uncovered.  The report's detail
-    names the phase that failed, if any.
+    names the phase that failed, if any, and its nodes are the B&B nodes
+    of the augment phase's probes.
     """
     t0 = time.perf_counter()
     n = H.n
 
-    def report(edges, optimal, detail):
+    def report(edges, optimal, detail, nodes=0):
         return SolveReport(
             size=len(edges),
             edges=tuple(sorted(edges)),
             optimal=optimal,
-            nodes=0,
+            nodes=nodes,
             wall_ms=(time.perf_counter() - t0) * 1000.0,
             detail=detail,
         )
@@ -329,6 +330,7 @@ def perfect_via_absorbing(
             tuple(sorted(outer + list(A.edges))),
             False,
             f"phase augment: leftover {len(leftover)} exceeds capacity {A.capacity}",
+            rep.nodes,
         )
     folded = absorb_leftover(H, A, leftover)
     if folded is None:
@@ -336,6 +338,7 @@ def perfect_via_absorbing(
             tuple(sorted(outer + list(A.edges))),
             False,
             "phase leftover: no assignment of leftover triples to absorbing edges",
+            rep.nodes,
         )
     total = sorted(outer + list(folded.edges))
     matching = Matching(H, total)
@@ -344,4 +347,5 @@ def perfect_via_absorbing(
         matching.edges,
         perfect,
         "perfect matching" if perfect else "phase leftover: cover incomplete",
+        rep.nodes,
     )

@@ -136,14 +136,15 @@ def _subsets(pool: tuple, size: int, cap: int | None, rng) -> list[tuple]:
 
 
 def augment_once(
-    H: Hypergraph3, M: Matching, cfg: AugmentConfig | None = None
+    H: Hypergraph3, M: Matching, cfg: AugmentConfig | None = None, stats: dict | None = None
 ) -> tuple[Matching, Move] | None:
     """Find and apply one size-increasing move, or return None if none is found.
 
     Enumerates k = 1..k_max, removed subsets S of the matching, uncovered
     subsets U' with 3 <= |U'| <= k+3, and asks the exact solver for a
     (k+1)-matching inside V(S) ∪ U'.  The first success (in deterministic
-    enumeration order) is applied.
+    enumeration order) is applied.  When a stats dict is given, its
+    "nodes" entry grows by the B&B nodes of every probe.
     """
     cfg = cfg or AugmentConfig()
     uncovered = M.uncovered
@@ -159,6 +160,8 @@ def augment_once(
                         vs + list(up),
                         SolveBudget(node_limit=cfg.probe_nodes, target=k + 1),
                     )
+                    if stats is not None:
+                        stats["nodes"] = stats.get("nodes", 0) + rep.nodes
                     if rep.size >= k + 1:
                         removed = set(S)
                         new_edges = [e for e in medges if e not in removed]
@@ -173,15 +176,17 @@ def solve(
 ) -> tuple[SolveReport, MoveTrace]:
     """Greedy start, then swap moves until size d, stall, or the move cap.
 
-    The report's optimal flag records whether the target was reached;
-    a stall is a result, not an error.
+    The report's optimal flag records whether the target was reached,
+    and its nodes sum the B&B nodes of every probe, the failed ones
+    included; a stall is a result, not an error.
     """
     cfg = cfg or AugmentConfig()
     t0 = time.perf_counter()
     M = greedy_matching(H)
     trace = MoveTrace(initial=M.edges)
+    stats = {"nodes": 0}
     while M.size < d and len(trace.moves) < cfg.max_moves:
-        step = augment_once(H, M, cfg)
+        step = augment_once(H, M, cfg, stats)
         if step is None:
             break
         M, move = step
@@ -193,7 +198,7 @@ def solve(
             size=M.size,
             edges=M.edges,
             optimal=reached,
-            nodes=0,
+            nodes=stats["nodes"],
             wall_ms=wall,
             detail="target reached" if reached else "stalled",
         ),

@@ -114,11 +114,14 @@ class Hypergraph3:
 
         The surviving vertices are reindexed to 0..n'-1 in increasing order
         of their old labels.  Returns (subhypergraph, new_to_old) where
-        new_to_old[i] is the old label of new vertex i.
+        new_to_old[i] is the old label of new vertex i.  Removing nothing
+        returns this hypergraph itself, which is immutable.
         """
         gone = set(remove)
         for v in gone:
             self._check_vertex(v)
+        if not gone:
+            return self, tuple(range(self.n))
         kept = tuple(v for v in range(self.n) if v not in gone)
         old_to_new = {v: i for i, v in enumerate(kept)}
         sub_edges = [

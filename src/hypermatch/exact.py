@@ -62,7 +62,8 @@ class SolveReport:
 
     optimal is True only if the search space was exhausted or the
     requested target size was reached; a budgeted stop reports
-    optimal=False with the reason in detail.
+    optimal=False with the reason in detail.  wall_ms stays out of the
+    JSON form, so equal inputs give byte-identical reports.
     """
 
     size: int
@@ -79,7 +80,6 @@ class SolveReport:
             "matching": [list(e) for e in self.edges],
             "optimal": self.optimal,
             "nodes": self.nodes,
-            "wall_ms": round(self.wall_ms, 3),
             "detail": self.detail,
         }
 

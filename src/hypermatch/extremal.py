@@ -6,6 +6,26 @@ of H is the number of model edges it is missing; per-vertex badness is
 the number of missing model edges at that vertex, and a vertex is good
 at level alpha when its badness is at most alpha * n^2.
 
+Both are popcounts over the incidence bitsets.  With OR_W and OR_V the
+ORs of H.incidence over W and over V, an edge is a model edge iff it
+meets both classes, so the model edges present are OR_W & OR_V (that is,
+m - #VVV - #WWW) and
+
+    deficiency = d*C(n-d,2) + (n-d)*C(d,2) - popcount(OR_W & OR_V).
+
+A W-vertex x lies on C(n-d,2) + (n-d)(d-1) model edges, present where
+its edges also meet V; a V-vertex lies on (n-d-1)d + C(d,2), present
+where its edges also meet W:
+
+    badness(x) = C(n-d,2) + (n-d)(d-1) - popcount(inc[x] & OR_V)   (x in W)
+    badness(x) = (n-d-1)d + C(d,2)     - popcount(inc[x] & OR_W)   (x in V)
+
+and the badness sums to three times the deficiency.  A swap of w in W
+with v in V gives OR_W' = OR_{W-w} | inc[v] and OR_V' = OR_{V-v} | inc[w],
+so once the ORs that leave out one vertex are known (prefix and suffix
+ORs, once per round), each candidate swap in find_partition costs a
+constant number of big-int operations.
+
 Two matchers live here:
 
 * good_case_matching assumes every vertex is good and builds a
@@ -46,18 +66,6 @@ __all__ = [
 ]
 
 
-def _model_edges(n: int, W: frozenset[int]):
-    """Edges of the reference model for classes (V, W): one or two W-endpoints."""
-    Vs = [v for v in range(n) if v not in W]
-    Ws = sorted(W)
-    for a, b in combinations(Vs, 2):
-        for w in Ws:
-            yield tuple(sorted((a, b, w)))
-    for v in Vs:
-        for w1, w2 in combinations(Ws, 2):
-            yield tuple(sorted((v, w1, w2)))
-
-
 @dataclass(frozen=True)
 class ClosenessReport:
     """How close H is to the cut family over a given partition."""
@@ -88,25 +96,59 @@ class ClosenessReport:
         }
 
 
+def _model_size(n: int, d: int) -> int:
+    """Edges of the cut-family model with |W| = d: d*C(n-d,2) + (n-d)*C(d,2)."""
+    return d * math.comb(n - d, 2) + (n - d) * math.comb(d, 2)
+
+
+def _class_ors(H: Hypergraph3, W) -> tuple[int, int]:
+    """(OR of H.incidence over W, OR over V): the edges meeting each class."""
+    or_w = or_v = 0
+    for x, inc in enumerate(H.incidence):
+        if x in W:
+            or_w |= inc
+        else:
+            or_v |= inc
+    return or_w, or_v
+
+
+def _or_all_but_one(masks: list[int]) -> list[int]:
+    """out[i] is the OR of every mask except masks[i] (prefix and suffix ORs)."""
+    suffix = [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    out = []
+    prefix = 0
+    for i, mask in enumerate(masks):
+        out.append(prefix | suffix[i + 1])
+        prefix |= mask
+    return out
+
+
 def deficiency(H: Hypergraph3, P: Partition) -> int:
     """Number of model edges over (V, W) absent from H."""
-    return sum(1 for e in _model_edges(H.n, P.W) if e not in H.edge_set)
+    or_w, or_v = _class_ors(H, P.W)
+    return _model_size(H.n, len(P.W)) - (or_w & or_v).bit_count()
 
 
 def classify_goodness(H: Hypergraph3, P: Partition, alpha: float) -> ClosenessReport:
     """Per-vertex badness and good/bad flags at threshold alpha * n^2."""
-    bad = [0] * H.n
-    miss = 0
-    for e in _model_edges(H.n, P.W):
-        if e not in H.edge_set:
-            miss += 1
-            for v in e:
-                bad[v] += 1
+    W = P.W
+    d = len(W)
+    nv = H.n - d
+    or_w, or_v = _class_ors(H, W)
+    w_model = math.comb(nv, 2) + nv * (d - 1)
+    v_model = (nv - 1) * d + math.comb(d, 2)
+    bad = [
+        w_model - (inc & or_v).bit_count() if x in W else v_model - (inc & or_w).bit_count()
+        for x, inc in enumerate(H.incidence)
+    ]
+    miss = sum(bad) // 3
     cut = alpha * H.n * H.n
     bad_vertices = tuple(v for v in range(H.n) if bad[v] > cut)
     return ClosenessReport(
         n=H.n,
-        d=len(P.W),
+        d=d,
         W=P.w_sorted(),
         deficiency=miss,
         epsilon=miss / H.n**3 if H.n else 0.0,
@@ -183,18 +225,22 @@ def find_partition(
     else:
         raise ValueError("seed must be 'degree' or 'bottom'")
 
+    inc = H.incidence
+    model = _model_size(H.n, d)
     cur = deficiency(H, Partition(H.n, W, d))
     improved = True
     while improved and cur > 0:
         improved = False
         best_swap = None
         best_val = cur
-        for w in sorted(W):
-            for v in range(H.n):
-                if v in W:
-                    continue
-                W2 = (W - {w}) | {v}
-                val = deficiency(H, Partition(H.n, W2, d))
+        Ws = sorted(W)
+        Vs = [v for v in range(H.n) if v not in W]
+        or_v_but = _or_all_but_one([inc[v] for v in Vs])
+        for w, or_w_but in zip(Ws, _or_all_but_one([inc[w] for w in Ws])):
+            inc_w = inc[w]
+            for v, or_v_but_v in zip(Vs, or_v_but):
+                # deficiency of W - {w} + {v}
+                val = model - ((or_w_but | inc[v]) & (or_v_but_v | inc_w)).bit_count()
                 if val < best_val:
                     best_val, best_swap = val, (w, v)
         if best_swap is not None:
@@ -370,8 +416,9 @@ def staged_matching(
 
     # stage 1: one edge per bad W-vertex, inside V ∪ W_bad
     a = len(v1_set)
-    sub, _ = H.remove_vertices([v for v in range(H.n) if v not in v1_set])
-    bde_lhs = sub.min_degree(1) if sub.n and sub.m else 0
+    _, meets_outside = _class_ors(H, v1_set)
+    inside = ((1 << H.m) - 1) & ~meets_outside
+    bde_lhs = min(((H.incidence[v] & inside).bit_count() for v in v1_set), default=0)
     bde_rhs = math.comb(a - 1, 2) - math.comb(a - c, 2) if a >= 1 and a >= c else 0
     log.bde_check = {"delta1_inside_V1": bde_lhs, "bound": bde_rhs, "holds": bde_lhs > bde_rhs}
     m1: list[Edge] = []

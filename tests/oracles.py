@@ -2,7 +2,7 @@
 
 These deliberately avoid the package's search code: matchings are found
 by raw combination enumeration, pattern perfect matchings by the 3x3
-permanent.  They are slow and obviously correct, which is the point.
+permanent, closeness by listing every triple of the cut-family model.  They are slow and obviously correct, which is the point.
 """
 
 from itertools import combinations, permutations
@@ -63,3 +63,30 @@ def pairing_has_pm_n6(H) -> bool:
         if t1 in H.edge_set and t2 in H.edge_set:
             return True
     return False
+
+
+def _model_edges(n: int, W):
+    """Edges of the cut-family model over (V, W): one or two W-endpoints."""
+    Ws = sorted(W)
+    Vs = [v for v in range(n) if v not in W]
+    for a, b in combinations(Vs, 2):
+        for w in Ws:
+            yield tuple(sorted((a, b, w)))
+    for v in Vs:
+        for w1, w2 in combinations(Ws, 2):
+            yield tuple(sorted((v, w1, w2)))
+
+
+def model_deficiency(H, W) -> int:
+    """Model edges over (V, W) that H lacks, by enumerating the model."""
+    return sum(1 for e in _model_edges(H.n, frozenset(W)) if e not in H.edge_set)
+
+
+def model_badness(H, W) -> tuple[int, ...]:
+    """Per-vertex count of model edges over (V, W) that H lacks."""
+    bad = [0] * H.n
+    for e in _model_edges(H.n, frozenset(W)):
+        if e not in H.edge_set:
+            for v in e:
+                bad[v] += 1
+    return tuple(bad)

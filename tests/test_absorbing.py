@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import hypermatch.augment
 from hypermatch.absorbing import absorb_leftover, absorbs, find_absorbing, perfect_via_absorbing
 from hypermatch.constructions import cut_family, extremal_star, random_triples, splitmix64_stream
 from hypermatch.core import Matching, build
@@ -145,6 +146,20 @@ class TestPerfectViaAbsorbing:
         assert rep.optimal, rep.detail
         M = Matching(H, rep.edges)
         assert len(M.covered) == 15
+
+    def test_nodes_are_the_augment_phase_probes(self, monkeypatch):
+        seen = []
+        probe = hypermatch.augment.max_matching_in_subset
+
+        def spy(*args, **kwargs):
+            rep = probe(*args, **kwargs)
+            seen.append(rep.nodes)
+            return rep
+
+        monkeypatch.setattr(hypermatch.augment, "max_matching_in_subset", spy)
+        rep = perfect_via_absorbing(random_triples(18, 0.5, seed=1))
+        assert rep.optimal
+        assert rep.nodes == sum(seen) > 0
 
     def test_star_fails_with_phase(self):
         H, _ = extremal_star(15)

@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
+import hypermatch.augment
 from hypermatch.augment import AugmentConfig, augment_once, greedy_matching, replay, solve
-from hypermatch.constructions import cut_family, extremal_star, random_triples
+from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples
 from hypermatch.core import Matching, build
 from hypermatch.exact import max_matching
 from oracles import naive_max_matching
@@ -134,6 +135,22 @@ class TestSolve:
             H = random_triples(n, 0.1 * (1 + seed % 9), seed)
             rep, _ = solve(H, n // 3)
             assert rep.size <= max_matching(H).size
+
+    def test_nodes_sum_every_probe(self, monkeypatch):
+        # blocker n=18 stalls at d - 1, so the last round's probes all fail
+        seen = []
+        probe = hypermatch.augment.max_matching_in_subset
+
+        def spy(*args, **kwargs):
+            rep = probe(*args, **kwargs)
+            seen.append(rep.nodes)
+            return rep
+
+        monkeypatch.setattr(hypermatch.augment, "max_matching_in_subset", spy)
+        H, _ = blocker_family(18, 5)
+        rep, _ = solve(H, 6, AugmentConfig(k_max=2))
+        assert rep.detail == "stalled"
+        assert rep.nodes == sum(seen) > 0
 
 
 def test_config_validation():

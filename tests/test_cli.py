@@ -111,6 +111,16 @@ class TestSolveCmd:
         assert rc == 0
         assert rep["size"] == 5 and rep["optimal"]
 
+    @pytest.mark.parametrize("method", ["--exact", "--augment"])
+    def test_reruns_are_byte_identical(self, tmp_path, method):
+        h3 = tmp_path / "star15.h3"
+        main(["gen", "star", "--n", "15", "--out", str(h3)])
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["solve", method, str(h3), "--out", str(a)]) == 0
+        assert main(["solve", method, str(h3), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert "wall_ms" not in json.loads(a.read_text())
+
     def test_method_required(self, tmp_path):
         h3 = tmp_path / "x.h3"
         main(["gen", "star", "--n", "9", "--out", str(h3)])

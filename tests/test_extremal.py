@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermatch.constructions import cut_family, extremal_star, perturb_remove, random_triples
+from hypermatch.constructions import cut_family, extremal_star, perturb_remove, random_triples, splitmix64_stream
 from hypermatch.core import Matching, Partition, build, edge_type
 from hypermatch.exact import has_d_matching, max_matching
 from hypermatch.extremal import (
@@ -16,6 +16,7 @@ from hypermatch.extremal import (
     good_case_matching,
     staged_matching,
 )
+from oracles import model_badness, model_deficiency
 
 
 def complete(n):
@@ -220,3 +221,202 @@ class TestStaged:
         H, P = cut_family(9, 3)
         _, log = staged_matching(H, P, 3)
         assert log.bde_check is not None and "holds" in log.bde_check
+
+
+# --- pinned closeness table ----------------------------------------------------
+#
+# (W, deficiency, bad_vertices, badness) at alpha = 0.05, recorded from the
+# model-triple enumeration that the popcount forms replaced.  Any change to
+# the seed order, the swap order or the strict-improvement rule of the local
+# search shows up here as a different W.
+
+
+def _scrambled(H, seed):
+    """H with its labels permuted by a splitmix64-seeded Fisher-Yates shuffle."""
+    rng = splitmix64_stream(seed)
+    perm = list(range(H.n))
+    for j in range(H.n - 1):
+        r = j + next(rng) % (H.n - j)
+        perm[j], perm[r] = perm[r], perm[j]
+    return build(H.n, [tuple(perm[v] for v in e) for e in H.edges])
+
+
+def _instance(spec):
+    kind = spec[0]
+    if kind == "cut":
+        # cut family minus 2% of its edges, labels shuffled
+        _, n, d, seed = spec
+        H, _ = cut_family(n, d)
+        return _scrambled(perturb_remove(H, round(0.02 * H.m), seed), seed)
+    if kind == "strip":
+        # cut family with one W-vertex stripped to two edges, labels shuffled
+        _, n, d, seed = spec
+        H, P = cut_family(n, d)
+        w = min(P.W)
+        reserve = [e for e in H.edges if w in e][:2]
+        return _scrambled(build(n, [e for e in H.edges if w not in e] + reserve), seed)
+    if kind == "random":
+        return random_triples(*spec[1:])
+    if kind == "star":
+        return extremal_star(spec[1])[0]
+    return build(spec[1], [])
+
+
+PINNED_PARTITIONS = [
+    (("cut", 15, 5, 1), 5, "local", "degree",
+     (1, 2, 4, 7, 10), 6, (),
+     (2, 3, 0, 1, 1, 0, 1, 1, 0, 2, 3, 2, 1, 1, 0)),
+    (("cut", 24, 8, 2), 8, "local", "degree",
+     (4, 6, 7, 8, 9, 15, 16, 20), 28, (),
+     (4, 4, 3, 0, 5, 1, 4, 6, 4, 4, 5, 3, 1, 5, 2, 7, 5, 5, 6, 3, 2, 1, 2, 2)),
+    (("cut", 30, 10, 3), 10, "local", "degree",
+     (0, 5, 7, 9, 11, 13, 20, 21, 25, 28), 56, (),
+     (9, 7, 6, 5, 3, 7, 1, 8, 2, 7, 7, 8, 9, 8, 5, 4, 10, 1, 3, 3, 7, 5, 5, 1, 4, 5, 3, 5, 12, 8)),
+    (("cut", 45, 15, 4), 15, "local", "degree",
+     (1, 8, 14, 18, 22, 23, 24, 25, 28, 31, 32, 35, 36, 43, 44), 194, (),
+     (11, 20, 6, 16, 10, 10, 14, 12, 15, 6, 12, 9, 17, 12, 18, 9, 10, 11, 14, 14, 13, 11, 18, 19, 13, 18, 10, 14, 20, 13, 7, 23, 16, 6, 6, 18, 24, 14, 6, 12, 11, 6, 10, 16, 12)),
+    (("strip", 15, 5, 5), 5, "local", "degree",
+     (1, 5, 7, 9, 12), 83, (0, 2, 3, 4, 5, 6, 10, 11, 13, 14),
+     (13, 10, 13, 13, 13, 83, 13, 10, 11, 10, 13, 13, 10, 12, 12)),
+    (("strip", 24, 8, 6), 8, "local", "degree",
+     (0, 1, 7, 13, 15, 20, 22, 23), 230, (0,),
+     (230, 16, 22, 21, 22, 22, 22, 16, 20, 22, 22, 22, 22, 16, 22, 16, 22, 22, 21, 22, 16, 22, 16, 16)),
+    (("random", 15, 0.3, 7), 5, "local", "degree",
+     (7, 10, 12, 13, 14), 211, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14),
+     (38, 34, 37, 35, 34, 32, 34, 61, 36, 37, 55, 38, 56, 57, 49)),
+    (("random", 24, 0.2, 8), 8, "local", "degree",
+     (1, 2, 7, 8, 9, 15, 19, 21), 1094, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23),
+     (115, 179, 177, 121, 111, 110, 120, 180, 181, 182, 108, 111, 114, 114, 116, 179, 122, 123, 112, 178, 115, 183, 117, 114)),
+    (("random", 18, 0.5, 9), 4, "local", "degree",
+     (3, 8, 9, 11), 207, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17),
+     (26, 29, 30, 59, 23, 29, 34, 25, 61, 62, 27, 58, 27, 24, 30, 28, 22, 27)),
+    # sparse instances tie between several best swaps: the first in
+    # sorted(W) x range(n) order must win
+    (("random", 9, 0.1, 1), 3, "local", "degree",
+     (1, 4, 7), 55, (0, 1, 2, 3, 4, 5, 6, 7, 8),
+     (15, 26, 15, 15, 22, 18, 15, 23, 16)),
+    (("random", 15, 0.1, 2), 5, "local", "degree",
+     (0, 1, 5, 8, 13), 291, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14),
+     (79, 77, 50, 49, 48, 76, 47, 50, 77, 47, 48, 49, 50, 76, 50)),
+    (("random", 18, 0.05, 3), 6, "local", "degree",
+     (3, 4, 6, 7, 8, 13), 543, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17),
+     (78, 73, 78, 118, 117, 75, 122, 119, 121, 80, 76, 77, 74, 115, 76, 77, 75, 78)),
+    (("star", 15), 5, "local", "degree",
+     (0, 11, 12, 13, 14), 45, (0,),
+     (45, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 0, 0, 0, 0)),
+    (("empty", 12), 4, "local", "degree",
+     (0, 1, 2, 3), 160, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+     (52, 52, 52, 52, 34, 34, 34, 34, 34, 34, 34, 34)),
+    (("cut", 15, 5, 10), 0, "local", "degree",
+     (), 0, (),
+     (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)),
+    (("cut", 9, 3, 11), 3, "exhaustive", "degree",
+     (0, 6, 8), 1, (),
+     (1, 0, 0, 0, 0, 0, 1, 1, 0)),
+    (("random", 12, 0.4, 12), 4, "exhaustive", "degree",
+     (3, 4, 6, 11), 83, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+     (22, 17, 19, 27, 26, 15, 26, 19, 19, 19, 13, 27)),
+    (("random", 10, 0.6, 13), 2, "exhaustive", "degree",
+     (7, 9), 21, (1, 2, 6, 7, 9),
+     (4, 8, 6, 5, 3, 4, 6, 11, 3, 13)),
+    (("strip", 12, 4, 14), 4, "exhaustive", "degree",
+     (5, 6, 9, 10), 50, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11),
+     (10, 9, 8, 10, 10, 8, 50, 10, 9, 8, 8, 10)),
+    (("cut", 12, 4, 15), 4, "local", "bottom",
+     (1, 2, 4, 9), 3, (),
+     (1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 3)),
+    (("strip", 15, 5, 16), 5, "local", "bottom",
+     (3, 4, 7, 12, 14), 83, (0, 1, 2, 6, 8, 9, 10, 11, 12, 13),
+     (13, 13, 12, 10, 10, 11, 13, 10, 13, 12, 13, 13, 83, 13, 10)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,d,mode,seed,W,deficiency,bad_vertices,badness",
+    PINNED_PARTITIONS,
+    ids=[f"{row[0]}-{row[2]}-{row[3]}" for row in PINNED_PARTITIONS],
+)
+def test_pinned_partitions(spec, d, mode, seed, W, deficiency, bad_vertices, badness):
+    rep = find_partition(_instance(spec), d, mode=mode, seed=seed)
+    assert (rep.W, rep.deficiency, rep.bad_vertices, rep.badness) == (W, deficiency, bad_vertices, badness)
+
+
+# staged_matching's bde_check dict and stall stage on the partition that
+# local find_partition recovers, recorded like the table above
+PINNED_BDE = [
+    (("cut", 15, 5, 1), 5, {"delta1_inside_V1": 0, "bound": -9, "holds": True}, 0, None),
+    (("strip", 30, 10, 17), 10, {"delta1_inside_V1": 0, "bound": 0, "holds": False}, 1, None),
+    (("strip", 15, 5, 5), 5, {"delta1_inside_V1": 0, "bound": 0, "holds": False}, 1, "M3"),
+    (("random", 12, 0.5, 18), 4, {"delta1_inside_V1": 21, "bound": 27, "holds": False}, 4, "M3"),
+    (("random", 15, 0.7, 19), 5, {"delta1_inside_V1": 57, "bound": 46, "holds": True}, 5, "M4"),
+    (("random", 18, 0.8, 20), 6, {"delta1_inside_V1": 100, "bound": 70, "holds": True}, 6, "M5"),
+]
+
+
+@pytest.mark.parametrize("spec,d,bde,c,stalled", PINNED_BDE, ids=[str(row[0]) for row in PINNED_BDE])
+def test_pinned_bde_check(spec, d, bde, c, stalled):
+    H = _instance(spec)
+    P = Partition(H.n, find_partition(H, d).W, d)
+    _, log = staged_matching(H, P, d)
+    assert (log.bde_check, log.c, log.stalled_stage) == (bde, c, stalled)
+
+
+def test_remove_nothing_is_identity():
+    H = random_triples(12, 0.3, 5)
+    sub, new_to_old = H.remove_vertices(())
+    assert sub == H and new_to_old == tuple(range(12))
+
+
+# --- properties against the model-triple oracle --------------------------------
+
+
+@st.composite
+def closeness_cases(draw):
+    """(H, d, W) with n <= 15: random triples (p = 0 gives m = 0) or a damaged cut family."""
+    n = draw(st.integers(0, 15))
+    d = draw(st.integers(0, n // 3))
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        H = random_triples(n, draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9])), seed)
+    else:
+        H, _ = cut_family(n, d)
+        H = _scrambled(perturb_remove(H, draw(st.integers(0, H.m)), seed), seed)
+    W = draw(st.permutations(range(n)))[:d]
+    return H, d, W
+
+
+@settings(max_examples=150, deadline=None)
+@given(closeness_cases())
+def test_property_closeness_matches_oracle(case):
+    H, d, W = case
+    P = Partition(H.n, W, d)
+    rep = classify_goodness(H, P, alpha=0.05)
+    assert deficiency(H, P) == rep.deficiency == model_deficiency(H, W)
+    assert rep.badness == model_badness(H, W)
+
+
+def _reference_local(H, d):
+    """find_partition's degree-seeded hill-climb, scored by the oracle."""
+    W = set(sorted(range(H.n), key=lambda v: (-H.degree(v), v))[:d])
+    cur = model_deficiency(H, W)
+    while cur > 0:
+        best_swap, best_val = None, cur
+        for w in sorted(W):
+            for v in range(H.n):
+                if v not in W:
+                    val = model_deficiency(H, (W - {w}) | {v})
+                    if val < best_val:
+                        best_swap, best_val = (w, v), val
+        if best_swap is None:
+            break
+        W = (W - {best_swap[0]}) | {best_swap[1]}
+        cur = best_val
+    return tuple(sorted(W)), cur
+
+
+@settings(max_examples=60, deadline=None)
+@given(closeness_cases())
+def test_property_local_search_matches_reference(case):
+    H, d, _ = case
+    rep = find_partition(H, d, mode="local")
+    assert (rep.W, rep.deficiency) == _reference_local(H, d)
