@@ -1,23 +1,32 @@
-"""Absorbing matchings: search-and-verify, edge per triple.
+"""Absorbing matchings: greedy construction over absorb masks.
 
 An edge e absorbs a disjoint vertex triple T when the 6 vertices of
-e ∪ T carry a 2-matching, i.e. split into two edges of H (a property of
-the union only, which makes it cheap to memoize).  An absorbing
-matching M* with redundancy t gives every small leftover triple at
-least t candidate edges to be folded into, so an almost-perfect
-matching outside V(M*) can be upgraded to one covering exactly
-V(M*) ∪ leftover.
+e ∪ T carry a 2-matching, i.e. split into two edges of H.  Other than
+e | T, every split pairs two vertices {x, y} of e with one vertex t_j
+of T, so e absorbs T iff T is an edge, or for some split of e into
+{x, y} and z and some position j, both {x, y, t_j} and {z} ∪ (T - t_j)
+are edges.  An absorbing matching M* with redundancy t gives every small
+leftover triple at least t candidate edges to be folded into, so an
+almost-perfect matching outside V(M*) can be upgraded to one covering
+exactly V(M*) ∪ leftover.
 
 Construction is greedy: repeatedly add the disjoint edge that newly
-absorbs the most still-undercovered triples.  Verification of the
-coverage is exhaustive while at most 12 vertices remain outside M*,
-and sampled (10^4 seeded triples) above that; the report says which.
+absorbs the most still-undercovered triples.  Each round indexes its
+tracked triples as bits and gives every edge one absorb mask over them,
+built from the rule above with 9 ANDs per edge (see _absorb_masks);
+coverage counts are bit-sliced over the chosen edges' masks, and a gain
+is one popcount.  Verification of the coverage is exhaustive while at
+most 12 vertices remain outside M*, and sampled (10^4 seeded triples)
+above that; the report says which.  A "sampled" verification holds
+every triple whenever there are at most 10^4 of them, since the seeded
+sampling would draw until it held them all.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,11 +42,7 @@ _EXHAUSTIVE_LIMIT = 12
 
 
 def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
+    return [k for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def _split2(H: Hypergraph3, pool: int) -> tuple[int, int] | None:
@@ -113,19 +118,98 @@ class AbsorbingMatching:
         }
 
 
-def _tracked_triples(H: Hypergraph3, outside: list[int], seed: int) -> tuple[list, str]:
-    if len(outside) <= _EXHAUSTIVE_LIMIT:
-        return list(combinations(sorted(outside), 3)), "exhaustive"
-    rng = splitmix64_stream(seed)
+def _tracked_triples(outside: list[int], seed: int) -> tuple[list, str]:
     pool = sorted(outside)
+    if len(pool) <= _EXHAUSTIVE_LIMIT:
+        return list(combinations(pool, 3)), "exhaustive"
+    if math.comb(len(pool), 3) <= _SAMPLE_TRIPLES:
+        # the seeded sampling below would draw until it held every triple
+        return list(combinations(pool, 3)), "sampled"
+    rng = splitmix64_stream(seed)
     seen = set()
-    target = min(_SAMPLE_TRIPLES, math.comb(len(pool), 3))
-    while len(seen) < target:
+    while len(seen) < _SAMPLE_TRIPLES:
         pick: set[int] = set()
         while len(pick) < 3:
             pick.add(pool[next(rng) % len(pool)])
         seen.add(tuple(sorted(pick)))
     return sorted(seen), "sampled"
+
+
+def _pair_links(H: Hypergraph3) -> dict[tuple[int, int], list[int]]:
+    """For each pair {x, y} (x < y) that lies in an edge, the third vertices w of its edges."""
+    links: dict[tuple[int, int], list[int]] = {}
+    for a, b, c in H.edges:
+        links.setdefault((a, b), []).append(c)
+        links.setdefault((a, c), []).append(b)
+        links.setdefault((b, c), []).append(a)
+    return links
+
+
+def _absorb_masks(H: Hypergraph3, links, triples) -> Callable[[int], int]:
+    """mask_of(i): the triples (bit k for triples[k]) that edge i absorbs.
+
+    Edge e absorbs a disjoint triple T = (t0, t1, t2) iff T is an edge, or
+    for a split of e into a pair {x, y} and a vertex z and a position j,
+    both {x, y, t_j} and {z} ∪ (T - t_j) are edges.  Per position j:
+    posj[w] holds the triples with t_j = w; restj[(u, v)] the triples
+    whose two vertices other than t_j are u < v; Qj[z] ORs restj over the
+    edges {z, u, v}; and pair_mask(x, y) ORs posj over the third vertices
+    of the pair's edges, once per pair.
+    """
+    n = H.n
+    pos0, pos1, pos2 = [0] * n, [0] * n, [0] * n
+    rest0: dict[tuple[int, int], int] = {}
+    rest1: dict[tuple[int, int], int] = {}
+    rest2: dict[tuple[int, int], int] = {}
+    is_edge = 0
+    for k, T in enumerate(triples):
+        bit = 1 << k
+        a, b, c = T
+        pos0[a] |= bit
+        pos1[b] |= bit
+        pos2[c] |= bit
+        rest0[b, c] = rest0.get((b, c), 0) | bit
+        rest1[a, c] = rest1.get((a, c), 0) | bit
+        rest2[a, b] = rest2.get((a, b), 0) | bit
+        if T in H.edge_set:
+            is_edge |= bit
+    touch = [p0 | p1 | p2 for p0, p1, p2 in zip(pos0, pos1, pos2)]
+    Q0, Q1, Q2 = [0] * n, [0] * n, [0] * n
+    for rest, Q in ((rest0, Q0), (rest1, Q1), (rest2, Q2)):
+        for pair, tm in rest.items():
+            for z in links.get(pair, ()):
+                Q[z] |= tm
+    R: dict[tuple[int, int], tuple[int, int, int]] = {}
+
+    def pair_mask(x: int, y: int) -> tuple[int, int, int]:
+        got = R.get((x, y))
+        if got is None:
+            r0 = r1 = r2 = 0
+            for w in links[(x, y)]:
+                r0 |= pos0[w]
+                r1 |= pos1[w]
+                r2 |= pos2[w]
+            got = R[(x, y)] = (r0, r1, r2)
+        return got
+
+    def mask_of(i: int) -> int:
+        a, b, c = H.edges[i]
+        acc = is_edge
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            r0, r1, r2 = pair_mask(x, y)
+            acc |= (r0 & Q0[z]) | (r1 & Q1[z]) | (r2 & Q2[z])
+        return acc & ~(touch[a] | touch[b] | touch[c])
+
+    return mask_of
+
+
+def _coverage_levels(masks: list[int], top: int) -> list[int]:
+    """ge[c] for c = 0..top: the triples set in at least c of the masks (bit-sliced count)."""
+    ge = [-1] + [0] * top
+    for M in masks:
+        for c in range(top, 0, -1):
+            ge[c] |= ge[c - 1] & M
+    return ge
 
 
 def find_absorbing(
@@ -138,7 +222,9 @@ def find_absorbing(
     """Greedy absorbing matching: every leftover triple gets >= t absorbers.
 
     The size cap is floor(gamma^3 n / 3); outside contract mode at least
-    one edge is always allowed.  Reaching the cap with undercovered
+    one edge is always allowed.  Each round adds the edge disjoint from
+    V(M*) that absorbs the most tracked triples still below t absorbers
+    (lowest edge index on ties).  Reaching the cap with undercovered
     triples sets success=False (a result, not an exception).  The degree
     hypothesis delta1 >= (1/2 + 2 gamma) C(n,2) is checked and logged,
     not enforced.
@@ -152,41 +238,26 @@ def find_absorbing(
     if not contract:
         cap = max(1, cap)
     hyp = H.m > 0 and H.min_degree(1) >= (0.5 + 2 * gamma) * math.comb(n, 2)
-
-    memo: dict[int, bool] = {}
-
-    def can_absorb(emask: int, tmask: int) -> bool:
-        pool = emask | tmask
-        got = memo.get(pool)
-        if got is None:
-            got = _split2(H, pool) is not None
-            memo[pool] = got
-        return got
+    links = _pair_links(H)
 
     chosen: list[int] = []  # edge indices
     covered = 0
-    while len(chosen) < cap:
+    while True:
         outside = [v for v in range(n) if not covered >> v & 1]
-        triples, _ = _tracked_triples(H, outside, seed)
-        tmasks = [(T, (1 << T[0]) | (1 << T[1]) | (1 << T[2])) for T in triples]
-        lacking = []
-        for T, tm in tmasks:
-            cvg = sum(
-                1
-                for i in chosen
-                if not H.edge_masks[i] & tm and can_absorb(H.edge_masks[i], tm)
-            )
-            if cvg < t:
-                lacking.append(tm)
-        if not lacking:
+        triples, verification = _tracked_triples(outside, seed)
+        mask_of = _absorb_masks(H, links, triples)
+        masks = [mask_of(i) for i in chosen]
+        ge = _coverage_levels(masks, max(t, len(chosen)))
+        full = (1 << len(triples)) - 1
+        lacking = full & ~ge[t]
+        if not lacking or len(chosen) >= cap:
             break
         best_i = None
         best_gain = 0
-        for i in range(H.m):
-            em = H.edge_masks[i]
+        for i, em in enumerate(H.edge_masks):
             if em & covered:
                 continue
-            gain = sum(1 for tm in lacking if not em & tm and can_absorb(em, tm))
+            gain = (mask_of(i) & lacking).bit_count()
             if gain > best_gain:
                 best_gain, best_i = gain, i
         if best_i is None:
@@ -195,26 +266,15 @@ def find_absorbing(
         covered |= H.edge_masks[best_i]
 
     edges = tuple(H.edges[i] for i in chosen)
-    outside = [v for v in range(n) if not covered >> v & 1]
-    triples, verification = _tracked_triples(H, outside, seed)
-    index: dict[Edge, list] = {e: [] for e in edges}
-    coverage = {T: 0 for T in triples}
-    for i, e in zip(chosen, edges):
-        em = H.edge_masks[i]
-        for T in triples:
-            tm = (1 << T[0]) | (1 << T[1]) | (1 << T[2])
-            if not em & tm and can_absorb(em, tm):
-                index[e].append(T)
-                coverage[T] += 1
-    min_cvg = min(coverage.values()) if coverage else t
-    lacking_n = sum(1 for c in coverage.values() if c < t)
+    min_cvg = sum(1 for level in ge[1:] if not full & ~level) if triples else t
+    lacking_n = lacking.bit_count()
     success = lacking_n == 0 and (not contract or len(chosen) <= gamma**3 * n / 3)
     return AbsorbingMatching(
         edges=edges,
         gamma=gamma,
         t=t,
         success=success,
-        absorb_index={e: tuple(v) for e, v in index.items()},
+        absorb_index={e: tuple(triples[k] for k in _bits(M)) for e, M in zip(edges, masks)},
         verification=verification,
         min_coverage=min_cvg,
         uncovered_triples=lacking_n,
@@ -297,9 +357,11 @@ def perfect_via_absorbing(
     """Absorb, match the rest, fold the leftover: a perfect matching or the failing phase.
 
     Phases: find_absorbing on H; the augmenting solver on H - V(M*);
-    absorb_leftover on whatever stayed uncovered.  The report's detail
-    names the phase that failed, if any, and its nodes are the B&B nodes
-    of the augment phase's probes.
+    absorb_leftover on whatever stayed uncovered.  An M* that falls short
+    of redundancy t is used all the same: the fold is exact, so the
+    pipeline fails only in the augment or leftover phase that cannot go
+    on.  The report's detail names the phase that failed, if any, and its
+    nodes are the B&B nodes of the augment phase's probes.
     """
     t0 = time.perf_counter()
     n = H.n
@@ -317,8 +379,6 @@ def perfect_via_absorbing(
     if n % 3 != 0:
         return report((), False, "phase absorbing: n not divisible by 3")
     A = find_absorbing(H, gamma, t=t, seed=seed)
-    if not A.success:
-        return report(A.edges, False, f"phase absorbing: {A.detail or 'no absorbing matching'}")
     star_vertices = sorted(v for e in A.edges for v in e)
     sub, new_to_old = H.remove_vertices(star_vertices)
     rep, _ = _augment_solve(sub, sub.n // 3, cfg or AugmentConfig())
