@@ -47,11 +47,13 @@ def _bits(mask: int) -> list[int]:
 
 def _split2(H: Hypergraph3, pool: int) -> tuple[int, int] | None:
     """A partition of a 6-vertex mask into two edges of H, or None."""
-    vs = _bits(pool)
-    first = 1 << vs[0]
-    for a, b in combinations(vs[1:], 2):
-        m1 = first | (1 << a) | (1 << b)
-        if m1 in H.edge_mask_set and (pool ^ m1) in H.edge_mask_set:
+    inc = H.incidence
+    x, *rest = _bits(pool)
+    for a, b in combinations(rest, 2):
+        c, d, e = (v for v in rest if v != a and v != b)
+        # three distinct vertices share an edge iff they are one
+        if inc[x] & inc[a] & inc[b] and inc[c] & inc[d] & inc[e]:
+            m1 = (1 << x) | (1 << a) | (1 << b)
             return m1, pool ^ m1
     return None
 

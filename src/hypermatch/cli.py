@@ -2,9 +2,7 @@
 
 Exit codes: 0 success, 1 assertion failure, 2 usage error, 3 budget
 exhaustion.  Reports are JSON (sorted keys, no timestamps) or CSV with
-fixed columns, so reruns with equal inputs are byte-identical.  The
-environment variable HYPERMATCH_THREADS caps worker processes for the
-exhaustive small-n sweep; the default is 1 (serial).
+fixed columns, so reruns with equal inputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -41,13 +39,6 @@ def _emit(payload, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("HYPERMATCH_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # --- gen ---------------------------------------------------------------------
@@ -249,72 +240,43 @@ def _verify_tightness(args) -> int:
     return EXIT_OK if ok else EXIT_ASSERT
 
 
-def _threshold_chunk(payload) -> tuple[int, int, int]:
-    """Scan a contiguous mask range; returns (no-matching count, max delta1 without, min delta1 with)."""
-    n, d, start, end = payload
-    triples = list(combinations(range(n), 3))
-    incident = [0] * n
-    for i, tr in enumerate(triples):
-        for v in tr:
-            incident[v] |= 1 << i
-    dsets = []
-    for idxs in combinations(range(len(triples)), d):
-        used: set[int] = set()
-        good = True
-        for i in idxs:
-            if used & set(triples[i]):
-                good = False
-                break
-            used.update(triples[i])
-        if good:
-            dsets.append(sum(1 << i for i in idxs))
-    none_count = 0
-    max_without = -1
-    min_with = None
-    for mask in range(start, end):
-        has = any(mask & ds == ds for ds in dsets)
-        if has:
-            if min_with is None:
-                delta = min((mask & incident[v]).bit_count() for v in range(n))
-                min_with = delta
-            continue
-        none_count += 1
-        delta = min((mask & incident[v]).bit_count() for v in range(n))
-        if delta > max_without:
-            max_without = delta
-    return none_count, max_without, min_with if min_with is not None else -1
-
-
 def _verify_thresholds(args) -> int:
+    """Count the hypergraphs on n <= 7 vertices without a d-matching, and their largest delta1.
+
+    These hypergraphs form a down-set, so only they are visited, not all
+    2^C(n,3) edge sets.  n <= 7 means d <= 2.  For d = 2 they are the
+    intersecting families: triple j may join a family iff bit j of
+    `forbidden`, the triples disjoint from some member, is clear.  For
+    d = 1 every triple starts forbidden, which leaves the empty hypergraph.
+    Each stack entry is one family, reached once by adding triples in
+    lexicographic order.
+    """
     n, d = args.n, args.d
-    if n > 6:
-        print("the exhaustive sweep is limited to n <= 6", file=sys.stderr)
+    if n > 7:
+        print("the down-set walk is limited to n <= 7", file=sys.stderr)
         return EXIT_USAGE
     if not 1 <= d <= n // 3:
         print("need 1 <= d <= n/3", file=sys.stderr)
         return EXIT_USAGE
-    total = 1 << math.comb(n, 3)
-    threads = _threads()
-    chunks = []
-    step = max(1, total // max(threads * 8, 1))
-    at = 0
-    while at < total:
-        chunks.append((n, d, at, min(at + step, total)))
-        at += step
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_threshold_chunk, chunks))
-    else:
-        results = [_threshold_chunk(c) for c in chunks]
-    none_count = sum(r[0] for r in results)
-    max_without = max(r[1] for r in results)
+    K = Hypergraph3(n, combinations(range(n), 3))
+    inc = K.incidence
+    full = (1 << K.m) - 1
+    disjoint = [full & ~(inc[a] | inc[b] | inc[c]) for a, b, c in K.edges]
+    none_count = 0
+    max_without = -1
+    stack = [(0, 0, full if d == 1 else 0)]
+    while stack:
+        start, chosen, forbidden = stack.pop()
+        none_count += 1
+        max_without = max(max_without, min((chosen & mask).bit_count() for mask in inc))
+        for j in range(start, K.m):
+            if not forbidden >> j & 1:
+                stack.append((j + 1, chosen | 1 << j, forbidden | disjoint[j]))
     report = {
         "schema": "hypermatch.thresholds/1",
         "n": n,
         "d": d,
-        "total_hypergraphs": total,
+        "total_hypergraphs": 1 << K.m,
         "without_d_matching": none_count,
         "max_delta1_without_d_matching": max_without,
         "empirical_forcing_min_degree": max_without + 1,

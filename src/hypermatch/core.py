@@ -63,7 +63,6 @@ class Hypergraph3:
         self.edges: tuple[Edge, ...] = tuple(sorted({_canon_edge(e, n) for e in edges}))
         self.edge_set = frozenset(self.edges)
         self.edge_masks = tuple((1 << a) | (1 << b) | (1 << c) for a, b, c in self.edges)
-        self.edge_mask_set = frozenset(self.edge_masks)
         inc = [0] * self.n
         for i, (a, b, c) in enumerate(self.edges):
             bit = 1 << i

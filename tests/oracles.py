@@ -90,3 +90,37 @@ def model_badness(H, W) -> tuple[int, ...]:
             for v in e:
                 bad[v] += 1
     return tuple(bad)
+
+
+def naive_threshold_scan(n: int, d: int) -> tuple[int, int]:
+    """Every edge mask on n vertices against every d-matching of K_n^(3).
+
+    Returns (masks without a d-matching, largest delta1 among them): the
+    full 2^C(n,3) scan that `verify thresholds` replaced by a down-set walk.
+    """
+    triples = list(combinations(range(n), 3))
+    incident = [0] * n
+    for i, tr in enumerate(triples):
+        for v in tr:
+            incident[v] |= 1 << i
+    dsets = []
+    for idxs in combinations(range(len(triples)), d):
+        used: set[int] = set()
+        good = True
+        for i in idxs:
+            if used & set(triples[i]):
+                good = False
+                break
+            used.update(triples[i])
+        if good:
+            dsets.append(sum(1 << i for i in idxs))
+    none_count = 0
+    max_without = -1
+    for mask in range(1 << len(triples)):
+        if any(mask & ds == ds for ds in dsets):
+            continue
+        none_count += 1
+        delta = min((mask & incident[v]).bit_count() for v in range(n))
+        if delta > max_without:
+            max_without = delta
+    return none_count, max_without

@@ -205,6 +205,22 @@ def test_criterion_8_exhaustive_micro_threshold(tmp_path):
         assert rep["max_delta1_without_d_matching"] >= 0
 
 
+def test_criterion_8b_small_n_threshold_table(tmp_path):
+    # report-only, no new bound: delta1 > threshold(n, d) forces a d-matching
+    # for n sufficiently large; this prints where the smallest n stand
+    verdicts = {1: "n below 'sufficiently large'", 0: "bound exactly tight", -1: "bound has slack"}
+    with criterion("8b", "small-n table: max delta1 without a 2-matching vs threshold(n,2)", 60.0):
+        for n in (6, 7):
+            out = tmp_path / f"thr{n}.json"
+            assert cli_main(["verify", "thresholds", "--n", str(n), "--d", "2", "--out", str(out)]) == 0
+            rep = json.loads(out.read_text())
+            best, t = rep["max_delta1_without_d_matching"], rep["threshold_formula"]
+            print(
+                f"[criterion 8b] n={n}: max delta1 without a 2-matching = {best}, "
+                f"threshold({n},2) = {t}: {verdicts[(best > t) - (best < t)]}"
+            )
+
+
 def test_criterion_9a_threshold_lower_bound_scan_as_stated():
     with criterion(
         "9a", "threshold(n,d) = d(n-d/2) - (n+d/2-1) >= (1-3/(2d))d(n-d/2) scan", 5.0

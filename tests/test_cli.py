@@ -1,12 +1,14 @@
 """Tests for the command-line harness (exit codes, files, determinism)."""
 
 import json
-import os
+import math
+from itertools import combinations
 
 import pytest
 
 from hypermatch.cli import main
-from hypermatch.core import read_h3
+from hypermatch.core import read_h3, threshold
+from oracles import naive_threshold_scan
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -160,18 +162,43 @@ class TestVerifyCmd:
         assert rep["max_delta1_without_d_matching"] == 0
 
     def test_thresholds_rejects_large_n(self):
-        assert main(["verify", "thresholds", "--n", "7", "--d", "2"]) == 2
+        assert main(["verify", "thresholds", "--n", "8", "--d", "2"]) == 2
 
-    def test_thresholds_threads_env_agrees(self, tmp_path):
-        out1 = tmp_path / "s.json"
-        out2 = tmp_path / "p.json"
-        main(["verify", "thresholds", "--n", "5", "--d", "1", "--out", str(out1)])
-        os.environ["HYPERMATCH_THREADS"] = "2"
-        try:
-            main(["verify", "thresholds", "--n", "5", "--d", "1", "--out", str(out2)])
-        finally:
-            del os.environ["HYPERMATCH_THREADS"]
-        assert out1.read_bytes() == out2.read_bytes()
+    def test_thresholds_rejects_d_above_n_over_3(self):
+        assert main(["verify", "thresholds", "--n", "7", "--d", "3"]) == 2
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(3, 7) for d in range(1, n // 3 + 1)])
+    def test_thresholds_match_full_mask_scan(self, tmp_path, n, d):
+        rc, rep = run_json(tmp_path, ["verify", "thresholds", "--n", str(n), "--d", str(d)])
+        assert rc == 0
+        without, max_delta1 = naive_threshold_scan(n, d)
+        assert rep == {
+            "schema": "hypermatch.thresholds/1",
+            "n": n,
+            "d": d,
+            "total_hypergraphs": 2 ** math.comb(n, 3),
+            "without_d_matching": without,
+            "max_delta1_without_d_matching": max_delta1,
+            "empirical_forcing_min_degree": max_delta1 + 1,
+            "threshold_formula": threshold(n, d),
+        }
+
+    def test_thresholds_n6_closed_form(self, tmp_path):
+        # two triples on 6 vertices are disjoint iff they are complements, so
+        # the 20 triples form 10 pairs and a family without a 2-matching takes
+        # none, the first or the second triple of each pair: 3^10 families
+        triples = list(combinations(range(6), 3))
+        for t in triples:
+            assert [u for u in triples if not set(t) & set(u)] == [tuple(sorted(set(range(6)) - set(t)))]
+        rc, rep = run_json(tmp_path, ["verify", "thresholds", "--n", "6", "--d", "2"])
+        assert rc == 0
+        assert rep["without_d_matching"] == 3 ** (len(triples) // 2) == 59049
+
+    def test_thresholds_n7(self, tmp_path):
+        rc, rep = run_json(tmp_path, ["verify", "thresholds", "--n", "7", "--d", "2"])
+        assert rc == 0
+        assert rep["total_hypergraphs"] == 2**35
+        assert (rep["without_d_matching"], rep["max_delta1_without_d_matching"]) == (1_278_686, 5)
 
 
 class TestSweepCmd:
