@@ -120,20 +120,46 @@ class AbsorbingMatching:
         }
 
 
-def _tracked_triples(outside: list[int], seed: int) -> tuple[list, str]:
+def _replay(values: list[int], rng):
+    """Yield the cached values, then draw from rng, caching what it yields."""
+    yield from values
+    for v in rng:
+        values.append(v)
+        yield v
+
+
+def _tracked_triples(outside: list[int], draws: list[int], rng) -> tuple[list, str]:
+    """The triples to track over `outside`, and how they were chosen.
+
+    Samples come from the seeded stream read from its start each time; its
+    values are drawn once (`draws` caches them for `rng`) and replayed.
+    """
     pool = sorted(outside)
-    if len(pool) <= _EXHAUSTIVE_LIMIT:
+    size = len(pool)
+    if size <= _EXHAUSTIVE_LIMIT:
         return list(combinations(pool, 3)), "exhaustive"
-    if math.comb(len(pool), 3) <= _SAMPLE_TRIPLES:
+    if math.comb(size, 3) <= _SAMPLE_TRIPLES:
         # the seeded sampling below would draw until it held every triple
         return list(combinations(pool, 3)), "sampled"
-    rng = splitmix64_stream(seed)
+    draw = _replay(draws, rng).__next__
     seen = set()
     while len(seen) < _SAMPLE_TRIPLES:
-        pick: set[int] = set()
-        while len(pick) < 3:
-            pick.add(pool[next(rng) % len(pool)])
-        seen.add(tuple(sorted(pick)))
+        # three distinct pool positions, in order of drawing; pool is sorted,
+        # so sorting the positions sorts the triple
+        a = draw() % size
+        b = draw() % size
+        while b == a:
+            b = draw() % size
+        c = draw() % size
+        while c == a or c == b:
+            c = draw() % size
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        seen.add((pool[a], pool[b], pool[c]))
     return sorted(seen), "sampled"
 
 
@@ -244,9 +270,11 @@ def find_absorbing(
 
     chosen: list[int] = []  # edge indices
     covered = 0
+    draws: list[int] = []
+    rng = splitmix64_stream(seed)
     while True:
         outside = [v for v in range(n) if not covered >> v & 1]
-        triples, verification = _tracked_triples(outside, seed)
+        triples, verification = _tracked_triples(outside, draws, rng)
         mask_of = _absorb_masks(H, links, triples)
         masks = [mask_of(i) for i in chosen]
         ge = _coverage_levels(masks, max(t, len(chosen)))

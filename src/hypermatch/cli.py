@@ -8,6 +8,7 @@ fixed columns, so reruns with equal inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -322,7 +323,9 @@ def _cmd_sweep(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each parse_args call fills a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="hypermatch",
         description="3-uniform hypergraph matching toolkit",

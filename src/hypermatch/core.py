@@ -7,6 +7,15 @@ hypergraph keeps one incidence bitmask per vertex (bit i set iff edge i
 contains the vertex), so degree, codegree and link extraction are
 word-level operations at the instance sizes this library targets.
 
+One private builder, `Hypergraph3._from_canonical`, derives every view
+from an edge list that is already canonical; the incidence masks are
+built in linear time, one bit string per vertex.  The frozenset
+`edge_set` is built on first use.  The constructor canonicalises
+arbitrary triples with `_canon_edge` before it calls the builder;
+`remove_vertices` (an order-preserving relabelling keeps edges
+canonical) and `parse_h3` on an already canonical body (the fast path:
+`.h3` files are written sorted) call it directly.
+
 All objects here are immutable after construction; operations that
 "modify" a hypergraph return a new one.
 """
@@ -15,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
+from operator import lt
 
 __all__ = [
     "Hypergraph3",
@@ -51,25 +62,44 @@ class Hypergraph3:
     ----------
     n : number of vertices (indices 0..n-1; n = 0 is legal and empty).
     edges : tuple of sorted vertex triples, lexicographically ordered.
-    edge_set : frozenset of the same triples, for O(1) membership.
+    edge_set : frozenset of the same triples, for O(1) membership; built
+        on first use.
     edge_masks : per-edge vertex bitmask (bit v set iff v in edge).
     incidence : per-vertex bitmask over edge indices.
+
+    The constructor accepts any iterable of triples and canonicalises
+    them.  Edge lists that are canonical already (`parse_h3` on a sorted
+    file, `remove_vertices`) skip that step through `_from_canonical`.
     """
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        self.n = int(n)
-        self.edges: tuple[Edge, ...] = tuple(sorted({_canon_edge(e, n) for e in edges}))
-        self.edge_set = frozenset(self.edges)
-        self.edge_masks = tuple((1 << a) | (1 << b) | (1 << c) for a, b, c in self.edges)
-        inc = [0] * self.n
-        for i, (a, b, c) in enumerate(self.edges):
-            bit = 1 << i
-            inc[a] |= bit
-            inc[b] |= bit
-            inc[c] |= bit
-        self.incidence = tuple(inc)
+        self._set_views(int(n), tuple(sorted({_canon_edge(e, n) for e in edges})))
+
+    @classmethod
+    def _from_canonical(cls, n: int, edges: tuple[Edge, ...]) -> "Hypergraph3":
+        """A hypergraph on canonical edges: sorted in-range triples, strictly increasing."""
+        H = cls.__new__(cls)
+        H._set_views(n, edges)
+        return H
+
+    def _set_views(self, n: int, edges: tuple[Edge, ...]) -> None:
+        self.n = n
+        self.edges = edges
+        bit = [1 << v for v in range(n)]
+        self.edge_masks = tuple(bit[a] | bit[b] | bit[c] for a, b, c in edges)
+        # one bit string per vertex, most significant bit first: edge i is
+        # position ~i, so each mask is one linear int() conversion
+        rows = [bytearray(b"0") * len(edges) for _ in range(n)]
+        for i, (a, b, c) in enumerate(edges):
+            j = ~i
+            rows[a][j] = rows[b][j] = rows[c][j] = 49  # ord("1")
+        self.incidence = tuple(int(row, 2) for row in rows) if edges else (0,) * n
+
+    @cached_property
+    def edge_set(self) -> frozenset[Edge]:
+        return frozenset(self.edges)
 
     @property
     def m(self) -> int:
@@ -123,12 +153,13 @@ class Hypergraph3:
             return self, tuple(range(self.n))
         kept = tuple(v for v in range(self.n) if v not in gone)
         old_to_new = {v: i for i, v in enumerate(kept)}
-        sub_edges = [
+        sub_edges = tuple(
             (old_to_new[a], old_to_new[b], old_to_new[c])
             for a, b, c in self.edges
             if a not in gone and b not in gone and c not in gone
-        ]
-        return Hypergraph3(len(kept), sub_edges), kept
+        )
+        # the relabelling preserves order, so the edges stay canonical
+        return Hypergraph3._from_canonical(len(kept), sub_edges), kept
 
     def __eq__(self, other):
         return (
@@ -280,21 +311,36 @@ def to_h3(H: Hypergraph3) -> str:
 
 
 def parse_h3(text: str) -> Hypergraph3:
-    tokens: list[str] = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.split())
+    if "#" in text:
+        tokens: list[str] = []
+        for line in text.splitlines():
+            tokens.extend(line.split("#", 1)[0].split())
+    else:
+        # every line break is whitespace, so one split tokenises alike
+        tokens = text.split()
     if len(tokens) < 2:
         raise ValueError("missing 'n m' header")
     try:
-        nums = [int(t) for t in tokens]
+        nums = list(map(int, tokens))
     except ValueError as exc:
         raise ValueError(f"non-integer token in .h3 input: {exc}") from None
     n, m = nums[0], nums[1]
     body = nums[2:]
     if len(body) != 3 * m:
         raise ValueError(f"expected {3 * m} vertex tokens for {m} edges, got {len(body)}")
-    edges = [tuple(body[3 * i : 3 * i + 3]) for i in range(m)]
+    A, B, C = body[0::3], body[1::3], body[2::3]
+    edges = list(zip(A, B, C))
+    # fast path: sorted in-range triples in strictly increasing order are
+    # canonical already, which a file written by to_h3 always is
+    if (
+        edges
+        and all(map(lt, A, B))
+        and all(map(lt, B, C))
+        and min(A) >= 0
+        and max(C) < n
+        and all(map(lt, edges, edges[1:]))
+    ):
+        return Hypergraph3._from_canonical(n, tuple(edges))
     return Hypergraph3(n, edges)
 
 

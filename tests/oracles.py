@@ -2,10 +2,13 @@
 
 These deliberately avoid the package's search code: matchings are found
 by raw combination enumeration, pattern perfect matchings by the 3x3
-permanent, closeness by listing every triple of the cut-family model.  They are slow and obviously correct, which is the point.
+permanent, closeness by listing every triple of the cut-family model,
+hypergraph views by the original per-edge constructor.  They are slow and
+obviously correct, which is the point.
 """
 
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 
 def naive_max_matching(H) -> int:
@@ -124,3 +127,53 @@ def naive_threshold_scan(n: int, d: int) -> tuple[int, int]:
         if delta > max_without:
             max_without = delta
     return none_count, max_without
+
+
+def naive_hypergraph(n: int, edges) -> SimpleNamespace:
+    """The views of Hypergraph3(n, edges), built by the original constructor.
+
+    Canonicalises every triple, dedups through a set, sorts, then ORs one
+    incidence bit at a time.  Raises ValueError with Hypergraph3's messages.
+    """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    canon = set()
+    for edge in edges:
+        t = tuple(sorted(int(v) for v in edge))
+        if len(t) != 3 or len(set(t)) != 3:
+            raise ValueError(f"edge {edge!r} must have exactly 3 distinct vertices")
+        if t[0] < 0 or t[2] >= n:
+            raise ValueError(f"edge {edge!r} has a vertex outside 0..{n - 1}")
+        canon.add(t)
+    out = tuple(sorted(canon))
+    inc = [0] * n
+    for i, (a, b, c) in enumerate(out):
+        bit = 1 << i
+        inc[a] |= bit
+        inc[b] |= bit
+        inc[c] |= bit
+    return SimpleNamespace(
+        n=int(n),
+        edges=out,
+        edge_set=frozenset(out),
+        edge_masks=tuple((1 << a) | (1 << b) | (1 << c) for a, b, c in out),
+        incidence=tuple(inc),
+    )
+
+
+def naive_parse_h3(text: str) -> SimpleNamespace:
+    """The original .h3 reader: per-line comment stripping, then naive_hypergraph."""
+    tokens: list[str] = []
+    for line in text.splitlines():
+        tokens.extend(line.split("#", 1)[0].split())
+    if len(tokens) < 2:
+        raise ValueError("missing 'n m' header")
+    try:
+        nums = [int(t) for t in tokens]
+    except ValueError as exc:
+        raise ValueError(f"non-integer token in .h3 input: {exc}") from None
+    n, m = nums[0], nums[1]
+    body = nums[2:]
+    if len(body) != 3 * m:
+        raise ValueError(f"expected {3 * m} vertex tokens for {m} edges, got {len(body)}")
+    return naive_hypergraph(n, [tuple(body[3 * i : 3 * i + 3]) for i in range(m)])

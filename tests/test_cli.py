@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from hypermatch.cli import main
+import hypermatch
+from hypermatch.cli import _build_parser, main
 from hypermatch.core import read_h3, threshold
 from oracles import naive_threshold_scan
 
@@ -228,3 +233,36 @@ class TestSweepCmd:
 
     def test_bad_grid(self, tmp_path):
         assert main(["sweep", "--n", "9", "--d", "3", "--p-grid", "x"]) == 2
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        """The parser is built once per process; no default or namespace state leaks between calls.
+
+        --budget-nodes 1 does not affect augment, but would end a later
+        exact solve with exit 3 if it leaked into that call.
+        """
+        h3 = tmp_path / "hnd.h3"
+        assert main(["gen", "hnd", "--n", "12", "--d", "4", "--out", str(h3)]) == 0
+        calls = [
+            ["solve", "--exact", "--augment", str(h3), "--budget-nodes", "1"],
+            ["solve", "--exact", str(h3)],
+            ["solve", "--augment", str(h3), "--k-max", "2", "--budget-nodes", "1"],
+            ["closeness", str(h3), "--d", "4", "--mode", "local"],
+            ["solve", "--exact", str(h3)],
+        ]
+        capsys.readouterr()
+        in_process = []
+        for argv in calls:
+            rc = main(argv)
+            in_process.append((rc, capsys.readouterr().out))
+        assert _build_parser() is _build_parser()
+        env = dict(os.environ, PYTHONPATH=str(Path(hypermatch.__file__).parents[1]))
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hypermatch.cli", *argv], capture_output=True, text=True, env=env
+            )
+            fresh.append((proc.returncode, proc.stdout))
+        assert [rc for rc, _ in in_process] == [2, 0, 0, 0, 0]
+        assert in_process == fresh

@@ -1,6 +1,7 @@
 """Tests for the core hypergraph types and the .h3 format."""
 
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,9 @@ from hypermatch.core import (
     threshold,
     to_h3,
 )
+from hypermatch import core
 from hypermatch.constructions import cut_family, extremal_star
+from oracles import naive_hypergraph, naive_parse_h3
 
 
 def complete(n):
@@ -250,3 +253,124 @@ def test_degree_profile():
     assert prof.degrees[0] == H.degree(0)
     with pytest.raises(ValueError):
         degree_profile(build(0, []))
+
+
+# --- fast paths against the original constructor (tests/oracles.py) ---------
+
+
+def views_of(H):
+    return (H.n, H.edges, H.edge_masks, H.incidence, H.edge_set)
+
+
+def views(build_fn, *args):
+    """The views a build gives, or the ValueError message it raises."""
+    try:
+        H = build_fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return views_of(H)
+
+
+@st.composite
+def h3_cases(draw):
+    """(n, triples, .h3 text) over n <= 15, valid or malformed in the ways a file can be."""
+    n = draw(st.integers(-2, 15))
+    stray = st.lists(st.integers(-1, max(n, 0) + 1), min_size=3, max_size=3)  # repeats, out of range
+    kinds = [stray]
+    if n >= 3:
+        in_range = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+        kinds = [in_range] if draw(st.booleans()) else [in_range, in_range, stray]
+    triples = draw(st.lists(st.one_of(kinds), max_size=30))
+    layout = draw(st.sampled_from(["canonical", "sorted", "shuffled"]))
+    if layout == "canonical":
+        # what to_h3 writes: sorted triples, strictly increasing, no duplicates
+        triples = sorted({tuple(sorted(t)) for t in triples})
+    elif layout == "sorted":
+        triples = sorted(tuple(sorted(t)) for t in triples)  # may keep duplicates
+    lines = [[str(n), str(len(triples))]] + [[str(v) for v in t] for t in triples]
+    if draw(st.integers(0, 7)) == 0:
+        lines[0][1] = str(draw(st.sampled_from([len(triples) + 1, len(triples) - 1, -1])))
+    if len(lines) > 1 and draw(st.integers(0, 7)) == 0:
+        row = lines[draw(st.integers(1, len(lines) - 1))]
+        row[draw(st.integers(0, 2))] = draw(st.sampled_from(["x", "1.5", "0x3", ""]))
+    text_lines = [" ".join(row) for row in lines]
+    if draw(st.booleans()):
+        for i in draw(st.lists(st.integers(0, len(text_lines) - 1), max_size=3)):
+            text_lines[i] += draw(st.sampled_from(["  # note", "#", "# 9 9 9"]))
+        text_lines.insert(draw(st.integers(0, len(text_lines))), "# comment 1 2 3")
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join(text_lines) + draw(st.sampled_from([eol, ""]))
+    return n, [tuple(t) for t in triples], text
+
+
+@settings(max_examples=300, deadline=None)
+@given(h3_cases())
+def test_parse_and_construct_match_original_constructor(case):
+    n, triples, text = case
+    assert views(parse_h3, text) == views(naive_parse_h3, text)
+    assert views(Hypergraph3, n, triples) == views(naive_hypergraph, n, triples)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "4 1\n-1 1 2\n",  # sorted, but a negative vertex
+        "4 1\n1 2 4\n",  # sorted, but a vertex equal to n
+        "4 1\n0 1 1\n",  # a repeated vertex in the last two columns
+        "4 1\n1 1 2\n",  # a repeated vertex in the first two columns
+        "4 2\n0 1 2\n0 1 2\n",  # a duplicate edge
+        "4 2\n0 1 3\n0 1 2\n",  # edges out of order
+        "4 1\n0 2 1\n",  # a triple out of order
+        "-3 1\n0 1 2\n",  # negative n
+        "-1 0\n",  # negative n, no edges
+        "0 0\n",
+        "3 1\r0 1 2\r",
+    ],
+)
+def test_parse_near_canonical_bodies(text):
+    assert views(parse_h3, text) == views(naive_parse_h3, text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists(max_n=15), st.randoms(use_true_random=False))
+def test_remove_vertices_matches_original_constructor(data, rnd):
+    n, edges = data
+    H = build(n, edges)
+    gone = set(rnd.sample(range(n), rnd.randint(0, n)))
+    sub, kept = H.remove_vertices(gone)
+    assert kept == tuple(v for v in range(n) if v not in gone)
+    new = {v: i for i, v in enumerate(kept)}
+    want = naive_hypergraph(len(kept), [[new[v] for v in e] for e in H.edges if not gone & set(e)])
+    assert views_of(sub) == views_of(want)
+
+
+def test_parse_fast_path_skips_canonicalisation(monkeypatch):
+    """A canonical body never reaches _canon_edge; any other body still does."""
+    H, _ = cut_family(12, 4)
+    text = to_h3(H)
+    sub_edges = H.remove_vertices([0, 5])[0].edges
+
+    def refuse(edge, n):
+        raise AssertionError("canonical input was re-canonicalised")
+
+    monkeypatch.setattr(core, "_canon_edge", refuse)
+    assert parse_h3(text) == H
+    assert parse_h3(text.replace("\n", "\r\n")) == H
+    assert H.remove_vertices([0, 5])[0].edges == sub_edges
+    for other in ("4 2\n0 1 3\n0 1 2\n", "4 1\n3 1 0\n", "4 2\n0 1 2\n0 1 2\n", "# c\n4 1\n1 0 2\n"):
+        with pytest.raises(AssertionError):
+            parse_h3(other)
+
+
+def test_edge_set_built_on_first_use():
+    H = parse_h3("5 2\n0 1 2\n2 3 4\n")
+    assert "edge_set" not in vars(H)
+    assert H.has_edge((2, 1, 0)) and not H.has_edge((1, 2, 3))
+    assert vars(H)["edge_set"] == frozenset({(0, 1, 2), (2, 3, 4)})
+
+
+def test_incidence_of_large_sparse_instance():
+    rng = random.Random(3)
+    n = 300
+    edges = [tuple(rng.sample(range(n), 3)) for _ in range(2000)]
+    assert views_of(build(n, edges)) == views_of(naive_hypergraph(n, edges))
