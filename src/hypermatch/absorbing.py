@@ -28,7 +28,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, tee
 
 from .augment import AugmentConfig, solve as _augment_solve
 from .constructions import splitmix64_stream
@@ -120,19 +120,11 @@ class AbsorbingMatching:
         }
 
 
-def _replay(values: list[int], rng):
-    """Yield the cached values, then draw from rng, caching what it yields."""
-    yield from values
-    for v in rng:
-        values.append(v)
-        yield v
-
-
-def _tracked_triples(outside: list[int], draws: list[int], rng) -> tuple[list, str]:
+def _tracked_triples(outside: list[int], stream) -> tuple[list, str]:
     """The triples to track over `outside`, and how they were chosen.
 
-    Samples come from the seeded stream read from its start each time; its
-    values are drawn once (`draws` caches them for `rng`) and replayed.
+    Samples are drawn from `stream`, the seeded splitmix64 stream read from
+    its start.
     """
     pool = sorted(outside)
     size = len(pool)
@@ -141,7 +133,7 @@ def _tracked_triples(outside: list[int], draws: list[int], rng) -> tuple[list, s
     if math.comb(size, 3) <= _SAMPLE_TRIPLES:
         # the seeded sampling below would draw until it held every triple
         return list(combinations(pool, 3)), "sampled"
-    draw = _replay(draws, rng).__next__
+    draw = stream.__next__
     seen = set()
     while len(seen) < _SAMPLE_TRIPLES:
         # three distinct pool positions, in order of drawing; pool is sorted,
@@ -270,11 +262,13 @@ def find_absorbing(
 
     chosen: list[int] = []  # edge indices
     covered = 0
-    draws: list[int] = []
-    rng = splitmix64_stream(seed)
+    # base is never advanced: each round reads a fresh copy from the start,
+    # and tee draws every stream value only once
+    base = splitmix64_stream(seed)
     while True:
         outside = [v for v in range(n) if not covered >> v & 1]
-        triples, verification = _tracked_triples(outside, draws, rng)
+        base, stream = tee(base)
+        triples, verification = _tracked_triples(outside, stream)
         mask_of = _absorb_masks(H, links, triples)
         masks = [mask_of(i) for i in chosen]
         ge = _coverage_levels(masks, max(t, len(chosen)))

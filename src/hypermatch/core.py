@@ -9,8 +9,9 @@ word-level operations at the instance sizes this library targets.
 
 One private builder, `Hypergraph3._from_canonical`, derives every view
 from an edge list that is already canonical; the incidence masks are
-built in linear time, one bit string per vertex.  The frozenset
-`edge_set` is built on first use.  The constructor canonicalises
+built in linear time, one packed bit row per vertex.  The frozenset
+`edge_set` and the per-edge `edge_masks` are built on first use (the
+closeness path reads neither).  The constructor canonicalises
 arbitrary triples with `_canon_edge` before it calls the builder;
 `remove_vertices` (an order-preserving relabelling keeps edges
 canonical) and `parse_h3` on an already canonical body (the fast path:
@@ -23,6 +24,7 @@ All objects here are immutable after construction; operations that
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -64,7 +66,8 @@ class Hypergraph3:
     edges : tuple of sorted vertex triples, lexicographically ordered.
     edge_set : frozenset of the same triples, for O(1) membership; built
         on first use.
-    edge_masks : per-edge vertex bitmask (bit v set iff v in edge).
+    edge_masks : per-edge vertex bitmask (bit v set iff v in edge); built
+        on first use.
     incidence : per-vertex bitmask over edge indices.
 
     The constructor accepts any iterable of triples and canonicalises
@@ -87,19 +90,23 @@ class Hypergraph3:
     def _set_views(self, n: int, edges: tuple[Edge, ...]) -> None:
         self.n = n
         self.edges = edges
-        bit = [1 << v for v in range(n)]
-        self.edge_masks = tuple(bit[a] | bit[b] | bit[c] for a, b, c in edges)
-        # one bit string per vertex, most significant bit first: edge i is
-        # position ~i, so each mask is one linear int() conversion
-        rows = [bytearray(b"0") * len(edges) for _ in range(n)]
+        # one little-endian bit row per vertex: edge i sets bit i of the rows
+        # of its three vertices, and each mask is one linear int.from_bytes
+        rows = [bytearray((len(edges) + 7) >> 3) for _ in range(n)]
         for i, (a, b, c) in enumerate(edges):
-            j = ~i
-            rows[a][j] = rows[b][j] = rows[c][j] = 49  # ord("1")
-        self.incidence = tuple(int(row, 2) for row in rows) if edges else (0,) * n
+            j, bit = i >> 3, 1 << (i & 7)
+            rows[a][j] |= bit
+            rows[b][j] |= bit
+            rows[c][j] |= bit
+        self.incidence = tuple(int.from_bytes(row, "little") for row in rows)
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
+
+    @cached_property
+    def edge_masks(self) -> tuple[int, ...]:
+        return tuple((1 << a) | (1 << b) | (1 << c) for a, b, c in self.edges)
 
     @property
     def m(self) -> int:
@@ -304,6 +311,9 @@ def degree_profile(H: Hypergraph3) -> DegreeProfile:
 # already sorted), so equal hypergraphs produce byte-identical files.
 
 
+_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
 def to_h3(H: Hypergraph3) -> str:
     lines = [f"{H.n} {H.m}"]
     lines.extend(f"{a} {b} {c}" for a, b, c in H.edges)
@@ -311,13 +321,9 @@ def to_h3(H: Hypergraph3) -> str:
 
 
 def parse_h3(text: str) -> Hypergraph3:
-    if "#" in text:
-        tokens: list[str] = []
-        for line in text.splitlines():
-            tokens.extend(line.split("#", 1)[0].split())
-    else:
-        # every line break is whitespace, so one split tokenises alike
-        tokens = text.split()
+    # a comment runs to the next line boundary that str.splitlines knows;
+    # every such boundary is whitespace to str.split
+    tokens = _COMMENT.sub("", text).split()
     if len(tokens) < 2:
         raise ValueError("missing 'n m' header")
     try:

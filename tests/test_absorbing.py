@@ -662,6 +662,12 @@ PINNED_ABSORBING = [
     (("random", 42, 0.05, 11), 0.5, 1, False, False,
      ((9, 21, 24),),
      "85fecfc5916d899cb2c086e129e9671c6d7394e763c281d47cc3a9abf04b70ee"),
+    # two rounds sample 10^4 triples (45 and 42 vertices outside), each from
+    # the start of the seeded stream; the second round's samples pick the
+    # second edge
+    (("random", 45, 0.04, 2), 0.8, 2, False, False,
+     ((31, 33, 44), (2, 28, 37), (1, 25, 41), (14, 26, 35), (18, 19, 22), (9, 13, 42), (17, 32, 34)),
+     "bcfc3acea78c5bbdf7fccac74d9bcbabb431c3dda1bed77dab4eca61888417e5"),
 ]
 
 

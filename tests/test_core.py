@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -271,6 +272,10 @@ def views(build_fn, *args):
     return views_of(H)
 
 
+# the other line boundaries of str.splitlines; a comment ends at each of them
+LINE_BOUNDARIES = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
 @st.composite
 def h3_cases(draw):
     """(n, triples, .h3 text) over n <= 15, valid or malformed in the ways a file can be."""
@@ -298,7 +303,7 @@ def h3_cases(draw):
         for i in draw(st.lists(st.integers(0, len(text_lines) - 1), max_size=3)):
             text_lines[i] += draw(st.sampled_from(["  # note", "#", "# 9 9 9"]))
         text_lines.insert(draw(st.integers(0, len(text_lines))), "# comment 1 2 3")
-    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r", *LINE_BOUNDARIES]))
     text = eol.join(text_lines) + draw(st.sampled_from([eol, ""]))
     return n, [tuple(t) for t in triples], text
 
@@ -325,6 +330,10 @@ def test_parse_and_construct_match_original_constructor(case):
         "-1 0\n",  # negative n, no edges
         "0 0\n",
         "3 1\r0 1 2\r",
+        "3 1 # n m\r0 1 2\n",
+        "4 2\n0 1 2 # x\r\n1 2 3\n",
+        *(f"4 2 # a{eol}0 1 2 #b{eol}1 2 3 # 9{eol}" for eol in LINE_BOUNDARIES),
+        "4 1\n0 1 2 #\x1f1 2 3\n",  # \x1f is whitespace but not a line boundary
     ],
 )
 def test_parse_near_canonical_bodies(text):
@@ -362,11 +371,12 @@ def test_parse_fast_path_skips_canonicalisation(monkeypatch):
             parse_h3(other)
 
 
-def test_edge_set_built_on_first_use():
+def test_edge_set_and_masks_built_on_first_use():
     H = parse_h3("5 2\n0 1 2\n2 3 4\n")
-    assert "edge_set" not in vars(H)
+    assert "edge_set" not in vars(H) and "edge_masks" not in vars(H)
     assert H.has_edge((2, 1, 0)) and not H.has_edge((1, 2, 3))
     assert vars(H)["edge_set"] == frozenset({(0, 1, 2), (2, 3, 4)})
+    assert H.edge_masks == (0b00111, 0b11100) and vars(H)["edge_masks"] is H.edge_masks
 
 
 def test_incidence_of_large_sparse_instance():
@@ -374,3 +384,17 @@ def test_incidence_of_large_sparse_instance():
     n = 300
     edges = [tuple(rng.sample(range(n), 3)) for _ in range(2000)]
     assert views_of(build(n, edges)) == views_of(naive_hypergraph(n, edges))
+
+
+def test_many_vertices_few_edges_stay_small():
+    """Building views takes memory linear in n and m, not n^2 bits or n*m bytes."""
+    n = 200_000  # a table of 1 << v for every v would take about 2.5 GB
+    tracemalloc.start()
+    try:
+        H = parse_h3(f"{n} 1\n0 1 2\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.edges == ((0, 1, 2),) and H.incidence[:4] == (1, 1, 1, 0)
+    assert not any(H.incidence[3:])
+    assert peak < 64 * 2**20
