@@ -442,6 +442,8 @@ def staged_matching(
     leftover_bad: list[int] = []
     thr = theta * H.n * H.n
     for v in v2_bad:
+        if v in covered:
+            continue
         pairs = sum(
             1
             for vp in v2

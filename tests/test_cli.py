@@ -12,7 +12,8 @@ import pytest
 
 import hypermatch
 from hypermatch.cli import _build_parser, main
-from hypermatch.core import read_h3, threshold
+from hypermatch.constructions import cut_family
+from hypermatch.core import build, read_h3, threshold, write_h3
 from oracles import naive_threshold_scan
 
 
@@ -97,6 +98,19 @@ class TestSolveCmd:
         assert rc == 0
         assert rep["size"] == 10
         assert rep["stage_log"]["stalled_stage"] is None
+
+    def test_extremal_m2_does_not_cover_a_vertex_twice(self, tmp_path):
+        # two bad V-vertices reach stage M2; the second is covered by the
+        # first one's edge, so M2 places one edge and the run succeeds
+        H, P = cut_family(9, 3)
+        drop = {tuple(sorted((u, x, w))) for u in (0, 1) for x in range(2, 6) for w in P.W} - {(1, 2, 7)}
+        h3 = tmp_path / "m2.h3"
+        write_h3(build(9, [e for e in H.edges if e not in drop]), h3)
+        (tmp_path / "m2.json").write_text(json.dumps({"partition": {"W": [6, 7, 8], "d": 3}}))
+        rc, rep = run_json(tmp_path, ["solve", "--extremal", str(h3), "--d", "3", "--alpha", "0.1"])
+        assert rc == 0
+        assert rep["matching"] == [[0, 1, 6], [2, 3, 7], [4, 5, 8]]
+        assert rep["stage_log"]["stages"]["M2"] == [[0, 1, 6]]
 
     @pytest.mark.parametrize(
         "partition",

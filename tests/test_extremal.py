@@ -23,6 +23,16 @@ def complete(n):
     return build(n, combinations(range(n), 3))
 
 
+def m2_double_cover_case():
+    """cut_family(9, 3) without the edges {u, x, w}, u in {0, 1}, x in 2..5, w in W, but (1, 2, 7).
+
+    At alpha = 0.1 vertices 0 and 1 are bad and both reach stage M2.
+    """
+    H, P = cut_family(9, 3)
+    drop = {tuple(sorted((u, x, w))) for u in (0, 1) for x in range(2, 6) for w in P.W} - {(1, 2, 7)}
+    return build(9, [e for e in H.edges if e not in drop]), P
+
+
 class TestDeficiency:
     def test_exact_family_is_zero(self):
         H, P = cut_family(9, 3)
@@ -216,6 +226,15 @@ class TestStaged:
         M, log = staged_matching(complete(9), Partition(9, {5, 6, 7, 8}, 3), 3)
         assert M is None
         assert log.stalled_stage == "M5" and log.detail
+
+    def test_m2_skips_vertex_covered_by_earlier_m2_edge(self):
+        # the M2 edge placed for bad vertex 0 is (0, 1, 6); bad vertex 1 is
+        # then covered and must not get a second edge (1, 2, 7)
+        H, P = m2_double_cover_case()
+        M, log = staged_matching(H, P, 3, alpha=0.1)
+        assert M is not None and M.edges == ((0, 1, 6), (2, 3, 7), (4, 5, 8))
+        assert log.stages["M2"] == [(0, 1, 6)] and log.m2 == 1
+        assert log.stalled_stage is None
 
     def test_bde_inequality_logged(self):
         H, P = cut_family(9, 3)
