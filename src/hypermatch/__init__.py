@@ -51,7 +51,6 @@ from .links import (
     classify,
     link_bipartite,
     link_chain,
-    link_of_pair,
     link_within,
     verify_fact1,
 )

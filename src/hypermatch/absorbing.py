@@ -25,7 +25,6 @@ sampling would draw until it held them all.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, tee
@@ -387,7 +386,6 @@ def perfect_via_absorbing(
     on.  The report's detail names the phase that failed, if any, and its
     nodes are the B&B nodes of the augment phase's probes.
     """
-    t0 = time.perf_counter()
     n = H.n
 
     def report(edges, optimal, detail, nodes=0):
@@ -396,7 +394,6 @@ def perfect_via_absorbing(
             edges=tuple(sorted(edges)),
             optimal=optimal,
             nodes=nodes,
-            wall_ms=(time.perf_counter() - t0) * 1000.0,
             detail=detail,
         )
 

@@ -20,7 +20,6 @@ and sampled (deterministically, from the seed) above them.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -181,7 +180,6 @@ def solve(
     included; a stall is a result, not an error.
     """
     cfg = cfg or AugmentConfig()
-    t0 = time.perf_counter()
     M = greedy_matching(H)
     trace = MoveTrace(initial=M.edges)
     stats = {"nodes": 0}
@@ -191,7 +189,6 @@ def solve(
             break
         M, move = step
         trace.moves.append(move)
-    wall = (time.perf_counter() - t0) * 1000.0
     reached = M.size >= d
     return (
         SolveReport(
@@ -199,7 +196,6 @@ def solve(
             edges=M.edges,
             optimal=reached,
             nodes=stats["nodes"],
-            wall_ms=wall,
             detail="target reached" if reached else "stalled",
         ),
         trace,

@@ -62,15 +62,14 @@ class SolveReport:
 
     optimal is True only if the search space was exhausted or the
     requested target size was reached; a budgeted stop reports
-    optimal=False with the reason in detail.  wall_ms stays out of the
-    JSON form, so equal inputs give byte-identical reports.
+    optimal=False with the reason in detail.  It carries no wall time, so
+    equal inputs give byte-identical reports.
     """
 
     size: int
     edges: tuple[Edge, ...]
     optimal: bool
     nodes: int
-    wall_ms: float
     detail: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -154,7 +153,6 @@ def _search(H: Hypergraph3, active: int, budget: SolveBudget) -> SolveReport:
         edges=tuple(reversed(chain)),
         optimal=optimal,
         nodes=nodes,
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
         detail=detail,
     )
 
@@ -212,7 +210,7 @@ def has_d_matching(
     if d < 0:
         raise ValueError("d must be non-negative")
     if d == 0:
-        return "yes", SolveReport(size=0, edges=(), optimal=True, nodes=0, wall_ms=0.0)
+        return "yes", SolveReport(size=0, edges=(), optimal=True, nodes=0)
     base = budget or SolveBudget()
     rep = max_matching(H, SolveBudget(base.node_limit, base.time_limit_ms, target=d))
     if rep.size >= d:

@@ -43,6 +43,15 @@ Two matchers live here:
   with good_case_matching on the residual.  A stage that cannot meet
   its obligation produces a stall report naming the stage, never an
   exception.
+
+Both matchers work on the same incidence bitsets: the covered vertices
+are one vertex mask, and the edges still usable one edge mask that loses
+inc[x] whenever x is covered.  The direct step, M2's partner walk, M3
+and M4 all ask for the first centre, in order, with an edge whose other
+two vertices lie in a pool; with the pool folded into the edge mask
+that is one search, _first_edge, since edge indices follow the
+lexicographic order of the sorted triples.  M1's backtracking runs on an explicit stack, so a
+thousand bad W-vertices need no recursion.
 """
 
 from __future__ import annotations
@@ -53,7 +62,7 @@ from itertools import combinations
 
 from .augment import AugmentConfig, solve as _augment_solve
 from .core import Edge, Hypergraph3, Matching, Partition
-from .links import PatternKind, classify, link_of_pair
+from .links import PatternKind, classify, link_bipartite
 
 __all__ = [
     "ClosenessReport",
@@ -78,9 +87,6 @@ class ClosenessReport:
     alpha: float
     badness: tuple[int, ...]
     bad_vertices: tuple[int, ...]
-
-    def is_good(self, v: int) -> bool:
-        return v not in set(self.bad_vertices)
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,7 +178,7 @@ def _bottom_votes(H: Hypergraph3, sample_cap: int = 10) -> list[int]:
             if i == j:
                 continue
             for v in uncovered:
-                cls = classify(link_of_pair(H, v, E, F).pattern())
+                cls = classify(link_bipartite(H, v, E, F).pattern())
                 if cls.kind is PatternKind.B113:
                     base_row = cls.base[0]
                     x = tuple(sorted(E))[base_row]
@@ -251,27 +257,66 @@ def find_partition(
     return classify_goodness(H, Partition(H.n, W, d), alpha)
 
 
+# --- edge searches on incidence ---------------------------------------------
+
+
+def _meets(H: Hypergraph3, X) -> tuple[int, int]:
+    """(edges meeting X, edges meeting X at least twice), as edge masks."""
+    once = twice = 0
+    for x in X:
+        twice |= once & H.incidence[x]
+        once |= H.incidence[x]
+    return once, twice
+
+
+def _first_edge(H: Hypergraph3, centres, avail: int) -> int | None:
+    """Lowest edge of `avail` through the first centre, in order, that has one.
+
+    When `avail` holds the edges whose vertices other than the centre lie
+    in a pool, this is the first centre with an edge into the pool and
+    its lexicographically first pair there: edge indices follow the
+    lexicographic order of the sorted triples, and two triples through
+    one vertex compare as the pairs that remain.
+    """
+    for x in centres:
+        hit = H.incidence[x] & avail
+        if hit:
+            return (hit & -hit).bit_length() - 1
+    return None
+
+
 # --- good case --------------------------------------------------------------
 
 
-def _good_pair_rematch(H, e1, e2, v1, v2, w, Wset):
-    """If (e1, e2) is good for (v1, v2, w), return the replacing 3-matching."""
-    a1, b1 = (x for x in e1 if x not in Wset)
-    (w1,) = (x for x in e1 if x in Wset)
-    a2, b2 = (x for x in e2 if x not in Wset)
-    (w2,) = (x for x in e2 if x in Wset)
-    need = []
-    for x in (v1, v2):
-        need.extend((x, w1, c) for c in (a2, b2))
-        need.extend((x, c, w2) for c in (a1, b1))
-    need.extend((w, c1, c2) for c1 in (a1, b1) for c2 in (a2, b2))
-    if all(H.has_edge(t) for t in need):
-        return [
-            tuple(sorted((v1, a1, w2))),
-            tuple(sorted((v2, w1, a2))),
-            tuple(sorted((w, b1, b2))),
-        ]
-    return None
+def _good_pair_swap(H: Hypergraph3, P: Partition, edges: list[Edge], cov: int):
+    """The first good-pair trade, as (i, j, three replacing edges), or None.
+
+    edges[i] = {a1, b1, w1} and edges[j] = {a2, b2, w2} are good for
+    (v1, v2, w) when v1 and v2 each complete w1a2, w1b2, a1w2 and b1w2 to
+    an edge and w completes a1a2, a1b2, b1a2 and b1b2.  The trade taken is
+    the first in the order w, then v1 < v2, then i < j over the vertices
+    outside `cov`: the smallest (w, v1, v2), ties left to the first (i, j).
+    """
+    inc, W = H.incidence, P.W
+    vfree = [x for x in P.V if not cov >> x & 1]
+    wfree = [x for x in P.w_sorted() if not cov >> x & 1]
+    best = None
+    for i, j in combinations(range(len(edges)), 2):
+        a1, b1 = (x for x in edges[i] if x not in W)
+        (w1,) = (x for x in edges[i] if x in W)
+        a2, b2 = (x for x in edges[j] if x not in W)
+        (w2,) = (x for x in edges[j] if x in W)
+        links = (inc[w1] & inc[a2], inc[w1] & inc[b2], inc[a1] & inc[w2], inc[b1] & inc[w2])
+        vs = [x for x in vfree if all(inc[x] & p for p in links)][:2]
+        if len(vs) < 2:
+            continue
+        links = (inc[a1] & inc[a2], inc[a1] & inc[b2], inc[b1] & inc[a2], inc[b1] & inc[b2])
+        w = next((x for x in wfree if all(inc[x] & p for p in links)), None)
+        if w is not None and (best is None or (w, *vs) < best[0]):
+            v1, v2 = vs
+            repl = [tuple(sorted((v1, a1, w2))), tuple(sorted((v2, w1, a2))), tuple(sorted((w, b1, b2)))]
+            best = ((w, v1, v2), i, j, repl)
+    return None if best is None else best[1:]
 
 
 def good_case_matching(
@@ -284,48 +329,29 @@ def good_case_matching(
     """
     if d < 0:
         raise ValueError("d must be non-negative")
-    Wset = P.W
-    Wall = sorted(Wset)
-    Vall = list(P.V)
+    inc = H.incidence
+    W = P.w_sorted()
+    _, twice_w = _meets(H, W)
     edges: list[Edge] = []
-    covered: set[int] = set()
+    cov = 0  # covered vertices
+    avail = ((1 << H.m) - 1) & ~twice_w  # edges with one W-vertex at most, none covered
     while len(edges) < d:
-        vfree = [v for v in Vall if v not in covered]
-        wfree = [w for w in Wall if w not in covered]
-        placed = False
         # direct edge on uncovered vertices
-        for w in wfree:
-            for v1, v2 in combinations(vfree, 2):
-                t = tuple(sorted((v1, v2, w)))
-                if t in H.edge_set:
-                    edges.append(t)
-                    covered.update(t)
-                    placed = True
-                    break
-            if placed:
-                break
-        if placed:
-            continue
-        # good-pair swap: trade e1, e2 for three VVW edges
-        for w in wfree:
-            for v1, v2 in combinations(vfree, 2):
-                for i, j in combinations(range(len(edges)), 2):
-                    repl = _good_pair_rematch(H, edges[i], edges[j], v1, v2, w, Wset)
-                    if repl is not None:
-                        for k in sorted((i, j), reverse=True):
-                            covered.difference_update(edges[k])
-                            del edges[k]
-                        edges.extend(repl)
-                        for t in repl:
-                            covered.update(t)
-                        placed = True
-                        break
-                if placed:
-                    break
-            if placed:
-                break
-        if not placed:
-            return None
+        j = _first_edge(H, W, avail)
+        if j is not None:
+            new = [H.edges[j]]
+        else:
+            # good-pair swap: trade e1, e2 for three VVW edges
+            swap = _good_pair_swap(H, P, edges, cov)
+            if swap is None:
+                return None
+            i, j, new = swap
+            del edges[j], edges[i]
+        edges.extend(new)
+        for e in new:
+            for x in e:
+                cov |= 1 << x
+                avail &= ~inc[x]
     return Matching(H, sorted(edges))
 
 
@@ -361,33 +387,32 @@ class StageLog:
         }
 
 
-def _cover_each_with_own_edge(H, targets, allowed, covered):
-    """Backtracking: one edge per target vertex, all inside `allowed`, disjoint."""
-    targets = sorted(targets)
-    allowed = set(allowed)
-    picked: list[Edge] = []
-    used: set[int] = set(covered)
+def _cover_each_with_own_edge(H: Hypergraph3, targets, allowed: int) -> list[int] | None:
+    """Disjoint edges of `allowed`, one through each target no earlier one covers.
 
-    def rec(i):
+    Depth first over the targets in order, each target's edges in index
+    order, backtracking on an explicit stack.  Returns the edge indices,
+    or None when no such edges exist.
+    """
+    inc = H.incidence
+    stack = []  # per chosen edge: (target index, its untried rivals, cov and live before it, edge)
+    i, cov, live = 0, 0, allowed
+    while True:
+        while i < len(targets) and cov >> targets[i] & 1:
+            i += 1
         if i == len(targets):
-            return True
-        t = targets[i]
-        if t in used:
-            return rec(i + 1)
-        idx = H.incidence[t]
-        while idx:
-            e = H.edges[(idx & -idx).bit_length() - 1]
-            idx &= idx - 1
-            if all(v in allowed for v in e) and not used & set(e):
-                picked.append(e)
-                used.update(e)
-                if rec(i + 1):
-                    return True
-                used.difference_update(e)
-                picked.pop()
-        return False
-
-    return picked if rec(0) else None
+            return [j for *_, j in stack]
+        untried = inc[targets[i]] & live
+        while not untried:
+            if not stack:
+                return None
+            i, untried, cov, live, _ = stack.pop()
+        j = (untried & -untried).bit_length() - 1
+        stack.append((i, untried & (untried - 1), cov, live, j))
+        for x in H.edges[j]:
+            cov |= 1 << x
+            live &= ~inc[x]
+        i += 1
 
 
 def staged_matching(
@@ -405,146 +430,92 @@ def staged_matching(
     log = StageLog(alpha=alpha, theta=theta)
     report = classify_goodness(H, P, alpha)
     bad = set(report.bad_vertices)
-    Wset = set(P.W)
-    Vset = set(P.V)
-    w_bad = sorted(bad & Wset)
-    c = len(w_bad)
-    log.c = c
+    inc = H.incidence
+    W, V = P.w_sorted(), P.V
+    w_bad = [w for w in W if w in bad]
+    c = log.c = len(w_bad)
+    v1_set = set(V) | set(w_bad)
+    full = (1 << H.m) - 1
+    cov, live = 0, full  # covered vertices, and the edges that miss them all
 
-    v1_set = Vset | set(w_bad)
-    covered: set[int] = set()
+    def take(j, stage):
+        nonlocal cov, live
+        stage.append(H.edges[j])
+        for x in H.edges[j]:
+            cov |= 1 << x
+            live &= ~inc[x]
+
+    def stall(stage, detail):
+        log.stalled_stage, log.detail = stage, detail
+        return None, log
 
     # stage 1: one edge per bad W-vertex, inside V ∪ W_bad
     a = len(v1_set)
     _, meets_outside = _class_ors(H, v1_set)
-    inside = ((1 << H.m) - 1) & ~meets_outside
-    bde_lhs = min(((H.incidence[v] & inside).bit_count() for v in v1_set), default=0)
+    inside = full & ~meets_outside
+    bde_lhs = min(((inc[v] & inside).bit_count() for v in v1_set), default=0)
     bde_rhs = math.comb(a - 1, 2) - math.comb(a - c, 2) if a >= 1 and a >= c else 0
     log.bde_check = {"delta1_inside_V1": bde_lhs, "bound": bde_rhs, "holds": bde_lhs > bde_rhs}
-    m1: list[Edge] = []
-    if c:
-        got = _cover_each_with_own_edge(H, w_bad, v1_set, covered)
-        if got is None:
-            log.stalled_stage = "M1"
-            log.detail = f"cannot cover bad W-vertices {w_bad} inside V ∪ W_bad"
-            return None, log
-        m1 = got
-        for e in m1:
-            covered.update(e)
-    log.stages["M1"] = m1
-
-    w1 = [w for w in sorted(Wset) if w not in bad and w not in covered]
-    v2 = [v for v in sorted(v1_set) if v not in covered]
-    v2_bad = [v for v in v2 if v in bad]
+    picked = _cover_each_with_own_edge(H, w_bad, inside)
+    if picked is None:
+        return stall("M1", f"cannot cover bad W-vertices {w_bad} inside V ∪ W_bad")
+    m1 = log.stages["M1"] = []
+    for j in picked:
+        take(j, m1)
+    # every bad W-vertex is now covered, so the free part of V ∪ W_bad is
+    # the free part of V
+    meets_w, twice_w = _meets(H, W)
 
     # stage 2: useful bad vertices get a V2-V2-W1 edge
-    m2_edges: list[Edge] = []
-    leftover_bad: list[int] = []
     thr = theta * H.n * H.n
-    for v in v2_bad:
-        if v in covered:
+    m2 = log.stages["M2"] = []
+    leftover_bad = []
+    one_w = meets_w & ~twice_w
+    for v in [v for v in V if v in bad and not cov >> v & 1]:
+        if cov >> v & 1:
             continue
-        pairs = sum(
-            1
-            for vp in v2
-            if vp != v and vp not in covered
-            for w in w1
-            if w not in covered and H.has_edge((v, vp, w))
-        )
-        placed = False
-        if pairs >= thr:
-            for vp in v2:
-                if vp == v or vp in covered:
-                    continue
-                for w in w1:
-                    if w in covered:
-                        continue
-                    t = tuple(sorted((v, vp, w)))
-                    if t in H.edge_set:
-                        m2_edges.append(t)
-                        covered.update(t)
-                        placed = True
-                        break
-                if placed:
-                    break
-        if not placed:
+        vvw = inc[v] & one_w & live
+        if vvw and vvw.bit_count() >= thr:
+            take(_first_edge(H, (vp for vp in V if vp != v), vvw), m2)
+        else:
             leftover_bad.append(v)
-    log.stages["M2"] = m2_edges
-    log.m2 = len(m2_edges)
+    log.m2 = len(m2)
 
     # stage 3: bury the remaining bad vertices in edges inside V3
-    v3 = [v for v in v2 if v not in covered]
-    m3_edges: list[Edge] = []
+    m3 = log.stages["M3"] = []
     for v in leftover_bad:
-        if v in covered:
+        if cov >> v & 1:
             continue
-        placed = False
-        for x, y in combinations([u for u in v3 if u not in covered and u != v], 2):
-            t = tuple(sorted((v, x, y)))
-            if t in H.edge_set:
-                m3_edges.append(t)
-                covered.update(t)
-                placed = True
-                break
-        if not placed:
-            log.stalled_stage = "M3"
-            log.detail = f"no within-V edge available to cover bad vertex {v}"
-            log.stages["M3"] = m3_edges
-            return None, log
-    log.stages["M3"] = m3_edges
-    log.m3 = len(m3_edges)
+        j = _first_edge(H, (v,), live & ~meets_w)
+        if j is None:
+            return stall("M3", f"no within-V edge available to cover bad vertex {v}")
+        take(j, m3)
+    log.m3 = len(m3)
 
     # stage 4: one V4-W2-W2 edge per M3 edge, rebalancing the classes
-    w2 = [w for w in w1 if w not in covered]
-    v4 = [v for v in v3 if v not in covered]
-    m4_edges: list[Edge] = []
-    for _ in range(len(m3_edges)):
-        placed = False
-        for v in v4:
-            if v in covered:
-                continue
-            for wa, wb in combinations([w for w in w2 if w not in covered], 2):
-                t = tuple(sorted((v, wa, wb)))
-                if t in H.edge_set:
-                    m4_edges.append(t)
-                    covered.update(t)
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            log.stalled_stage = "M4"
-            log.detail = "no V-W-W rebalancing edge available"
-            log.stages["M4"] = m4_edges
-            return None, log
-    log.stages["M4"] = m4_edges
+    m4 = log.stages["M4"] = []
+    for _ in m3:
+        j = _first_edge(H, V, twice_w & live)
+        if j is None:
+            return stall("M4", "no V-W-W rebalancing edge available")
+        take(j, m4)
 
     # stage 5: good case on the residual
-    w3 = [w for w in w2 if w not in covered]
-    target5 = d - c - len(m2_edges) - 2 * len(m3_edges)
+    w3 = [w for w in W if not cov >> w & 1]
+    target5 = d - c - len(m2) - 2 * len(m3)
     if target5 < 0 or target5 > len(w3):
-        log.stalled_stage = "M5"
-        log.detail = f"residual target {target5} infeasible with {len(w3)} W-vertices left"
-        return None, log
-    sub, new_to_old = H.remove_vertices(sorted(covered))
+        return stall("M5", f"residual target {target5} infeasible with {len(w3)} W-vertices left")
+    sub, new_to_old = H.remove_vertices([x for e in m1 + m2 + m3 + m4 for x in e])
     if 3 * len(w3) > sub.n:
-        log.stalled_stage = "M5"
-        log.detail = f"{len(w3)} W-vertices left exceed a third of the {sub.n} residual vertices"
-        return None, log
+        return stall("M5", f"{len(w3)} W-vertices left exceed a third of the {sub.n} residual vertices")
     old_to_new = {v: i for i, v in enumerate(new_to_old)}
     P5 = Partition(sub.n, [old_to_new[w] for w in w3], len(w3))
     m5 = good_case_matching(sub, P5, target5, alpha)
     if m5 is None:
-        log.stalled_stage = "M5"
-        log.detail = f"good-case matcher stalled before reaching {target5} edges"
-        return None, log
-    m5_edges = [tuple(sorted(new_to_old[v] for v in e)) for e in m5.edges]
-    log.stages["M5"] = m5_edges
+        return stall("M5", f"good-case matcher stalled before reaching {target5} edges")
+    m5_edges = log.stages["M5"] = [tuple(sorted(new_to_old[v] for v in e)) for e in m5.edges]
 
-    total = m1 + m2_edges + m3_edges + m4_edges + m5_edges
-    matching = Matching(H, sorted(total))
+    matching = Matching(H, sorted(m1 + m2 + m3 + m4 + m5_edges))
     if matching.size != d:
-        log.stalled_stage = "M5"
-        log.detail = f"assembled {matching.size} edges, wanted {d}"
-        return None, log
+        return stall("M5", f"assembled {matching.size} edges, wanted {d}")
     return matching, log

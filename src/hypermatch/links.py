@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import combinations, permutations
 
 from .core import Hypergraph3
@@ -31,7 +32,6 @@ __all__ = [
     "PatternKind",
     "PatternClass",
     "LinkGraph",
-    "pattern_edge_count",
     "pattern_has_pm",
     "canonical_form",
     "classify",
@@ -40,7 +40,6 @@ __all__ = [
     "link_bipartite",
     "link_within",
     "link_chain",
-    "link_of_pair",
     "edge_through",
 ]
 
@@ -59,10 +58,6 @@ class PatternKind(Enum):
 class PatternClass:
     kind: PatternKind
     base: tuple[int, int] | None = None  # only for B113: (row, col) of the base edge
-
-
-def pattern_edge_count(mask: int) -> int:
-    return mask.bit_count()
 
 
 def pattern_has_pm(mask: int) -> bool:
@@ -166,14 +161,9 @@ def _find_base(mask: int) -> tuple[int, int]:
     return rows[0], cols[0]
 
 
-_TABLE: dict[int, PatternClass] | None = None
-
-
+@cache
 def _table() -> dict[int, PatternClass]:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = _derive_classification()
-    return _TABLE
+    return _derive_classification()
 
 
 def classify(mask: int) -> PatternClass:
@@ -256,11 +246,12 @@ class LinkGraph:
         return mask
 
 
-def _check_disjoint_sets(v: int, sets) -> list[tuple[int, ...]]:
+def _check_disjoint_sets(H: Hypergraph3, v: int, sets) -> list[tuple[int, ...]]:
+    H._check_vertex(v)
     seen: set[int] = set()
     out = []
     for s in sets:
-        t = tuple(sorted(s))
+        t = tuple(sorted(H._check_vertex(x) for x in s))
         if v in t:
             raise ValueError("center vertex lies inside a link set")
         if seen & set(t):
@@ -272,36 +263,33 @@ def _check_disjoint_sets(v: int, sets) -> list[tuple[int, ...]]:
 
 def link_bipartite(H: Hypergraph3, v: int, A, B) -> LinkGraph:
     """Bipartite link of v: a in A joined to b in B iff {v,a,b} is an edge."""
-    pa, pb = _check_disjoint_sets(v, (A, B))
+    pa, pb = _check_disjoint_sets(H, v, (A, B))
+    inc = H.incidence
     edges = frozenset(
-        frozenset((a, b)) for a in pa for b in pb if H.has_edge((v, a, b))
+        frozenset((a, b)) for a in pa for b in pb if inc[v] & inc[a] & inc[b]
     )
     return LinkGraph(center=v, parts=(pa, pb), edges=edges)
 
 
 def link_within(H: Hypergraph3, v: int, A) -> LinkGraph:
     """Link of v inside a single set: a, a' joined iff {v,a,a'} is an edge."""
-    (pa,) = _check_disjoint_sets(v, (A,))
+    (pa,) = _check_disjoint_sets(H, v, (A,))
+    inc = H.incidence
     edges = frozenset(
-        frozenset((a, b)) for a, b in combinations(pa, 2) if H.has_edge((v, a, b))
+        frozenset((a, b)) for a, b in combinations(pa, 2) if inc[v] & inc[a] & inc[b]
     )
     return LinkGraph(center=v, parts=(pa,), edges=edges)
 
 
 def link_chain(H: Hypergraph3, v: int, sets) -> LinkGraph:
     """Union of the bipartite links along consecutive pairs of 2..5 sets."""
-    parts = _check_disjoint_sets(v, sets)
+    parts = _check_disjoint_sets(H, v, sets)
     if not 2 <= len(parts) <= 5:
         raise ValueError("chain takes between 2 and 5 sets")
     edges: set[frozenset[int]] = set()
     for left, right in zip(parts, parts[1:]):
         edges |= link_bipartite(H, v, left, right).edges
     return LinkGraph(center=v, parts=tuple(parts), edges=frozenset(edges))
-
-
-def link_of_pair(H: Hypergraph3, v: int, E, F) -> LinkGraph:
-    """Link of v against two disjoint matching edges (3+3 vertices)."""
-    return link_bipartite(H, v, tuple(E), tuple(F))
 
 
 def edge_through(v: int, pair) -> tuple[int, int, int]:

@@ -3,12 +3,17 @@
 These deliberately avoid the package's search code: matchings are found
 by raw combination enumeration, pattern perfect matchings by the 3x3
 permanent, closeness by listing every triple of the cut-family model,
-hypergraph views by the original per-edge constructor.  They are slow and
-obviously correct, which is the point.
+hypergraph views by the original per-edge constructor, the good-case and
+staged matchers by their original nested loops over triple lookups.  They
+are slow and obviously correct, which is the point.
 """
 
+import math
 from itertools import combinations, permutations
 from types import SimpleNamespace
+
+from hypermatch.core import Matching, Partition
+from hypermatch.extremal import StageLog, classify_goodness
 
 
 def naive_max_matching(H) -> int:
@@ -177,3 +182,255 @@ def naive_parse_h3(text: str) -> SimpleNamespace:
     if len(body) != 3 * m:
         raise ValueError(f"expected {3 * m} vertex tokens for {m} edges, got {len(body)}")
     return naive_hypergraph(n, [tuple(body[3 * i : 3 * i + 3]) for i in range(m)])
+
+
+# --- good-case and staged matchers -------------------------------------------
+
+
+def _naive_good_pair_rematch(H, e1, e2, v1, v2, w, Wset):
+    """If (e1, e2) is good for (v1, v2, w), return the replacing 3-matching."""
+    a1, b1 = (x for x in e1 if x not in Wset)
+    (w1,) = (x for x in e1 if x in Wset)
+    a2, b2 = (x for x in e2 if x not in Wset)
+    (w2,) = (x for x in e2 if x in Wset)
+    need = []
+    for x in (v1, v2):
+        need.extend((x, w1, c) for c in (a2, b2))
+        need.extend((x, c, w2) for c in (a1, b1))
+    need.extend((w, c1, c2) for c1 in (a1, b1) for c2 in (a2, b2))
+    if all(H.has_edge(t) for t in need):
+        return [
+            tuple(sorted((v1, a1, w2))),
+            tuple(sorted((v2, w1, a2))),
+            tuple(sorted((w, b1, b2))),
+        ]
+    return None
+
+
+def naive_good_case_matching(H, P, d: int, alpha: float = 0.05):
+    """extremal.good_case_matching by nested combinations loops and triple lookups."""
+    if d < 0:
+        raise ValueError("d must be non-negative")
+    Wset = P.W
+    Wall = sorted(Wset)
+    Vall = list(P.V)
+    edges = []
+    covered: set[int] = set()
+    while len(edges) < d:
+        vfree = [v for v in Vall if v not in covered]
+        wfree = [w for w in Wall if w not in covered]
+        placed = False
+        # direct edge on uncovered vertices
+        for w in wfree:
+            for v1, v2 in combinations(vfree, 2):
+                t = tuple(sorted((v1, v2, w)))
+                if t in H.edge_set:
+                    edges.append(t)
+                    covered.update(t)
+                    placed = True
+                    break
+            if placed:
+                break
+        if placed:
+            continue
+        # good-pair swap: trade e1, e2 for three VVW edges
+        for w in wfree:
+            for v1, v2 in combinations(vfree, 2):
+                for i, j in combinations(range(len(edges)), 2):
+                    repl = _naive_good_pair_rematch(H, edges[i], edges[j], v1, v2, w, Wset)
+                    if repl is not None:
+                        for k in sorted((i, j), reverse=True):
+                            covered.difference_update(edges[k])
+                            del edges[k]
+                        edges.extend(repl)
+                        for t in repl:
+                            covered.update(t)
+                        placed = True
+                        break
+                if placed:
+                    break
+            if placed:
+                break
+        if not placed:
+            return None
+    return Matching(H, sorted(edges))
+
+
+
+
+def _naive_cover_each_with_own_edge(H, targets, allowed, covered):
+    """Backtracking: one edge per target vertex, all inside `allowed`, disjoint."""
+    targets = sorted(targets)
+    allowed = set(allowed)
+    picked = []
+    used: set[int] = set(covered)
+
+    def rec(i):
+        if i == len(targets):
+            return True
+        t = targets[i]
+        if t in used:
+            return rec(i + 1)
+        idx = H.incidence[t]
+        while idx:
+            e = H.edges[(idx & -idx).bit_length() - 1]
+            idx &= idx - 1
+            if all(v in allowed for v in e) and not used & set(e):
+                picked.append(e)
+                used.update(e)
+                if rec(i + 1):
+                    return True
+                used.difference_update(e)
+                picked.pop()
+        return False
+
+    return picked if rec(0) else None
+
+
+def naive_staged_matching(H, P, d: int, alpha: float = 0.05, theta: float = 0.01):
+    """extremal.staged_matching by recursion, Python sets and triple lookups."""
+    log = StageLog(alpha=alpha, theta=theta)
+    report = classify_goodness(H, P, alpha)
+    bad = set(report.bad_vertices)
+    Wset = set(P.W)
+    Vset = set(P.V)
+    w_bad = sorted(bad & Wset)
+    c = len(w_bad)
+    log.c = c
+
+    v1_set = Vset | set(w_bad)
+    covered = set()
+
+    # stage 1: one edge per bad W-vertex, inside V ∪ W_bad
+    a = len(v1_set)
+    inside = [e for e in H.edges if all(x in v1_set for x in e)]
+    bde_lhs = min((sum(v in e for e in inside) for v in v1_set), default=0)
+    bde_rhs = math.comb(a - 1, 2) - math.comb(a - c, 2) if a >= 1 and a >= c else 0
+    log.bde_check = {"delta1_inside_V1": bde_lhs, "bound": bde_rhs, "holds": bde_lhs > bde_rhs}
+    m1 = []
+    if c:
+        got = _naive_cover_each_with_own_edge(H, w_bad, v1_set, covered)
+        if got is None:
+            log.stalled_stage = "M1"
+            log.detail = f"cannot cover bad W-vertices {w_bad} inside V ∪ W_bad"
+            return None, log
+        m1 = got
+        for e in m1:
+            covered.update(e)
+    log.stages["M1"] = m1
+
+    w1 = [w for w in sorted(Wset) if w not in bad and w not in covered]
+    v2 = [v for v in sorted(v1_set) if v not in covered]
+    v2_bad = [v for v in v2 if v in bad]
+
+    # stage 2: useful bad vertices get a V2-V2-W1 edge
+    m2_edges = []
+    leftover_bad = []
+    thr = theta * H.n * H.n
+    for v in v2_bad:
+        if v in covered:
+            continue
+        pairs = sum(
+            1
+            for vp in v2
+            if vp != v and vp not in covered
+            for w in w1
+            if w not in covered and H.has_edge((v, vp, w))
+        )
+        placed = False
+        if pairs >= thr:
+            for vp in v2:
+                if vp == v or vp in covered:
+                    continue
+                for w in w1:
+                    if w in covered:
+                        continue
+                    t = tuple(sorted((v, vp, w)))
+                    if t in H.edge_set:
+                        m2_edges.append(t)
+                        covered.update(t)
+                        placed = True
+                        break
+                if placed:
+                    break
+        if not placed:
+            leftover_bad.append(v)
+    log.stages["M2"] = m2_edges
+    log.m2 = len(m2_edges)
+
+    # stage 3: bury the remaining bad vertices in edges inside V3
+    v3 = [v for v in v2 if v not in covered]
+    m3_edges = []
+    for v in leftover_bad:
+        if v in covered:
+            continue
+        placed = False
+        for x, y in combinations([u for u in v3 if u not in covered and u != v], 2):
+            t = tuple(sorted((v, x, y)))
+            if t in H.edge_set:
+                m3_edges.append(t)
+                covered.update(t)
+                placed = True
+                break
+        if not placed:
+            log.stalled_stage = "M3"
+            log.detail = f"no within-V edge available to cover bad vertex {v}"
+            log.stages["M3"] = m3_edges
+            return None, log
+    log.stages["M3"] = m3_edges
+    log.m3 = len(m3_edges)
+
+    # stage 4: one V4-W2-W2 edge per M3 edge, rebalancing the classes
+    w2 = [w for w in w1 if w not in covered]
+    v4 = [v for v in v3 if v not in covered]
+    m4_edges = []
+    for _ in range(len(m3_edges)):
+        placed = False
+        for v in v4:
+            if v in covered:
+                continue
+            for wa, wb in combinations([w for w in w2 if w not in covered], 2):
+                t = tuple(sorted((v, wa, wb)))
+                if t in H.edge_set:
+                    m4_edges.append(t)
+                    covered.update(t)
+                    placed = True
+                    break
+            if placed:
+                break
+        if not placed:
+            log.stalled_stage = "M4"
+            log.detail = "no V-W-W rebalancing edge available"
+            log.stages["M4"] = m4_edges
+            return None, log
+    log.stages["M4"] = m4_edges
+
+    # stage 5: good case on the residual
+    w3 = [w for w in w2 if w not in covered]
+    target5 = d - c - len(m2_edges) - 2 * len(m3_edges)
+    if target5 < 0 or target5 > len(w3):
+        log.stalled_stage = "M5"
+        log.detail = f"residual target {target5} infeasible with {len(w3)} W-vertices left"
+        return None, log
+    sub, new_to_old = H.remove_vertices(sorted(covered))
+    if 3 * len(w3) > sub.n:
+        log.stalled_stage = "M5"
+        log.detail = f"{len(w3)} W-vertices left exceed a third of the {sub.n} residual vertices"
+        return None, log
+    old_to_new = {v: i for i, v in enumerate(new_to_old)}
+    P5 = Partition(sub.n, [old_to_new[w] for w in w3], len(w3))
+    m5 = naive_good_case_matching(sub, P5, target5, alpha)
+    if m5 is None:
+        log.stalled_stage = "M5"
+        log.detail = f"good-case matcher stalled before reaching {target5} edges"
+        return None, log
+    m5_edges = [tuple(sorted(new_to_old[v] for v in e)) for e in m5.edges]
+    log.stages["M5"] = m5_edges
+
+    total = m1 + m2_edges + m3_edges + m4_edges + m5_edges
+    matching = Matching(H, sorted(total))
+    if matching.size != d:
+        log.stalled_stage = "M5"
+        log.detail = f"assembled {matching.size} edges, wanted {d}"
+        return None, log
+    return matching, log

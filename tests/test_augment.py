@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypermatch.augment
 from hypermatch.augment import AugmentConfig, augment_once, greedy_matching, replay, solve
@@ -158,3 +160,15 @@ def test_config_validation():
         AugmentConfig(k_max=0)
     with pytest.raises(ValueError):
         AugmentConfig(s_cap=0)
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.7]), st.integers(0, 2**32))
+def test_property_uncapped_search_reaches_oracle(n, p, seed):
+    # k_max >= n/3 and caps above every subset count: the move search is
+    # complete, so it stops only at a maximum matching
+    H = random_triples(n, p, seed)
+    cfg = AugmentConfig(k_max=max(1, n // 3), s_cap=10**6, u_cap=10**6)
+    rep, _ = solve(H, n // 3, cfg)
+    assert rep.size == naive_max_matching(H)

@@ -112,6 +112,16 @@ class TestSolveCmd:
         assert rep["matching"] == [[0, 1, 6], [2, 3, 7], [4, 5, 8]]
         assert rep["stage_log"]["stages"]["M2"] == [[0, 1, 6]]
 
+    def test_extremal_many_bad_w_vertices(self, tmp_path, capsys):
+        # 1100 disjoint edges, every W-vertex bad: M1 covers them all
+        k = 1100
+        h3 = tmp_path / "disjoint.h3"
+        write_h3(build(3 * k, [(2 * i, 2 * i + 1, 2 * k + i) for i in range(k)]), h3)
+        (tmp_path / "disjoint.json").write_text(json.dumps({"partition": {"W": list(range(2 * k, 3 * k)), "d": k}}))
+        rc, rep = run_json(tmp_path, ["solve", "--extremal", str(h3), "--d", str(k)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        assert rep["size"] == k and rep["stage_log"]["stalled_stage"] is None
+
     @pytest.mark.parametrize(
         "partition",
         [{"W": [10, 11]}, {"d": 4}, {"W": 3, "d": 4},

@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypermatch.constructions import cut_family, extremal_star, perturb_remove, random_triples, splitmix64_stream
@@ -16,11 +16,16 @@ from hypermatch.extremal import (
     good_case_matching,
     staged_matching,
 )
-from oracles import model_badness, model_deficiency
+from oracles import model_badness, model_deficiency, naive_good_case_matching, naive_staged_matching
 
 
 def complete(n):
     return build(n, combinations(range(n), 3))
+
+
+def disjoint_w_edges(k):
+    """k disjoint edges (2i, 2i+1, 2k+i) on 3k vertices, with W = 2k..3k-1."""
+    return build(3 * k, [(2 * i, 2 * i + 1, 2 * k + i) for i in range(k)]), Partition(3 * k, range(2 * k, 3 * k), k)
 
 
 def m2_double_cover_case():
@@ -173,11 +178,12 @@ class TestGoodCase:
         assert good_case_matching(H, P, 4) is None
 
     def test_swap_path_exercised(self):
-        # remove every direct edge on one uncovered triple so that only the
-        # good-pair swap can finish
-        H, P = cut_family(12, 4)
-        M = good_case_matching(H, P, 4)
-        assert M is not None and M.size == 4
+        # without (4, 5, 8) the direct edges stop at (0, 1, 6), (2, 3, 7);
+        # only the good-pair swap of those two for (4, 5, 8) can finish
+        H, P = cut_family(9, 3)
+        H2 = build(9, [e for e in H.edges if e != (4, 5, 8)])
+        M = good_case_matching(H2, P, 3)
+        assert M is not None and M.edges == ((0, 4, 7), (1, 3, 8), (2, 5, 6))
 
 
 class TestStaged:
@@ -235,6 +241,24 @@ class TestStaged:
         assert M is not None and M.edges == ((0, 1, 6), (2, 3, 7), (4, 5, 8))
         assert log.stages["M2"] == [(0, 1, 6)] and log.m2 == 1
         assert log.stalled_stage is None
+
+    def test_m1_backtracks(self):
+        # 6 first takes (0, 1, 6), which leaves 7 no edge; M1 backs up and
+        # gives 6 its next edge (3, 4, 6)
+        H = build(9, [(0, 1, 6), (3, 4, 6), (0, 2, 7), (1, 5, 8)])
+        P = Partition(9, {6, 7, 8}, 3)
+        M, log = staged_matching(H, P, 3, alpha=0)
+        assert log.stages["M1"] == [(3, 4, 6), (0, 2, 7), (1, 5, 8)]
+        assert M is not None and M.size == 3
+        assert log.to_json_dict() == naive_staged_matching(H, P, 3, alpha=0)[1].to_json_dict()
+
+    def test_many_bad_w_vertices_without_recursion(self):
+        # 1100 disjoint edges (2i, 2i+1, 2200+i): every W-vertex is bad, and
+        # M1 covers all 1100 of them, one stack frame per edge
+        M, log = staged_matching(*disjoint_w_edges(1100), 1100)
+        assert log.stalled_stage is None and log.c == 1100
+        assert M is not None and M.size == 1100
+        assert set(M.edges) == set(disjoint_w_edges(1100)[0].edges)
 
     def test_bde_inequality_logged(self):
         H, P = cut_family(9, 3)
@@ -439,3 +463,69 @@ def test_property_local_search_matches_reference(case):
     H, d, _ = case
     rep = find_partition(H, d, mode="local")
     assert (rep.W, rep.deficiency) == _reference_local(H, d)
+
+
+# --- the staged matchers against their original loops ---------------------------
+
+
+@st.composite
+def staged_cases(draw):
+    """(H, P, d, alpha, theta), n <= 18: random triples or a damaged cut family.
+
+    n = 3d half the time, where a lightly damaged cut family often needs
+    the good-pair swap for its last edge.  The cut family keeps its labels
+    and W half the time; otherwise W is a random set, of size d or
+    (sometimes) of another size up to n/2.
+    """
+    d = draw(st.integers(0, 6))
+    n = 3 * d if draw(st.booleans()) else draw(st.integers(3 * d, 18))
+    seed = draw(st.integers(0, 2**32))
+    W = None
+    if draw(st.booleans()):
+        H = random_triples(n, draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9])), seed)
+    else:
+        H, P = cut_family(n, d)
+        H = perturb_remove(H, draw(st.integers(0, H.m // 4) | st.integers(0, H.m)), seed)
+        if draw(st.booleans()):
+            W = P.W
+        else:
+            H = _scrambled(H, seed)
+    if W is None:
+        size = draw(st.integers(0, n // 2)) if draw(st.booleans()) else d
+        W = draw(st.permutations(range(n)))[:size]
+    alpha = draw(st.sampled_from([0, 0.01, 0.02, 0.05, 0.1, 0.2, 1]))
+    theta = draw(st.sampled_from([0, 0.005, 0.01, 0.05]))
+    return H, Partition(n, W, d), d, alpha, theta
+
+
+@settings(max_examples=300, deadline=None)
+@given(staged_cases())
+@example((*m2_double_cover_case(), 3, 0.1, 0.01))
+def test_property_staged_matches_original_loops(case):
+    H, P, d, alpha, theta = case
+    M, log = staged_matching(H, P, d, alpha, theta)
+    M0, log0 = naive_staged_matching(H, P, d, alpha, theta)
+    assert (M and M.edges) == (M0 and M0.edges)
+    assert log.to_json_dict() == log0.to_json_dict()
+
+
+@settings(max_examples=150, deadline=None)
+@given(staged_cases())
+def test_property_good_case_matches_original_loops(case):
+    H, P, d, alpha, _ = case
+    M = good_case_matching(H, P, d, alpha)
+    M0 = naive_good_case_matching(H, P, d, alpha)
+    assert (M and M.edges) == (M0 and M0.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(staged_cases())
+@example((*m2_double_cover_case(), 3, 0.1, 0.01))
+def test_property_staged_returns_matching_or_named_stall(case):
+    H, P, d, alpha, theta = case
+    M, log = staged_matching(H, P, d, alpha, theta)
+    if M is None:
+        assert log.stalled_stage in {"M1", "M3", "M4", "M5"} and log.detail
+    else:
+        assert log.stalled_stage is None and log.detail is None
+        assert Matching(H, M.edges).size == d

@@ -15,7 +15,6 @@ from hypermatch.links import (
     edge_through,
     link_bipartite,
     link_chain,
-    link_of_pair,
     link_within,
     pattern_has_pm,
     verify_fact1,
@@ -146,6 +145,10 @@ class TestLinkGraphs:
             link_bipartite(H, 0, [0, 1], [2, 3])
         with pytest.raises(ValueError):
             link_bipartite(H, 7, [0, 1], [1, 2])
+        with pytest.raises(ValueError):
+            link_bipartite(H, 0, [1, 2], [3, 8])
+        with pytest.raises(ValueError):
+            link_within(H, -1, [1, 2])
 
     def test_link_within_complete(self):
         lg = link_within(complete(6), 5, [0, 1, 2, 3, 4])
@@ -183,11 +186,11 @@ class TestLinkGraphs:
         with pytest.raises(ValueError):
             link_chain(H, 0, [[1, 2]])
 
-    def test_link_of_pair_pattern(self):
+    def test_link_bipartite_pair_pattern(self):
         H, P = cut_family(9, 3)
         E = tuple(P.V[0:2]) + (sorted(P.W)[0],)
         F = tuple(P.V[2:4]) + (sorted(P.W)[1],)
         v = P.V[5]
-        lg = link_of_pair(H, v, E, F)
+        lg = link_bipartite(H, v, E, F)
         # v in V: pairs with exactly one W endpoint across E and F are edges
         assert classify(lg.pattern()).kind is PatternKind.B113
