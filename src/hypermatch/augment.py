@@ -16,10 +16,22 @@ search never misses an available move.
 
 Candidate subsets are enumerated exhaustively below the configured caps
 and sampled (deterministically, from the seed) above them.
+
+The same argument gives the union probe.  Any (k+1)-matching inside
+V(S) ∪ U' also lies inside V(S) ∪ U, with U the set of all uncovered
+vertices (Hurkens & Schrijver, SIAM J. Discrete Math 1989, use it for
+move completeness).  So each removed set S first gets one probe on
+V(S) ∪ U.  If that probe exhausts its search without a (k+1)-matching,
+no U' can work and S is skipped; its U' lists are still drawn and thrown
+away, so every later S draws the same samples.  Otherwise (a matching
+found, or the node budget hit) the U' loop runs as before.  Moves,
+matchings and traces are those of the loop without the union probe;
+only the probe and node counts change.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -113,8 +125,6 @@ def greedy_matching(H: Hypergraph3, seed: int | None = None) -> Matching:
 
 def _subsets(pool: tuple, size: int, cap: int | None, rng) -> list[tuple]:
     """All size-subsets of pool when few enough, else cap distinct samples."""
-    import math
-
     total = math.comb(len(pool), size)
     if cap is None or total <= cap:
         return list(combinations(pool, size))
@@ -142,26 +152,43 @@ def augment_once(
     Enumerates k = 1..k_max, removed subsets S of the matching, uncovered
     subsets U' with 3 <= |U'| <= k+3, and asks the exact solver for a
     (k+1)-matching inside V(S) ∪ U'.  The first success (in deterministic
-    enumeration order) is applied.  When a stats dict is given, its
-    "nodes" entry grows by the B&B nodes of every probe.
+    enumeration order) is applied.  A union probe on V(S) ∪ U that finds
+    no (k+1)-matching skips S (see the module docstring).  When a stats
+    dict is given, its "nodes" entry grows by the B&B nodes of every
+    probe, "probes" by the number of probes (union probes included) and
+    "union_skips" by the removed sets the union probe ruled out.
     """
     cfg = cfg or AugmentConfig()
     uncovered = M.uncovered
     medges = M.edges
     rng = splitmix64_stream(cfg.seed)
+    stats = {} if stats is None else stats
+    for key in ("nodes", "probes", "union_skips"):
+        stats.setdefault(key, 0)
+
+    def probe(vertices, budget):
+        rep = max_matching_in_subset(H, vertices, budget)
+        stats["nodes"] += rep.nodes
+        stats["probes"] += 1
+        return rep
+
     for k in range(1, min(cfg.k_max, len(medges)) + 1):
+        budget = SolveBudget(node_limit=cfg.probe_nodes, target=k + 1)
+        usizes = range(3, min(k + 3, len(uncovered)) + 1)
         for S in _subsets(medges, k, cfg.s_cap, rng):
             vs = [v for e in S for v in e]
-            for usize in range(3, min(k + 3, len(uncovered)) + 1):
+            if usizes:
+                rep = probe(vs + list(uncovered), budget)
+                if rep.optimal and rep.size <= k:
+                    stats["union_skips"] += 1
+                    # draw S's U' samples anyway: later sets see the same stream
+                    for usize in usizes:
+                        _subsets(uncovered, usize, cfg.u_cap, rng)
+                    continue
+            for usize in usizes:
                 for up in _subsets(uncovered, usize, cfg.u_cap, rng):
-                    rep = max_matching_in_subset(
-                        H,
-                        vs + list(up),
-                        SolveBudget(node_limit=cfg.probe_nodes, target=k + 1),
-                    )
-                    if stats is not None:
-                        stats["nodes"] = stats.get("nodes", 0) + rep.nodes
-                    if rep.size >= k + 1:
+                    rep = probe(vs + list(up), budget)
+                    if rep.size > k:
                         removed = set(S)
                         new_edges = [e for e in medges if e not in removed]
                         new_edges.extend(rep.edges)
@@ -179,6 +206,8 @@ def solve(
     and its nodes sum the B&B nodes of every probe, the failed ones
     included; a stall is a result, not an error.
     """
+    if d < 0:
+        raise ValueError("d must be non-negative")
     cfg = cfg or AugmentConfig()
     M = greedy_matching(H)
     trace = MoveTrace(initial=M.edges)

@@ -5,6 +5,10 @@ Partition along with the hypergraph, so callers never have to re-infer
 it.  The distinguished class W always sits at the top of the index range
 unless the caller supplies one.
 
+Every generator except `pad_to_perfect` emits its triples sorted and in
+lexicographic order, so it builds through `Hypergraph3._from_canonical`
+and skips the per-edge canonicalisation of the constructor.
+
 Randomness is a seeded splitmix64 stream (documented below), chosen so
 that any implementation in any language can reproduce the exact same
 instances from (n, p, seed).
@@ -76,10 +80,12 @@ def cut_family(n: int, d: int, W=None) -> tuple[Hypergraph3, Partition]:
     Wset = frozenset(W)
     if len(Wset) != d:
         raise ValueError(f"W must have exactly {d} vertices")
-    edges = [
-        e for e in combinations(range(n), 3) if 1 <= sum(v in Wset for v in e) <= 2
-    ]
-    return Hypergraph3(n, edges), Partition(n, Wset, d)
+    edges = tuple(
+        (a, b, c)
+        for a, b, c in combinations(range(n), 3)
+        if 1 <= (a in Wset) + (b in Wset) + (c in Wset) <= 2
+    )
+    return Hypergraph3._from_canonical(n, edges), Partition(n, Wset, d)
 
 
 def blocker_family(n: int, d: int) -> tuple[Hypergraph3, Partition]:
@@ -91,9 +97,10 @@ def blocker_family(n: int, d: int) -> tuple[Hypergraph3, Partition]:
     """
     if d < 1 or 3 * d > n:
         raise ValueError("need 1 <= d <= n/3")
-    W = frozenset(range(n - (d - 1), n))
-    edges = [e for e in combinations(range(n), 3) if any(v in W for v in e)]
-    return Hypergraph3(n, edges), Partition(n, W, d)
+    low = n - (d - 1)
+    # W is the top index range, so "meets W" = largest vertex in W
+    edges = tuple(e for e in combinations(range(n), 3) if e[2] >= low)
+    return Hypergraph3._from_canonical(n, edges), Partition(n, range(low, n), d)
 
 
 def random_triples(n: int, p: float, seed: int) -> Hypergraph3:
@@ -104,12 +111,13 @@ def random_triples(n: int, p: float, seed: int) -> Hypergraph3:
     runs (in any conforming implementation) with equal (n, p, seed)
     produce identical edge sets.
     """
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     cut = int(p * 2**64)
     rng = splitmix64_stream(seed)
-    edges = [e for e in combinations(range(n), 3) if next(rng) < cut]
-    return Hypergraph3(n, edges)
+    return Hypergraph3._from_canonical(n, tuple(e for e in combinations(range(n), 3) if next(rng) < cut))
 
 
 def perturb_remove(H: Hypergraph3, k: int, seed: int) -> Hypergraph3:
@@ -122,7 +130,7 @@ def perturb_remove(H: Hypergraph3, k: int, seed: int) -> Hypergraph3:
         r = j + next(rng) % (H.m - j)
         idx[j], idx[r] = idx[r], idx[j]
     dropped = set(idx[:k])
-    return Hypergraph3(H.n, [e for i, e in enumerate(H.edges) if i not in dropped])
+    return Hypergraph3._from_canonical(H.n, tuple(e for i, e in enumerate(H.edges) if i not in dropped))
 
 
 def pad_to_perfect(H: Hypergraph3, d: int) -> Hypergraph3:

@@ -54,6 +54,8 @@ class SolveBudget:
             raise ValueError("node_limit must be positive")
         if self.time_limit_ms is not None and self.time_limit_ms <= 0:
             raise ValueError("time_limit_ms must be positive")
+        if self.target is not None and self.target < 0:
+            raise ValueError("target must be non-negative")
 
 
 @dataclass(frozen=True)

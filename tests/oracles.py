@@ -4,7 +4,8 @@ These deliberately avoid the package's search code: matchings are found
 by raw combination enumeration, pattern perfect matchings by the 3x3
 permanent, closeness by listing every triple of the cut-family model,
 hypergraph views by the original per-edge constructor, the good-case and
-staged matchers by their original nested loops over triple lookups.  They
+staged matchers by their original nested loops over triple lookups, the
+move search by its original loop that probes every U' lazily.  They
 are slow and obviously correct, which is the point.
 """
 
@@ -12,7 +13,10 @@ import math
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
-from hypermatch.core import Matching, Partition
+from hypermatch.augment import AugmentConfig, Move, _subsets
+from hypermatch.constructions import splitmix64_stream
+from hypermatch.core import Hypergraph3, Matching, Partition
+from hypermatch.exact import SolveBudget, max_matching_in_subset
 from hypermatch.extremal import StageLog, classify_goodness
 
 
@@ -434,3 +438,41 @@ def naive_staged_matching(H, P, d: int, alpha: float = 0.05, theta: float = 0.01
         log.detail = f"assembled {matching.size} edges, wanted {d}"
         return None, log
     return matching, log
+
+
+def naive_augment_once(
+    H: Hypergraph3, M: Matching, cfg: AugmentConfig | None = None, stats: dict | None = None
+) -> tuple[Matching, Move] | None:
+    """The original move search: every U' probed lazily, no union probe.
+
+    Find and apply one size-increasing move, or return None if none is found.
+
+    Enumerates k = 1..k_max, removed subsets S of the matching, uncovered
+    subsets U' with 3 <= |U'| <= k+3, and asks the exact solver for a
+    (k+1)-matching inside V(S) ∪ U'.  The first success (in deterministic
+    enumeration order) is applied.  When a stats dict is given, its
+    "nodes" entry grows by the B&B nodes of every probe.
+    """
+    cfg = cfg or AugmentConfig()
+    uncovered = M.uncovered
+    medges = M.edges
+    rng = splitmix64_stream(cfg.seed)
+    for k in range(1, min(cfg.k_max, len(medges)) + 1):
+        for S in _subsets(medges, k, cfg.s_cap, rng):
+            vs = [v for e in S for v in e]
+            for usize in range(3, min(k + 3, len(uncovered)) + 1):
+                for up in _subsets(uncovered, usize, cfg.u_cap, rng):
+                    rep = max_matching_in_subset(
+                        H,
+                        vs + list(up),
+                        SolveBudget(node_limit=cfg.probe_nodes, target=k + 1),
+                    )
+                    if stats is not None:
+                        stats["nodes"] = stats.get("nodes", 0) + rep.nodes
+                    if rep.size >= k + 1:
+                        removed = set(S)
+                        new_edges = [e for e in medges if e not in removed]
+                        new_edges.extend(rep.edges)
+                        move = Move(removed=tuple(S), added=rep.edges, uncovered_used=tuple(up))
+                        return Matching(H, sorted(new_edges)), move
+    return None

@@ -1,5 +1,6 @@
 """Tests for the swap-based local search, including the named move fixtures."""
 
+import math
 from itertools import combinations
 
 import pytest
@@ -7,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypermatch.augment
-from hypermatch.augment import AugmentConfig, augment_once, greedy_matching, replay, solve
+from hypermatch.augment import AugmentConfig, MoveTrace, augment_once, greedy_matching, replay, solve
 from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples
 from hypermatch.core import Matching, build
 from hypermatch.exact import max_matching
-from oracles import naive_max_matching
-
+from oracles import naive_augment_once, naive_max_matching
 
 from move_fixtures import five_for_six_fixture, one_for_two_fixture, two_for_three_fixture
 
@@ -153,6 +153,115 @@ class TestSolve:
         rep, _ = solve(H, 6, AugmentConfig(k_max=2))
         assert rep.detail == "stalled"
         assert rep.nodes == sum(seen) > 0
+
+    def test_rejects_negative_target(self):
+        H, _ = cut_family(9, 3)
+        with pytest.raises(ValueError, match="non-negative"):
+            solve(H, -1)
+
+
+class TestUnionProbe:
+    # the search corpus's blocker items: greedy stops at d - 1 = n/3 - 2
+    # edges, and one union probe per removed set proves that no move exists
+    @pytest.mark.parametrize("n, probes, nodes", [(18, 10, 210), (21, 15, 335), (24, 21, 489)])
+    def test_blocker_stall_counters(self, n, probes, nodes):
+        H, _ = blocker_family(n, n // 3 - 1)
+        M = greedy_matching(H)
+        stats = {}
+        assert augment_once(H, M, AugmentConfig(k_max=2), stats) is None
+        removed_sets = M.size + math.comb(M.size, 2)
+        assert stats == {"nodes": nodes, "probes": probes, "union_skips": removed_sets}
+        assert probes == removed_sets
+        rep, trace = solve(H, n // 3, AugmentConfig(k_max=2))
+        assert (rep.size, rep.nodes, rep.detail, trace.moves) == (M.size, nodes, "stalled", [])
+
+    def test_counters_accumulate(self):
+        H, _ = blocker_family(18, 5)
+        M = greedy_matching(H)
+        stats = {"nodes": 1, "probes": 2, "union_skips": 3}
+        augment_once(H, M, AugmentConfig(k_max=2), stats)
+        assert stats == {"nodes": 211, "probes": 12, "union_skips": 13}
+
+    def test_skipped_sets_still_draw_their_samples(self):
+        # u_cap=1 samples every U'; the sets the union probe skips must draw
+        # their samples all the same, or the move found later changes
+        H = random_triples(12, 0.05, 1798849289)
+        M = greedy_matching(H, seed=1798849289)
+        cfg = AugmentConfig(k_max=2, s_cap=5, u_cap=1, seed=927)
+        stats = {}
+        got = augment_once(H, M, cfg, stats)
+        assert got is not None and stats["union_skips"] > 0
+        assert got == naive_augment_once(H, M, cfg)
+
+    def test_budget_stopped_union_probe_falls_back_to_the_loop(self):
+        # the union probe on the first edge stops at 3 nodes without an
+        # answer; a smaller U' probe then finds the move through that edge
+        H = random_triples(15, 0.1, 313612)
+        M = greedy_matching(H, seed=313612)
+        cfg = AugmentConfig(k_max=1, probe_nodes=3)
+        stats = {}
+        got = augment_once(H, M, cfg, stats)
+        assert got == naive_augment_once(H, M, cfg)
+        assert got[1].removed == (M.edges[0],) and stats["union_skips"] == 0
+
+    def test_successful_union_probe_keeps_the_lazy_move(self):
+        # the union probe on V(S) ∪ U succeeds, then the U' loop finds the
+        # same first move as the original search
+        H, M = five_for_six_fixture()
+        cfg = AugmentConfig(k_max=5)
+        stats = {}
+        got = augment_once(H, M, cfg, stats)
+        assert got == naive_augment_once(H, M, cfg)
+        assert stats["probes"] > stats["union_skips"]
+
+
+def _random_matching(H, seed, drop):
+    """A greedy matching with every drop-th edge taken out (not maximal, so moves exist)."""
+    M = greedy_matching(H, seed=seed)
+    return Matching(H, [e for i, e in enumerate(M.edges) if drop == 0 or i % drop])
+
+
+_CAPPED = st.builds(
+    AugmentConfig,
+    k_max=st.integers(1, 3),
+    s_cap=st.integers(1, 6),
+    u_cap=st.integers(1, 6),
+    probe_nodes=st.sampled_from([3, 200_000, 200_000, 200_000]),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.integers(0, 15),
+    st.sampled_from([0.05, 0.1, 0.2, 0.4]),
+    st.integers(0, 2**32),
+    st.sampled_from([0, 0, 2, 3]),
+    _CAPPED,
+)
+def test_property_union_probe_keeps_the_original_move(n, p, seed, drop, cfg):
+    # small caps make _subsets sample, and tiny probe budgets make the
+    # union probe stop early, so every branch of the new loop is driven
+    H = random_triples(n, p, seed)
+    M = _random_matching(H, seed, drop)
+    assert augment_once(H, M, cfg) == naive_augment_once(H, M, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 15), st.sampled_from([0.05, 0.1, 0.2, 0.4]), st.integers(0, 2**32), _CAPPED)
+def test_property_union_probe_keeps_the_move_trace(n, p, seed, cfg):
+    H = random_triples(n, p, seed)
+    rep, trace = solve(H, n // 3, cfg)
+    M = greedy_matching(H)
+    want = MoveTrace(initial=M.edges)
+    while M.size < n // 3 and len(want.moves) < cfg.max_moves:
+        step = naive_augment_once(H, M, cfg)
+        if step is None:
+            break
+        M, move = step
+        want.moves.append(move)
+    assert trace == want
+    assert rep.edges == M.edges
 
 
 def test_config_validation():

@@ -1,14 +1,19 @@
 """Tests for the command-line harness (exit codes, files, determinism)."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hypermatch
 from hypermatch.cli import _build_parser, main
@@ -152,6 +157,16 @@ class TestSolveCmd:
         assert a.read_bytes() == b.read_bytes()
         assert "wall_ms" not in json.loads(a.read_text())
 
+    @pytest.mark.parametrize("method", ["--exact", "--augment"])
+    def test_negative_target_is_usage_error(self, tmp_path, capsys, method):
+        # the maximum is 3; a target of -1 once stopped the search at one edge
+        h3 = tmp_path / "hnd9.h3"
+        main(["gen", "hnd", "--n", "9", "--d", "3", "--out", str(h3)])
+        capsys.readouterr()
+        assert main(["solve", method, str(h3), "--d", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
     def test_method_required(self, tmp_path):
         h3 = tmp_path / "x.h3"
         main(["gen", "star", "--n", "9", "--out", str(h3)])
@@ -290,3 +305,77 @@ class TestParserReuse:
             fresh.append((proc.returncode, proc.stdout))
         assert [rc for rc, _ in in_process] == [2, 0, 0, 0, 0]
         assert in_process == fresh
+
+
+# --- fuzzed inputs ---------------------------------------------------------------
+
+
+@st.composite
+def _h3_text(draw):
+    """An .h3 body: mostly well-formed, sometimes with bad triples, a wrong m or odd separators."""
+    n = draw(st.integers(-2, 13) | st.integers(0, 13))
+    good = st.sampled_from(list(combinations(range(n), 3)) or [()])
+    junk = st.tuples(*[st.integers(-1, max(n, 0))] * 3)
+    edges = draw(st.lists(good, max_size=40) | st.lists(good | junk, max_size=10))
+    m = len(edges) + draw(st.sampled_from([0] * 12 + [-1, 1]))
+    sep = draw(st.sampled_from(["\n", " ", "\t", " \r\n", "  # note\n"]))
+    return f"{n} {m}{sep}" + sep.join(" ".join(map(str, e)) for e in edges) + "\n"
+
+
+_SIDECAR_PARTITION = st.one_of(
+    st.none(),
+    st.integers(-2, 5),
+    st.text(max_size=5),
+    st.lists(st.integers(-2, 14), max_size=6),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "W": st.lists(st.integers(-2, 14), max_size=6) | st.integers() | st.text(max_size=3),
+            "d": st.integers(-2, 6) | st.text(max_size=2) | st.booleans() | st.floats(allow_nan=False),
+        },
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(
+        [
+            ["solve", "--exact"],
+            ["solve", "--augment"],
+            ["solve", "--extremal"],
+            ["solve", "--absorbing"],
+            ["closeness", "--mode", "local"],
+            ["closeness", "--mode", "exhaustive"],
+            ["degrees"],
+        ]
+    ),
+    h3=_h3_text() | st.text(max_size=40),
+    sidecar=st.none()
+    | st.text(max_size=30)
+    | _SIDECAR_PARTITION.map(lambda part: json.dumps({"partition": part}))
+    | st.sampled_from(["[]", "null", "3", '"x"', "{}"]),
+    d=st.none() | st.integers(0, 4) | st.integers(-3, 8),
+    k_max=st.none() | st.integers(-1, 3),
+    budget_nodes=st.none() | st.integers(1, 50),
+)
+def test_fuzzed_inputs_exit_cleanly(command, h3, sidecar, d, k_max, budget_nodes):
+    """Any .h3 text, sidecar and flag values: an exit code in 0..3 and no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.h3")
+        Path(path).write_text(h3, encoding="utf-8")
+        if sidecar is not None:
+            Path(tmp, "x.json").write_text(sidecar, encoding="utf-8")
+        argv = command + [path]
+        if d is not None:
+            argv += ["--d", str(d)]
+        if command[0] == "solve":
+            if k_max is not None:
+                argv += ["--k-max", str(k_max)]
+            if budget_nodes is not None:
+                argv += ["--budget-nodes", str(budget_nodes)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

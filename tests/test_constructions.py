@@ -12,9 +12,11 @@ from hypermatch.constructions import (
     pad_to_perfect,
     perturb_remove,
     random_triples,
+    splitmix64_stream,
 )
-from hypermatch.core import build, threshold
-from oracles import naive_has_k_matching, naive_max_matching
+from hypermatch.core import Matching, build, threshold
+from hypermatch.exact import has_d_matching
+from oracles import naive_has_k_matching, naive_hypergraph, naive_max_matching
 
 
 class TestExtremalStar:
@@ -111,6 +113,41 @@ class TestBlockerFamily:
         assert H.degree(v) == math.comb(n - 1, 2) - math.comb(len(P.V) - 1, 2)
 
 
+def _d_matching_after_adding(H, d, edge):
+    H2 = build(H.n, H.edges + (edge,))
+    status, rep = has_d_matching(H2, d)
+    assert status == "yes", (H.n, d, edge)
+    assert Matching(H2, rep.edges).size == d
+    return rep
+
+
+class TestBlockerTightness:
+    """The blocker family sits on the d-matching boundary, and one more edge crosses it.
+
+    Any missing edge is a triple inside V.  Sym(V) fixes the family and
+    acts transitively on those triples, so one of them per (n, d) stands
+    for all; n <= 12 checks every one of them to guard that argument.
+    """
+
+    CASES = [(n, d) for n in range(6, 22, 3) for d in range(2, n // 3 + 1)]
+
+    @pytest.mark.parametrize("n, d", CASES)
+    def test_one_missing_edge_gives_a_d_matching(self, n, d):
+        H, _ = blocker_family(n, d)
+        status, _ = has_d_matching(H, d)
+        assert status == "no"
+        rep = _d_matching_after_adding(H, d, (0, 1, 2))
+        assert (0, 1, 2) in rep.edges
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n, d in CASES if n <= 12])
+    def test_every_missing_edge_gives_a_d_matching(self, n, d):
+        H, P = blocker_family(n, d)
+        missing = list(combinations(P.V, 3))
+        assert len(missing) == math.comb(n, 3) - H.m
+        for e in missing:
+            _d_matching_after_adding(H, d, e)
+
+
 class TestRandomTriples:
     def test_p_extremes(self):
         assert random_triples(8, 0.0, 1).m == 0
@@ -133,6 +170,10 @@ class TestRandomTriples:
     def test_bad_p(self):
         with pytest.raises(ValueError):
             random_triples(6, 1.5, 0)
+
+    def test_negative_n(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            random_triples(-1, 0.5, 0)
 
 
 class TestPerturbRemove:
@@ -158,6 +199,47 @@ class TestPerturbRemove:
         H, _ = cut_family(9, 3)
         with pytest.raises(ValueError):
             perturb_remove(H, H.m + 1, 0)
+
+
+def _same_views(H, edges):
+    # the generators skip the constructor's canonicalisation; the views must
+    # equal those of the original per-edge constructor on the same triples
+    want = naive_hypergraph(H.n, edges)
+    assert (H.n, H.edges, H.incidence) == (want.n, want.edges, want.incidence)
+    assert (H.edge_set, H.edge_masks) == (want.edge_set, want.edge_masks)
+
+
+class TestCanonicalBuild:
+    @pytest.mark.parametrize("n", [0, 1, 3, 5, 6, 9, 10, 14, 15, 21])
+    def test_cut_and_blocker_families(self, n):
+        for d in range(0, n // 3 + 1):
+            H, P = cut_family(n, d)
+            _same_views(H, [e for e in combinations(range(n), 3) if 1 <= len(P.W.intersection(e)) <= 2])
+            if d >= 1:
+                H, P = blocker_family(n, d)
+                assert P.W == frozenset(range(n - d + 1, n)) and P.d == d
+                _same_views(H, [e for e in combinations(range(n), 3) if P.W.intersection(e)])
+
+    def test_cut_family_custom_w(self):
+        H, _ = cut_family(12, 4, W=[0, 5, 7, 11])
+        _same_views(H, [e for e in combinations(range(12), 3) if 1 <= len({0, 5, 7, 11}.intersection(e)) <= 2])
+
+    @pytest.mark.parametrize("n", [6, 9, 12, 15])
+    def test_extremal_star(self, n):
+        H, P = extremal_star(n)
+        _same_views(H, [e for e in combinations(range(n), 3) if P.W.intersection(e)])
+
+    @pytest.mark.parametrize("n", [0, 2, 3, 7, 12, 16])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+    def test_random_triples_and_perturb_remove(self, n, p):
+        for seed in (0, 1, 2**64 - 1):
+            H = random_triples(n, p, seed)
+            rng = splitmix64_stream(seed)
+            _same_views(H, [e for e in combinations(range(n), 3) if next(rng) < int(p * 2**64)])
+            for k in {0, H.m // 3, H.m}:
+                Hp = perturb_remove(H, k, seed)
+                _same_views(Hp, Hp.edges)
+                assert Hp.m == H.m - k and Hp.edge_set <= H.edge_set
 
 
 class TestPadToPerfect:

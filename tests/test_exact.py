@@ -122,6 +122,9 @@ def test_budget_validation():
         SolveBudget(node_limit=0)
     with pytest.raises(ValueError):
         SolveBudget(time_limit_ms=-1)
+    with pytest.raises(ValueError, match="target must be non-negative"):
+        SolveBudget(target=-1)
+    assert SolveBudget(target=0).target == 0
 
 
 # --- pinned regression table ---------------------------------------------------
