@@ -1,7 +1,7 @@
-"""Degree-threshold experiments: a sweep CSV and the n=6 threshold walk.
+"""Degree-threshold experiments: a sweep CSV and the n=6 threshold count.
 
 The sweep compares the exact optimum with the local search over a
-probability grid.  The threshold walk visits every hypergraph on 6
+probability grid.  The threshold count takes every hypergraph on 6
 vertices without a perfect matching (the intersecting families of
 triples, a down-set of the 2^20 hypergraphs) and reports the largest
 minimum degree among them; at this tiny n it sits above the asymptotic

@@ -242,19 +242,32 @@ def _verify_tightness(args) -> int:
 
 
 def _verify_thresholds(args) -> int:
-    """Count the hypergraphs on n <= 7 vertices without a d-matching, and their largest delta1.
+    """Count the hypergraphs on n <= 8 vertices without a d-matching, and their largest delta1.
 
-    These hypergraphs form a down-set, so only they are visited, not all
-    2^C(n,3) edge sets.  n <= 7 means d <= 2.  For d = 2 they are the
-    intersecting families: triple j may join a family iff bit j of
-    `forbidden`, the triples disjoint from some member, is clear.  For
-    d = 1 every triple starts forbidden, which leaves the empty hypergraph.
-    Each stack entry is one family, reached once by adding triples in
-    lexicographic order.
+    These hypergraphs form a down-set, searched on a decision tree over the
+    C(n,3) triples in lexicographic order; n <= 8 means d <= 2.  For d = 2
+    they are the intersecting families.  A node is (chosen, open): `open`
+    holds the triples not yet decided that meet every chosen triple.  The
+    node's lowest open triple j is either left out (open - j) or taken
+    (open - j - disjoint[j]).  For d = 1 the root has no open triple,
+    which leaves the empty hypergraph.
+
+    The families below a node are `chosen` plus an intersecting subset of
+    `open`, each reached once.  Every open triple already meets every
+    chosen one, so their number depends on `open` alone, and `count` is
+    memoised on that one mask: the many nodes that share it are counted
+    once.
+
+    delta1 only grows as triples are added, so the minimum over v of
+    |(chosen | open) & inc[v]| bounds delta1 of every family below a node.
+    The depth-first search cuts a node only when that bound is at most the
+    best delta1 found so far, which no family below it can beat; so the
+    maximum it returns is exact.  The memo and the best value live in one
+    call: a repeated call does all the work again.
     """
     n, d = args.n, args.d
-    if n > 7:
-        print("the down-set walk is limited to n <= 7", file=sys.stderr)
+    if n > 8:
+        print("the down-set count is limited to n <= 8", file=sys.stderr)
         return EXIT_USAGE
     if not 1 <= d <= n // 3:
         print("need 1 <= d <= n/3", file=sys.stderr)
@@ -263,24 +276,42 @@ def _verify_thresholds(args) -> int:
     inc = K.incidence
     full = (1 << K.m) - 1
     disjoint = [full & ~(inc[a] | inc[b] | inc[c]) for a, b, c in K.edges]
-    none_count = 0
-    max_without = -1
-    stack = [(0, 0, full if d == 1 else 0)]
-    while stack:
-        start, chosen, forbidden = stack.pop()
-        none_count += 1
-        max_without = max(max_without, min((chosen & mask).bit_count() for mask in inc))
-        for j in range(start, K.m):
-            if not forbidden >> j & 1:
-                stack.append((j + 1, chosen | 1 << j, forbidden | disjoint[j]))
+    root = 0 if d == 1 else full
+    memo = {0: 1}
+    known = memo.get
+
+    def count(open_: int) -> int:
+        # every count is at least 1, so `known(x) or count(x)` recurses only on a miss
+        low = open_ & -open_
+        rest = open_ ^ low
+        take = rest & ~disjoint[low.bit_length() - 1]
+        memo[open_] = got = (known(rest) or count(rest)) + (known(take) or count(take))
+        return got
+
+    best = -1
+
+    def grow(chosen: int, open_: int) -> None:
+        nonlocal best
+        bound = min(((chosen | open_) & mask).bit_count() for mask in inc)
+        if bound <= best:
+            return
+        if not open_:
+            best = bound
+            return
+        low = open_ & -open_
+        rest = open_ ^ low
+        grow(chosen | low, rest & ~disjoint[low.bit_length() - 1])
+        grow(chosen, rest)
+
+    grow(0, root)
     report = {
         "schema": "hypermatch.thresholds/1",
         "n": n,
         "d": d,
         "total_hypergraphs": 1 << K.m,
-        "without_d_matching": none_count,
-        "max_delta1_without_d_matching": max_without,
-        "empirical_forcing_min_degree": max_without + 1,
+        "without_d_matching": known(root) or count(root),
+        "max_delta1_without_d_matching": best,
+        "empirical_forcing_min_degree": best + 1,
         "threshold_formula": threshold(n, d),
     }
     _emit(report, args.out)

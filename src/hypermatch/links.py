@@ -21,6 +21,7 @@ appear.  `verify_fact1` re-runs the derivation and reports the counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -60,18 +61,19 @@ class PatternClass:
     base: tuple[int, int] | None = None  # only for B113: (row, col) of the base edge
 
 
+# the 6 perfect matchings of K_{3,3} as masks: row i meets column s[i]
+_PM_MASKS = tuple(1 << s0 | 1 << 3 + s1 | 1 << 6 + s2 for s0, s1, s2 in _PERMS)
+# one 8-entry table per column permutation c: row bits r with bit j moved to c[j]
+_COLS = tuple(
+    tuple((r & 1) << c0 | (r >> 1 & 1) << c1 | (r >> 2) << c2 for r in range(8)) for c0, c1, c2 in _PERMS
+)
+# one shift triple per row permutation p: row i moves to row p[i]
+_SHIFTS = tuple((3 * p0, 3 * p1, 3 * p2) for p0, p1, p2 in _PERMS)
+
+
 def pattern_has_pm(mask: int) -> bool:
     """True iff some system of 3 disjoint edges exists (6 permutations)."""
-    return any(all(mask >> (3 * i + s[i]) & 1 for i in range(3)) for s in _PERMS)
-
-
-def _relabel(mask: int, rows, cols) -> int:
-    out = 0
-    for i in range(3):
-        for j in range(3):
-            if mask >> (3 * i + j) & 1:
-                out |= 1 << (3 * rows[i] + cols[j])
-    return out
+    return any(mask & pm == pm for pm in _PM_MASKS)
 
 
 def _transpose(mask: int) -> int:
@@ -84,8 +86,13 @@ def _transpose(mask: int) -> int:
 
 
 def canonical_form(mask: int) -> int:
-    """Lexicographic minimum over the 36 class-preserving relabelings."""
-    return min(_relabel(mask, r, c) for r in _PERMS for c in _PERMS)
+    """Lexicographic minimum over the 36 class-preserving relabelings.
+
+    Each column permutation relabels the three 3-bit rows through one
+    8-entry table; each row permutation then shifts them into place.
+    """
+    rows = [(col[mask & 7], col[mask >> 3 & 7], col[mask >> 6]) for col in _COLS]
+    return min(r0 << s0 | r1 << s1 | r2 << s2 for r0, r1, r2 in rows for s0, s1, s2 in _SHIFTS)
 
 
 def _canon_iso(mask: int) -> int:
@@ -109,11 +116,12 @@ def _derive_classification() -> dict[int, PatternClass]:
     derived rather than hard-coded.
     """
     table: dict[int, PatternClass] = {}
+    has_pm, deficient = PatternClass(PatternKind.HAS_PM), PatternClass(PatternKind.DEFICIENT)
     groups5: dict[int, list[int]] = {}
     groups6: dict[int, list[int]] = {}
     for mask in range(512):
         if pattern_has_pm(mask):
-            table[mask] = PatternClass(PatternKind.HAS_PM)
+            table[mask] = has_pm
             continue
         e = mask.bit_count()
         if e >= 7:
@@ -123,7 +131,7 @@ def _derive_classification() -> dict[int, PatternClass]:
         elif e == 5:
             groups5.setdefault(_canon_iso(mask), []).append(mask)
         else:
-            table[mask] = PatternClass(PatternKind.DEFICIENT)
+            table[mask] = deficient
 
     if len(groups6) != 1:
         raise AssertionError(f"expected one 6-edge PM-free class, found {len(groups6)}")
@@ -193,10 +201,10 @@ def verify_fact1() -> dict:
     table = _derive_classification()
     counts: dict[str, int] = {}
     by_edges: dict[int, dict[str, int]] = {}
-    for mask, cls in table.items():
-        counts[cls.kind.value] = counts.get(cls.kind.value, 0) + 1
-        row = by_edges.setdefault(mask.bit_count(), {})
-        row[cls.kind.value] = row.get(cls.kind.value, 0) + 1
+    for (e, kind), k in Counter((mask.bit_count(), cls.kind) for mask, cls in table.items()).items():
+        counts[kind.value] = counts.get(kind.value, 0) + k
+        row = by_edges.setdefault(e, {})
+        row[kind.value] = k
     for e in range(7, 10):
         bad = sum(v for k, v in by_edges.get(e, {}).items() if k != "pm")
         if bad:

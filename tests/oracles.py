@@ -5,11 +5,14 @@ by raw combination enumeration, pattern perfect matchings by the 3x3
 permanent, closeness by listing every triple of the cut-family model,
 hypergraph views by the original per-edge constructor, the good-case and
 staged matchers by their original nested loops over triple lookups, the
-move search by its original loop that probes every U' lazily.  They
+move search by its original loop that probes every U' lazily, the
+threshold scan by the old down-set walk and by an independent-set count
+over the disjointness graph, and pattern relabelings bit by bit.  They
 are slow and obviously correct, which is the point.
 """
 
 import math
+import random
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
@@ -136,6 +139,97 @@ def naive_threshold_scan(n: int, d: int) -> tuple[int, int]:
         if delta > max_without:
             max_without = delta
     return none_count, max_without
+
+
+def walk_threshold_scan(n: int, d: int) -> tuple[int, int]:
+    """The down-set walk that `verify thresholds` used before it counted.
+
+    Visits every hypergraph on n <= 7 vertices without a d-matching once
+    (d <= 2), from a stack of (next triple, chosen, forbidden) masks.
+    Returns (hypergraphs without a d-matching, largest delta1 among them).
+    """
+    K = Hypergraph3(n, combinations(range(n), 3))
+    inc = K.incidence
+    full = (1 << K.m) - 1
+    disjoint = [full & ~(inc[a] | inc[b] | inc[c]) for a, b, c in K.edges]
+    none_count = 0
+    max_without = -1
+    stack = [(0, 0, full if d == 1 else 0)]
+    while stack:
+        start, chosen, forbidden = stack.pop()
+        none_count += 1
+        max_without = max(max_without, min((chosen & mask).bit_count() for mask in inc))
+        for j in range(start, K.m):
+            if not forbidden >> j & 1:
+                stack.append((j + 1, chosen | 1 << j, forbidden | disjoint[j]))
+    return none_count, max_without
+
+
+def intersecting_family_count(n: int, seed: int = 0) -> int:
+    """Families of triples on n vertices with no two disjoint, as independent sets.
+
+    The graph has the C(n,3) triples as vertices, in a seeded shuffled
+    order, and joins two triples iff they are disjoint.  A vertex set splits
+    into its connected components, whose counts multiply; a connected one
+    branches on its vertex of largest degree (first in the shuffled order):
+    leave it out, or take it and drop its neighbours.  Memoised on frozenset.
+    """
+    triples = list(combinations(range(n), 3))
+    random.Random(seed).shuffle(triples)
+    order = {t: i for i, t in enumerate(triples)}
+    adj = {t: frozenset(u for u in triples if not set(t) & set(u)) for t in triples}
+    memo: dict[frozenset, int] = {}
+
+    def components(S):
+        left = set(S)
+        while left:
+            todo = [left.pop()]
+            comp = set(todo)
+            while todo:
+                for u in adj[todo.pop()] & left:
+                    left.discard(u)
+                    comp.add(u)
+                    todo.append(u)
+            yield frozenset(comp)
+
+    def count(S: frozenset) -> int:
+        if not S:
+            return 1
+        got = memo.get(S)
+        if got is None:
+            parts = list(components(S))
+            if len(parts) > 1:
+                got = math.prod(count(p) for p in parts)
+            else:
+                v = max(S, key=lambda t: (len(adj[t] & S), -order[t]))
+                rest = S - {v}
+                got = count(rest) + count(rest - adj[v])
+            memo[S] = got
+        return got
+
+    return count(frozenset(triples))
+
+
+_PERMS = tuple(permutations(range(3)))
+
+
+def naive_pattern_has_pm(mask: int) -> bool:
+    """The original `links.pattern_has_pm`: some permutation hits 3 set bits."""
+    return any(all(mask >> (3 * i + s[i]) & 1 for i in range(3)) for s in _PERMS)
+
+
+def _relabel(mask: int, rows, cols) -> int:
+    out = 0
+    for i in range(3):
+        for j in range(3):
+            if mask >> (3 * i + j) & 1:
+                out |= 1 << (3 * rows[i] + cols[j])
+    return out
+
+
+def naive_canonical_form(mask: int) -> int:
+    """The original `links.canonical_form`: relabel bit by bit 36 times, take the minimum."""
+    return min(_relabel(mask, r, c) for r in _PERMS for c in _PERMS)
 
 
 def naive_hypergraph(n: int, edges) -> SimpleNamespace:

@@ -210,7 +210,7 @@ def test_criterion_8b_small_n_threshold_table(tmp_path):
     # for n sufficiently large; this prints where the smallest n stand
     verdicts = {1: "n below 'sufficiently large'", 0: "bound exactly tight", -1: "bound has slack"}
     with criterion("8b", "small-n table: max delta1 without a 2-matching vs threshold(n,2)", 60.0):
-        for n in (6, 7):
+        for n in (6, 7, 8):
             out = tmp_path / f"thr{n}.json"
             assert cli_main(["verify", "thresholds", "--n", str(n), "--d", "2", "--out", str(out)]) == 0
             rep = json.loads(out.read_text())

@@ -1,6 +1,7 @@
 """Tests for the command-line harness (exit codes, files, determinism)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -16,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypermatch
+from hypermatch import cli
 from hypermatch.cli import _build_parser, main
 from hypermatch.constructions import cut_family
 from hypermatch.core import build, read_h3, threshold, write_h3
-from oracles import naive_threshold_scan
+from oracles import intersecting_family_count, naive_threshold_scan, walk_threshold_scan
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -206,7 +209,7 @@ class TestVerifyCmd:
         assert rep["max_delta1_without_d_matching"] == 0
 
     def test_thresholds_rejects_large_n(self):
-        assert main(["verify", "thresholds", "--n", "8", "--d", "2"]) == 2
+        assert main(["verify", "thresholds", "--n", "9", "--d", "2"]) == 2
 
     def test_thresholds_rejects_d_above_n_over_3(self):
         assert main(["verify", "thresholds", "--n", "7", "--d", "3"]) == 2
@@ -243,6 +246,73 @@ class TestVerifyCmd:
         assert rc == 0
         assert rep["total_hypergraphs"] == 2**35
         assert (rep["without_d_matching"], rep["max_delta1_without_d_matching"]) == (1_278_686, 5)
+
+    def test_thresholds_n8(self, tmp_path):
+        rc, rep = run_json(tmp_path, ["verify", "thresholds", "--n", "8", "--d", "2"])
+        assert rc == 0
+        assert rep["total_hypergraphs"] == 2**56
+        assert (rep["without_d_matching"], rep["max_delta1_without_d_matching"]) == (32_095_507, 6)
+        # the star at vertex 0 is intersecting and reaches delta1 = 6 = threshold(8, 2)
+        star = build(8, [t for t in combinations(range(8), 3) if 0 in t])
+        assert star.min_degree(1) == rep["threshold_formula"] == 6
+
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in range(3, 7) for d in range(1, n // 3 + 1)] + [(7, 1)]
+    )
+    def test_thresholds_match_down_set_walk(self, tmp_path, n, d):
+        rc, rep = run_json(tmp_path, ["verify", "thresholds", "--n", str(n), "--d", str(d)])
+        assert rc == 0
+        without, max_delta1 = walk_threshold_scan(n, d)
+        assert rep == {
+            "schema": "hypermatch.thresholds/1",
+            "n": n,
+            "d": d,
+            "total_hypergraphs": 2 ** math.comb(n, 3),
+            "without_d_matching": without,
+            "max_delta1_without_d_matching": max_delta1,
+            "empirical_forcing_min_degree": max_delta1 + 1,
+            "threshold_formula": threshold(n, d),
+        }
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_thresholds_count_matches_independent_sets(self, tmp_path, n):
+        rc, rep = run_json(tmp_path, ["verify", "thresholds", "--n", str(n), "--d", "2"])
+        assert rc == 0
+        assert rep["without_d_matching"] == intersecting_family_count(n, seed=n)
+
+    def test_repeated_thresholds_calls_share_no_memo(self, tmp_path):
+        # each call makes the same Python calls inside cli.py: a memo kept
+        # across calls would let the second one return after a single lookup
+        def profiled(name):
+            calls = Counter()
+
+            def hook(frame, event, arg):
+                if event == "call" and frame.f_code.co_filename == cli.__file__:
+                    calls[frame.f_code.co_name] += 1
+
+            old = sys.getprofile()
+            sys.setprofile(hook)
+            try:
+                rc, rep = run_json(tmp_path, ["verify", "thresholds", "--n", "6", "--d", "2"], name)
+            finally:
+                sys.setprofile(old)
+            assert rc == 0
+            return rep, calls
+
+        rep1, calls1 = profiled("a.json")
+        rep2, calls2 = profiled("b.json")
+        assert rep1 == rep2
+        assert calls1 == calls2
+        assert calls1["count"] > 2000 and calls1["grow"] > 1
+
+    def test_fact1_stdout_pinned(self):
+        # the report's bytes are fixed: this is the hash of the original derivation's output
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["verify", "fact1"]) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "ebfb25b308a86dcf7d70d7b2d8523942c9a0a71620fcc3fa0a55c6b7340adcd2"
+        )
 
 
 class TestSweepCmd:

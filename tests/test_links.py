@@ -19,7 +19,8 @@ from hypermatch.links import (
     pattern_has_pm,
     verify_fact1,
 )
-from oracles import permanent3
+from hypermatch import links
+from oracles import naive_canonical_form, naive_pattern_has_pm, permanent3
 
 
 def mask_of(pairs):
@@ -81,6 +82,11 @@ class TestClassify:
                                 out |= 1 << (3 * pr[i] + pc[j])
                     assert classify(out).kind is kind
 
+    def test_bit_tables_match_original_relabelling(self):
+        for mask in range(512):
+            assert pattern_has_pm(mask) == naive_pattern_has_pm(mask)
+            assert canonical_form(mask) == naive_canonical_form(mask)
+
     def test_canonical_form_is_invariant(self):
         m = B113_REF
         rotated = mask_of([(2, 0), (2, 1), (2, 2), (1, 0), (0, 0)])
@@ -102,6 +108,20 @@ class TestVerifyFact1:
         assert rep["counts"]["b033"] == 6
         assert rep["counts"]["b023"] == 36
         assert rep["counts"]["b113"] == 9
+
+    def test_each_call_derives_the_table(self, monkeypatch):
+        # verify_fact1 checks the derivation itself, so it must redo it:
+        # a table kept from an earlier call would check nothing
+        calls = []
+
+        def counted():
+            calls.append(1)
+            return derive()
+
+        derive = links._derive_classification
+        monkeypatch.setattr(links, "_derive_classification", counted)
+        assert verify_fact1() == verify_fact1()
+        assert len(calls) == 2
 
     def test_pm_free_counts_by_edges(self):
         rep = verify_fact1()
