@@ -1,32 +1,23 @@
 """Local search by swap moves: trade k matching edges for k + 1.
 
 A move removes a subset S of k matching edges and re-matches the freed
-vertices V(S) together with a small set U' of uncovered vertices into
-k + 1 disjoint edges.  Rather than pattern-matching each known move
-shape separately, the candidate subproblem (find a (k+1)-matching
-inside V(S) ∪ U') is handed to the exact solver; the named move shapes
+vertices V(S) together with some uncovered vertices into k + 1 disjoint
+edges.  Rather than pattern-matching each known move shape separately,
+the subproblem is handed to the exact solver; the named move shapes
 become fixtures the generic search must find.
 
-A standard component argument shows the size range |U'| in 3..k+3 is
+Each removed set S gets one probe: a (k+1)-matching inside V(S) ∪ U,
+with U the set of all uncovered vertices.  A standard component argument
+(Hurkens & Schrijver, SIAM J. Discrete Math 1989) shows this is
 complete: if a larger matching exists, some connected component of the
 edge-intersection graph between the current and the larger matching has
-k old edges, k+1 new ones, and the new edges use at most k+3 vertices
-outside the old ones.  So with exhaustive candidate enumeration the
-search never misses an available move.
+k old edges and k+1 new ones, and the new edges lie inside V(S) ∪ U for
+the k old edges S.  So a probe that exhausts its search without a
+(k+1)-matching rules S out, and one that finds it is the move.  A probe
+stopped by its node budget leaves S unresolved.
 
-Candidate subsets are enumerated exhaustively below the configured caps
-and sampled (deterministically, from the seed) above them.
-
-The same argument gives the union probe.  Any (k+1)-matching inside
-V(S) ∪ U' also lies inside V(S) ∪ U, with U the set of all uncovered
-vertices (Hurkens & Schrijver, SIAM J. Discrete Math 1989, use it for
-move completeness).  So each removed set S first gets one probe on
-V(S) ∪ U.  If that probe exhausts its search without a (k+1)-matching,
-no U' can work and S is skipped; its U' lists are still drawn and thrown
-away, so every later S draws the same samples.  Otherwise (a matching
-found, or the node budget hit) the U' loop runs as before.  Moves,
-matchings and traces are those of the loop without the union probe;
-only the probe and node counts change.
+Removed sets are enumerated exhaustively below the configured cap and
+sampled (deterministically, from the seed) above it.
 """
 
 from __future__ import annotations
@@ -48,13 +39,11 @@ class AugmentConfig:
 
     k_max: most matching edges removable in one move (1..5 by default).
     s_cap: candidate removed-subsets tried per k.
-    u_cap: candidate uncovered-subsets tried per (k, S, size) class.
     probe_nodes: node budget per exact-solver probe.
     """
 
     k_max: int = 5
     s_cap: int = 200
-    u_cap: int = 200
     probe_nodes: int = 200_000
     seed: int = 0
     max_moves: int = 10_000
@@ -62,7 +51,7 @@ class AugmentConfig:
     def __post_init__(self):
         if not 1 <= self.k_max:
             raise ValueError("k_max must be at least 1")
-        if min(self.s_cap, self.u_cap, self.probe_nodes, self.max_moves) <= 0:
+        if min(self.s_cap, self.probe_nodes, self.max_moves) <= 0:
             raise ValueError("caps and budgets must be positive")
 
 
@@ -123,10 +112,9 @@ def greedy_matching(H: Hypergraph3, seed: int | None = None) -> Matching:
     return Matching(H, sorted(picked))
 
 
-def _subsets(pool: tuple, size: int, cap: int | None, rng) -> list[tuple]:
+def _subsets(pool: tuple, size: int, cap: int, rng) -> list[tuple]:
     """All size-subsets of pool when few enough, else cap distinct samples."""
-    total = math.comb(len(pool), size)
-    if cap is None or total <= cap:
+    if math.comb(len(pool), size) <= cap:
         return list(combinations(pool, size))
     seen = set()
     out = []
@@ -149,51 +137,41 @@ def augment_once(
 ) -> tuple[Matching, Move] | None:
     """Find and apply one size-increasing move, or return None if none is found.
 
-    Enumerates k = 1..k_max, removed subsets S of the matching, uncovered
-    subsets U' with 3 <= |U'| <= k+3, and asks the exact solver for a
-    (k+1)-matching inside V(S) ∪ U'.  The first success (in deterministic
-    enumeration order) is applied.  A union probe on V(S) ∪ U that finds
-    no (k+1)-matching skips S (see the module docstring).  When a stats
-    dict is given, its "nodes" entry grows by the B&B nodes of every
-    probe, "probes" by the number of probes (union probes included) and
-    "union_skips" by the removed sets the union probe ruled out.
+    Enumerates k = 1..k_max and removed subsets S of the matching, and
+    asks the exact solver for a (k+1)-matching inside V(S) ∪ U, U being
+    every uncovered vertex.  The first success (in deterministic
+    enumeration order) is applied; its uncovered_used is V(added) - V(S).
+    With fewer than 3 uncovered vertices no move exists (k + 1 edges need
+    3k + 3 vertices), so nothing is probed.  When a stats dict is given,
+    its "nodes" entry grows by the B&B nodes of every probe, "probes" by
+    the number of probes and "union_skips" by the removed sets a probe
+    ruled out.
     """
     cfg = cfg or AugmentConfig()
-    uncovered = M.uncovered
-    medges = M.edges
-    rng = splitmix64_stream(cfg.seed)
     stats = {} if stats is None else stats
     for key in ("nodes", "probes", "union_skips"):
         stats.setdefault(key, 0)
-
-    def probe(vertices, budget):
-        rep = max_matching_in_subset(H, vertices, budget)
-        stats["nodes"] += rep.nodes
-        stats["probes"] += 1
-        return rep
-
+    uncovered = list(M.uncovered)
+    if len(uncovered) < 3:
+        return None
+    medges = M.edges
+    rng = splitmix64_stream(cfg.seed)
     for k in range(1, min(cfg.k_max, len(medges)) + 1):
         budget = SolveBudget(node_limit=cfg.probe_nodes, target=k + 1)
-        usizes = range(3, min(k + 3, len(uncovered)) + 1)
         for S in _subsets(medges, k, cfg.s_cap, rng):
-            vs = [v for e in S for v in e]
-            if usizes:
-                rep = probe(vs + list(uncovered), budget)
-                if rep.optimal and rep.size <= k:
-                    stats["union_skips"] += 1
-                    # draw S's U' samples anyway: later sets see the same stream
-                    for usize in usizes:
-                        _subsets(uncovered, usize, cfg.u_cap, rng)
-                    continue
-            for usize in usizes:
-                for up in _subsets(uncovered, usize, cfg.u_cap, rng):
-                    rep = probe(vs + list(up), budget)
-                    if rep.size > k:
-                        removed = set(S)
-                        new_edges = [e for e in medges if e not in removed]
-                        new_edges.extend(rep.edges)
-                        move = Move(removed=tuple(S), added=rep.edges, uncovered_used=tuple(up))
-                        return Matching(H, sorted(new_edges)), move
+            freed = [v for e in S for v in e]
+            rep = max_matching_in_subset(H, freed + uncovered, budget)
+            stats["nodes"] += rep.nodes
+            stats["probes"] += 1
+            if rep.size > k:
+                removed = set(S)
+                new_edges = [e for e in medges if e not in removed]
+                new_edges.extend(rep.edges)
+                used = sorted({v for e in rep.edges for v in e}.difference(freed))
+                move = Move(removed=tuple(S), added=rep.edges, uncovered_used=tuple(used))
+                return Matching(H, sorted(new_edges)), move
+            if rep.optimal:
+                stats["union_skips"] += 1
     return None
 
 

@@ -33,8 +33,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _emit(payload, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -42,11 +41,20 @@ def _emit(payload, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit(payload, out: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+
+
 # --- gen ---------------------------------------------------------------------
 
 
 def _cmd_gen(args) -> int:
     kind = args.kind
+    out = args.out or f"{kind}{args.n}.h3"
+    side = os.path.splitext(out)[0] + ".json"
+    if side == out:
+        print(f"--out {out} is also the path of its .json sidecar", file=sys.stderr)
+        return EXIT_USAGE
     partition = None
     if kind == "star":
         H, partition = constructions.extremal_star(args.n)
@@ -72,7 +80,6 @@ def _cmd_gen(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         return EXIT_USAGE
 
-    out = args.out or f"{kind}{args.n}.h3"
     write_h3(H, out)
     meta = {
         "schema": "hypermatch.instance/1",
@@ -85,10 +92,7 @@ def _cmd_gen(args) -> int:
         if partition is None
         else {"W": sorted(partition.W), "d": partition.d},
     }
-    side = os.path.splitext(out)[0] + ".json"
-    with open(side, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit(meta, side)
     print(f"wrote {out} ({H.n} vertices, {H.m} edges) and {side}")
     return EXIT_OK
 
@@ -327,6 +331,7 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         print("bad --p-grid; expected comma-separated floats", file=sys.stderr)
         return EXIT_USAGE
+    thr = threshold(args.n, args.d)  # raises ValueError (exit 2) unless 1 <= d <= n/3
     lines = ["n,d,p,seed,delta1,threshold,oracle_size,augment_size,agree"]
     mix = constructions.splitmix64_stream(args.seed)
     for p in pgrid:
@@ -340,14 +345,9 @@ def _cmd_sweep(args) -> int:
             agree = int(arep.size >= min(rep.size, args.d))
             lines.append(
                 f"{args.n},{args.d},{p:g},{inst_seed},{delta1},"
-                f"{threshold(args.n, args.d)},{rep.size},{arep.size},{agree}"
+                f"{thr},{rep.size},{arep.size},{agree}"
             )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ by raw combination enumeration, pattern perfect matchings by the 3x3
 permanent, closeness by listing every triple of the cut-family model,
 hypergraph views by the original per-edge constructor, the good-case and
 staged matchers by their original nested loops over triple lookups, the
-move search by its original loop that probes every U' lazily, the
+move search by its original loop over small uncovered sets U', the
 threshold scan by the old down-set walk and by an independent-set count
 over the disjointness graph, and pattern relabelings bit by bit.  They
 are slow and obviously correct, which is the point.
@@ -535,17 +535,24 @@ def naive_staged_matching(H, P, d: int, alpha: float = 0.05, theta: float = 0.01
 
 
 def naive_augment_once(
-    H: Hypergraph3, M: Matching, cfg: AugmentConfig | None = None, stats: dict | None = None
+    H: Hypergraph3,
+    M: Matching,
+    cfg: AugmentConfig | None = None,
+    stats: dict | None = None,
+    *,
+    u_cap: int = 200,
 ) -> tuple[Matching, Move] | None:
-    """The original move search: every U' probed lazily, no union probe.
+    """The original move search: small uncovered sets U' probed one by one.
 
     Find and apply one size-increasing move, or return None if none is found.
 
     Enumerates k = 1..k_max, removed subsets S of the matching, uncovered
     subsets U' with 3 <= |U'| <= k+3, and asks the exact solver for a
     (k+1)-matching inside V(S) ∪ U'.  The first success (in deterministic
-    enumeration order) is applied.  When a stats dict is given, its
-    "nodes" entry grows by the B&B nodes of every probe.
+    enumeration order) is applied.  Each (k, S, |U'|) class tries every
+    U' when there are at most u_cap of them, else u_cap samples drawn from
+    the same seeded stream as the removed sets.  When a stats dict is
+    given, its "nodes" entry grows by the B&B nodes of every probe.
     """
     cfg = cfg or AugmentConfig()
     uncovered = M.uncovered
@@ -555,7 +562,7 @@ def naive_augment_once(
         for S in _subsets(medges, k, cfg.s_cap, rng):
             vs = [v for e in S for v in e]
             for usize in range(3, min(k + 3, len(uncovered)) + 1):
-                for up in _subsets(uncovered, usize, cfg.u_cap, rng):
+                for up in _subsets(uncovered, usize, u_cap, rng):
                     rep = max_matching_in_subset(
                         H,
                         vs + list(up),

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypermatch.augment
-from hypermatch.augment import AugmentConfig, MoveTrace, augment_once, greedy_matching, replay, solve
+from hypermatch.augment import AugmentConfig, augment_once, greedy_matching, replay, solve
 from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples
 from hypermatch.core import Matching, build
 from hypermatch.exact import max_matching
@@ -182,37 +182,30 @@ class TestUnionProbe:
         augment_once(H, M, AugmentConfig(k_max=2), stats)
         assert stats == {"nodes": 211, "probes": 12, "union_skips": 13}
 
-    def test_skipped_sets_still_draw_their_samples(self):
-        # u_cap=1 samples every U'; the sets the union probe skips must draw
-        # their samples all the same, or the move found later changes
-        H = random_triples(12, 0.05, 1798849289)
-        M = greedy_matching(H, seed=1798849289)
-        cfg = AugmentConfig(k_max=2, s_cap=5, u_cap=1, seed=927)
-        stats = {}
-        got = augment_once(H, M, cfg, stats)
-        assert got is not None and stats["union_skips"] > 0
-        assert got == naive_augment_once(H, M, cfg)
-
-    def test_budget_stopped_union_probe_falls_back_to_the_loop(self):
-        # the union probe on the first edge stops at 3 nodes without an
-        # answer; a smaller U' probe then finds the move through that edge
+    def test_budget_stopped_probe_leaves_the_set_unresolved(self):
+        # the probe through the first edge stops at 3 nodes without an
+        # answer: S is neither a move nor a skip, and the next S moves
         H = random_triples(15, 0.1, 313612)
         M = greedy_matching(H, seed=313612)
-        cfg = AugmentConfig(k_max=1, probe_nodes=3)
         stats = {}
-        got = augment_once(H, M, cfg, stats)
-        assert got == naive_augment_once(H, M, cfg)
-        assert got[1].removed == (M.edges[0],) and stats["union_skips"] == 0
+        got = augment_once(H, M, AugmentConfig(k_max=1, probe_nodes=3), stats)
+        assert got is not None
+        assert got[1].removed == (M.edges[1],)
+        assert stats["probes"] == 2 and stats["union_skips"] == 0
 
-    def test_successful_union_probe_keeps_the_lazy_move(self):
-        # the union probe on V(S) ∪ U succeeds, then the U' loop finds the
-        # same first move as the original search
+    def test_successful_union_probe_is_the_move(self):
+        # every probe before the move's rules out its removed set
         H, M = five_for_six_fixture()
-        cfg = AugmentConfig(k_max=5)
         stats = {}
-        got = augment_once(H, M, cfg, stats)
-        assert got == naive_augment_once(H, M, cfg)
-        assert stats["probes"] > stats["union_skips"]
+        assert augment_once(H, M, AugmentConfig(k_max=5), stats) is not None
+        assert stats["probes"] == stats["union_skips"] + 1
+
+    def test_fewer_than_three_uncovered_probes_nothing(self):
+        H = build(8, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7)])
+        M = Matching(H, [(0, 1, 2), (3, 4, 5)])
+        stats = {}
+        assert augment_once(H, M, AugmentConfig(), stats) is None
+        assert stats == {"nodes": 0, "probes": 0, "union_skips": 0}
 
 
 def _random_matching(H, seed, drop):
@@ -221,47 +214,55 @@ def _random_matching(H, seed, drop):
     return Matching(H, [e for i, e in enumerate(M.edges) if drop == 0 or i % drop])
 
 
-_CAPPED = st.builds(
-    AugmentConfig,
-    k_max=st.integers(1, 3),
-    s_cap=st.integers(1, 6),
-    u_cap=st.integers(1, 6),
-    probe_nodes=st.sampled_from([3, 200_000, 200_000, 200_000]),
-    seed=st.integers(0, 2**64 - 1),
-)
-
-
-@settings(max_examples=600, deadline=None)
-@given(
+_RANDOM_MATCHING = (
     st.integers(0, 15),
     st.sampled_from([0.05, 0.1, 0.2, 0.4]),
     st.integers(0, 2**32),
     st.sampled_from([0, 0, 2, 3]),
-    _CAPPED,
 )
-def test_property_union_probe_keeps_the_original_move(n, p, seed, drop, cfg):
-    # small caps make _subsets sample, and tiny probe budgets make the
-    # union probe stop early, so every branch of the new loop is driven
+
+
+@settings(max_examples=600, deadline=None)
+@given(*_RANDOM_MATCHING, st.integers(1, 3))
+def test_property_union_probe_agrees_with_the_loop(n, p, seed, drop, k_max):
+    # with every removed set enumerated, the one probe on V(S) ∪ U finds a
+    # move exactly when some small U' does, and first through the same S
     H = random_triples(n, p, seed)
     M = _random_matching(H, seed, drop)
-    assert augment_once(H, M, cfg) == naive_augment_once(H, M, cfg)
+    cfg = AugmentConfig(k_max=k_max, s_cap=10**6)
+    got = augment_once(H, M, cfg)
+    want = naive_augment_once(H, M, cfg, u_cap=10**6)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[1].removed == want[1].removed
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 15), st.sampled_from([0.05, 0.1, 0.2, 0.4]), st.integers(0, 2**32), _CAPPED)
-def test_property_union_probe_keeps_the_move_trace(n, p, seed, cfg):
+@given(
+    *_RANDOM_MATCHING,
+    st.builds(
+        AugmentConfig,
+        k_max=st.integers(1, 3),
+        s_cap=st.integers(1, 6),
+        probe_nodes=st.sampled_from([3, 200_000, 200_000, 200_000]),
+        seed=st.integers(0, 2**64 - 1),
+    ),
+)
+def test_property_move_lies_inside_the_union(n, p, seed, drop, cfg):
+    # small caps make _subsets sample, and tiny budgets stop probes early
     H = random_triples(n, p, seed)
-    rep, trace = solve(H, n // 3, cfg)
-    M = greedy_matching(H)
-    want = MoveTrace(initial=M.edges)
-    while M.size < n // 3 and len(want.moves) < cfg.max_moves:
-        step = naive_augment_once(H, M, cfg)
-        if step is None:
-            break
-        M, move = step
-        want.moves.append(move)
-    assert trace == want
-    assert rep.edges == M.edges
+    M = _random_matching(H, seed, drop)
+    got = augment_once(H, M, cfg)
+    if got is None:
+        return
+    new, move = got
+    freed = {v for e in move.removed for v in e}
+    touched = {v for e in move.added for v in e}
+    assert set(move.removed) <= set(M.edges)
+    assert len(move.added) == len(move.removed) + 1
+    assert touched <= freed | set(M.uncovered)
+    assert move.uncovered_used == tuple(sorted(touched - freed))
+    assert new.size == M.size + 1
 
 
 def test_config_validation():
@@ -278,6 +279,6 @@ def test_property_uncapped_search_reaches_oracle(n, p, seed):
     # k_max >= n/3 and caps above every subset count: the move search is
     # complete, so it stops only at a maximum matching
     H = random_triples(n, p, seed)
-    cfg = AugmentConfig(k_max=max(1, n // 3), s_cap=10**6, u_cap=10**6)
+    cfg = AugmentConfig(k_max=max(1, n // 3), s_cap=10**6)
     rep, _ = solve(H, n // 3, cfg)
     assert rep.size == naive_max_matching(H)

@@ -65,6 +65,13 @@ class TestGen:
     def test_usage_error(self):
         assert main(["gen", "nosuch", "--n", "9"]) == 2
 
+    def test_out_that_is_its_own_sidecar_is_a_usage_error(self, tmp_path, capsys):
+        # the sidecar of inst.json is inst.json: nothing may be written
+        out = tmp_path / "inst.json"
+        assert main(["gen", "star", "--n", "9", "--out", str(out)]) == 2
+        assert list(tmp_path.iterdir()) == []
+        assert "sidecar" in capsys.readouterr().err
+
 
 class TestDegreesCmd:
     def test_degrees(self, tmp_path):
@@ -338,10 +345,16 @@ class TestSweepCmd:
         for row in rows[1:]:
             fields = row.split(",")
             assert fields[0] == "9" and fields[1] == "3"
-            assert fields[8] in ("0", "1")
+            assert fields[8] == "1"
 
     def test_bad_grid(self, tmp_path):
         assert main(["sweep", "--n", "9", "--d", "3", "--p-grid", "x"]) == 2
+
+    @pytest.mark.parametrize("rows", [["--trials", "0"], ["--p-grid", ""]])
+    def test_d_above_n_over_3_is_a_usage_error_without_rows(self, tmp_path, rows):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--n", "9", "--d", "5", *rows, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestParserReuse:
