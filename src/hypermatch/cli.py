@@ -221,6 +221,8 @@ def _cmd_verify(args) -> int:
 
 
 def _verify_tightness(args) -> int:
+    if args.n_max < 6:
+        raise ValueError("--n-max must be at least 6, the smallest star family")
     rows = []
     ok = True
     for n in range(6, args.n_max + 1, 3):
@@ -332,6 +334,8 @@ def _cmd_sweep(args) -> int:
         print("bad --p-grid; expected comma-separated floats", file=sys.stderr)
         return EXIT_USAGE
     thr = threshold(args.n, args.d)  # raises ValueError (exit 2) unless 1 <= d <= n/3
+    if args.trials < 0:
+        raise ValueError("--trials must be non-negative")
     lines = ["n,d,p,seed,delta1,threshold,oracle_size,augment_size,agree"]
     mix = constructions.splitmix64_stream(args.seed)
     for p in pgrid:

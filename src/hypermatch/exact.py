@@ -20,12 +20,17 @@ Pruning at each node, against the best size found so far:
   * cover bound:    |chosen| + (size of a greedy vertex cover of the
                     available edges: maximum degree first, lowest index
                     on ties), since any vertex cover bounds the matching
-                    size from above.
+                    size from above,
+  * shared cover:   a child first tries |chosen| + |C - gone|, with C the
+                    parent's greedy cover and gone the vertices the branch
+                    took; siblings extend that one cover on demand.
 The cover bound is what keeps certification cheap on instances whose
 edges all pass through a small blocker set.  The greedy cover stops as
-soon as it is too large to prune, which changes no decision.  Vertices
-with no available edge are dropped from the counting bound (degree-zero
-elimination).
+soon as it is too large to prune, which changes no decision.  The shared
+cover only prunes subtrees that cannot beat the best size: it can lower
+the node count and change nothing else an unbudgeted solve reports.
+Vertices with no available edge are dropped from the counting bound
+(degree-zero elimination).
 
 Everything is deterministic: identical inputs give identical reports,
 including node counts.
@@ -98,10 +103,11 @@ def _search(H: Hypergraph3, active: int, budget: SolveBudget) -> SolveReport:
     nodes = best_size = 0
     best = None
     optimal, detail = True, None
-    # frame: (available edges, vertices that may still lie on one, depth, chosen chain)
-    stack = [(inside & ~outside, active, 0, None)]
+    # frame: (available edges, vertices that may still lie on one, depth, chosen chain,
+    #         the parent's greedy cover state, vertices the branch took from the parent)
+    stack = [(inside & ~outside, active, 0, None, None, 0)]
     while stack:
-        avail, free, depth, chosen = stack.pop()
+        avail, free, depth, chosen, shared, gone = stack.pop()
         nodes += 1
         if nodes > node_limit:
             optimal, detail = False, "node budget exhausted"
@@ -118,6 +124,13 @@ def _search(H: Hypergraph3, active: int, budget: SolveBudget) -> SolveReport:
         # the counting bound cannot exceed |free| // 3: skip the degree pass
         if not avail or free.bit_count() // 3 <= slack:
             continue
+        # the parent's cover minus the vertices this branch took covers its edges
+        # (gone holds at most 3 vertices, so only a cover of <= slack + 3 can prune)
+        if shared is not None:
+            if shared[0] and shared[3] < slack + 3:
+                _greedy_cover(shared, inc, slack + 3)
+            if not shared[0] and (shared[2] & ~gone).bit_count() <= slack:
+                continue
 
         # live vertices and their degrees; the pivot has minimum degree, lowest index
         live = []
@@ -133,17 +146,20 @@ def _search(H: Hypergraph3, active: int, budget: SolveBudget) -> SolveReport:
                 live_mask |= low
                 if pivot_deg is None or deg < pivot_deg:
                     pivot, pivot_deg = v, deg
-        if len(live) // 3 <= slack or _cover_at_most(avail, live, inc, slack):
+        state = [avail, live, 0, 0]
+        if len(live) // 3 <= slack or _greedy_cover(state, inc, slack):
             continue
 
-        stack.append((avail & ~inc[pivot], live_mask & ~(1 << pivot), depth, chosen))
+        gone = 1 << pivot
+        stack.append((avail & ~inc[pivot], live_mask & ~gone, depth, chosen, state, gone))
         branch = avail & inc[pivot]
         while branch:
             i = branch.bit_length() - 1
             branch ^= 1 << i
             a, b, c = edges[i]
+            gone = edge_masks[i]
             stack.append(
-                (avail & ~(inc[a] | inc[b] | inc[c]), live_mask & ~edge_masks[i], depth + 1, (edges[i], chosen))
+                (avail & ~(inc[a] | inc[b] | inc[c]), live_mask & ~gone, depth + 1, (edges[i], chosen), state, gone)
             )
 
     chain = []
@@ -159,16 +175,16 @@ def _search(H: Hypergraph3, active: int, budget: SolveBudget) -> SolveReport:
     )
 
 
-def _cover_at_most(avail: int, live: list[int], inc, limit: int) -> bool:
-    """True iff the greedy vertex cover of the available edges has at most limit vertices.
+def _greedy_cover(state: list, inc, limit: int) -> bool:
+    """Extend a greedy vertex cover in place; True iff it is complete with at most limit vertices.
 
+    state is [uncovered edges, candidate vertices, cover mask, cover size].
     Greedy picks the vertex of maximum remaining degree, lowest index on
-    ties, and stops as soon as it would exceed limit.
+    ties, and stops once the cover holds limit vertices, so a later call
+    with a larger limit resumes the same sequence of picks.
     """
-    count = 0
-    while avail:
-        if count == limit:
-            return False
+    avail, live, mask, count = state
+    while avail and count < limit:
         best_deg = 0
         keep = []
         for v in live:
@@ -178,9 +194,11 @@ def _cover_at_most(avail: int, live: list[int], inc, limit: int) -> bool:
                 if deg > best_deg:
                     pick, best_deg = v, deg
         avail &= ~inc[pick]
+        mask |= 1 << pick
         live = keep
         count += 1
-    return True
+    state[:] = avail, live, mask, count
+    return not avail
 
 
 def max_matching(H: Hypergraph3, budget: SolveBudget | None = None) -> SolveReport:

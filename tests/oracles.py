@@ -7,19 +7,21 @@ hypergraph views by the original per-edge constructor, the good-case and
 staged matchers by their original nested loops over triple lookups, the
 move search by its original loop over small uncovered sets U', the
 threshold scan by the old down-set walk and by an independent-set count
-over the disjointness graph, and pattern relabelings bit by bit.  They
-are slow and obviously correct, which is the point.
+over the disjointness graph, pattern relabelings bit by bit, and the exact
+branch and bound by its original form, with a fresh greedy cover at every
+node.  They are slow and obviously correct, which is the point.
 """
 
 import math
 import random
+import time
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
 from hypermatch.augment import AugmentConfig, Move, _subsets
 from hypermatch.constructions import splitmix64_stream
 from hypermatch.core import Hypergraph3, Matching, Partition
-from hypermatch.exact import SolveBudget, max_matching_in_subset
+from hypermatch.exact import SolveBudget, SolveReport, max_matching_in_subset
 from hypermatch.extremal import StageLog, classify_goodness
 
 
@@ -105,6 +107,105 @@ def model_badness(H, W) -> tuple[int, ...]:
             for v in e:
                 bad[v] += 1
     return tuple(bad)
+
+
+def percover_search(H, active: int, budget: SolveBudget) -> SolveReport:
+    """The exact B&B before children shared their parent's cover: one fresh greedy cover per node."""
+    t0 = time.perf_counter()
+    inc, edges, edge_masks = H.incidence, H.edges, H.edge_masks
+    node_limit, time_limit, target = budget.node_limit, budget.time_limit_ms, budget.target
+    inside = outside = 0
+    for v, vinc in enumerate(inc):
+        if active >> v & 1:
+            inside |= vinc
+        else:
+            outside |= vinc
+    nodes = best_size = 0
+    best = None
+    optimal, detail = True, None
+    # frame: (available edges, vertices that may still lie on one, depth, chosen chain)
+    stack = [(inside & ~outside, active, 0, None)]
+    while stack:
+        avail, free, depth, chosen = stack.pop()
+        nodes += 1
+        if nodes > node_limit:
+            optimal, detail = False, "node budget exhausted"
+            break
+        if time_limit is not None and nodes % 256 == 0 and (time.perf_counter() - t0) * 1000.0 > time_limit:
+            optimal, detail = False, "time budget exhausted"
+            break
+        if depth > best_size:
+            best_size, best = depth, chosen
+            if target is not None and depth >= target:
+                detail = "target reached"
+                break
+        slack = best_size - depth
+        # the counting bound cannot exceed |free| // 3: skip the degree pass
+        if not avail or free.bit_count() // 3 <= slack:
+            continue
+
+        # live vertices and their degrees; the pivot has minimum degree, lowest index
+        live = []
+        live_mask = 0
+        pivot_deg = None
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            deg = (avail & inc[v]).bit_count()
+            if deg:
+                live.append(v)
+                live_mask |= low
+                if pivot_deg is None or deg < pivot_deg:
+                    pivot, pivot_deg = v, deg
+        if len(live) // 3 <= slack or _cover_at_most(avail, live, inc, slack):
+            continue
+
+        stack.append((avail & ~inc[pivot], live_mask & ~(1 << pivot), depth, chosen))
+        branch = avail & inc[pivot]
+        while branch:
+            i = branch.bit_length() - 1
+            branch ^= 1 << i
+            a, b, c = edges[i]
+            stack.append(
+                (avail & ~(inc[a] | inc[b] | inc[c]), live_mask & ~edge_masks[i], depth + 1, (edges[i], chosen))
+            )
+
+    chain = []
+    while best is not None:
+        edge, best = best
+        chain.append(edge)
+    return SolveReport(
+        size=best_size,
+        edges=tuple(reversed(chain)),
+        optimal=optimal,
+        nodes=nodes,
+        detail=detail,
+    )
+
+
+def _cover_at_most(avail: int, live: list[int], inc, limit: int) -> bool:
+    """True iff the greedy vertex cover of the available edges has at most limit vertices.
+
+    Greedy picks the vertex of maximum remaining degree, lowest index on
+    ties, and stops as soon as it would exceed limit.
+    """
+    count = 0
+    while avail:
+        if count == limit:
+            return False
+        best_deg = 0
+        keep = []
+        for v in live:
+            deg = (avail & inc[v]).bit_count()
+            if deg:
+                keep.append(v)
+                if deg > best_deg:
+                    pick, best_deg = v, deg
+        avail &= ~inc[pick]
+        live = keep
+        count += 1
+    return True
 
 
 def naive_threshold_scan(n: int, d: int) -> tuple[int, int]:

@@ -204,6 +204,14 @@ class TestVerifyCmd:
         assert rc == 0
         assert rep["ok"] and len(rep["rows"]) == 3
 
+    @pytest.mark.parametrize("n_max", ["5", "4", "-3"])
+    def test_tightness_without_rows_is_a_usage_error(self, tmp_path, capsys, n_max):
+        out = tmp_path / "t.json"
+        assert main(["verify", "tightness", "--n-max", n_max, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_thresholds_small_deterministic(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -354,6 +362,13 @@ class TestSweepCmd:
     def test_d_above_n_over_3_is_a_usage_error_without_rows(self, tmp_path, rows):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--n", "9", "--d", "5", *rows, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_negative_trials_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--n", "9", "--d", "3", "--trials", "-2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypermatch import exact
 from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples
 from hypermatch.core import Matching, build
 from hypermatch.exact import SolveBudget, has_d_matching, max_matching, max_matching_in_subset
-from oracles import naive_max_matching, pairing_has_pm_n6
+from oracles import naive_max_matching, pairing_has_pm_n6, percover_search
 
 
 def complete(n):
@@ -270,3 +271,72 @@ def test_property_subset_matches_naive(inst, bits):
     S = [v for v in range(H.n) if bits >> v & 1]
     sub, _ = H.remove_vertices([v for v in range(H.n) if not bits >> v & 1])
     assert max_matching_in_subset(H, S).size == naive_max_matching(sub)
+
+
+# --- shared parent cover --------------------------------------------------------
+#
+# Children test the parent's greedy cover minus the vertices they took before
+# building their own.  That only adds prunes of subtrees that cannot beat the
+# best size, so against the per-node-cover oracle every unbudgeted report is
+# equal up to a node count that can only fall, and a node budget can only
+# reach a larger size.
+
+cover_instances = st.tuples(
+    st.integers(3, 15), st.sampled_from([0.03, 0.05, 0.1, 0.3, 0.6]), st.integers(0, 2**32)
+)
+
+
+def _both(inst, target, bits, node_limit=10_000_000):
+    H = random_triples(*inst)
+    budget = SolveBudget(node_limit=node_limit, target=target)
+    if bits is None:
+        new, active = max_matching(H, budget), (1 << H.n) - 1
+    else:
+        active = bits & ((1 << H.n) - 1)
+        new = max_matching_in_subset(H, [v for v in range(H.n) if active >> v & 1], budget)
+    return new, percover_search(H, active, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_instances, st.none() | st.integers(0, 5), st.none() | st.integers(0, 2**15 - 1))
+def test_property_shared_cover_keeps_every_report(inst, target, bits):
+    new, old = _both(inst, target, bits)
+    assert (new.size, new.edges, new.optimal, new.detail) == (old.size, old.edges, old.optimal, old.detail)
+    assert new.nodes <= old.nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cover_instances,
+    st.none() | st.integers(0, 5),
+    st.none() | st.integers(0, 2**15 - 1),
+    st.integers(1, 60),
+)
+def test_property_shared_cover_under_node_budget(inst, target, bits, node_limit):
+    new, old = _both(inst, target, bits, node_limit)
+    assert new.size >= old.size
+    Matching(random_triples(*inst), new.edges)
+
+
+@pytest.mark.parametrize(
+    "H,size,new_nodes,old_nodes",
+    [
+        # a child's shared-cover test prunes two nodes here
+        (random_triples(11, 0.03, 278), 2, 5, 7),
+        (extremal_star(24)[0], 7, 400, 400),
+    ],
+    ids=["random-11-0.03-278", "star-24"],
+)
+def test_shared_cover_pinned(H, size, new_nodes, old_nodes):
+    new, old = max_matching(H), percover_search(H, (1 << H.n) - 1, SolveBudget())
+    assert (new.size, new.nodes, new.optimal) == (size, new_nodes, True)
+    assert (old.size, old.nodes, old.edges) == (size, old_nodes, new.edges)
+
+
+def test_star_siblings_share_one_cover(monkeypatch):
+    # one greedy cover per expanded node would be 388 calls; siblings share the parent's
+    calls = []
+    greedy = exact._greedy_cover
+    monkeypatch.setattr(exact, "_greedy_cover", lambda *a: calls.append(1) or greedy(*a))
+    assert max_matching(extremal_star(24)[0]).nodes == 400
+    assert len(calls) <= 20
