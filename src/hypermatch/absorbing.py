@@ -11,21 +11,23 @@ almost-perfect matching outside V(M*) can be upgraded to one covering
 exactly V(M*) ∪ leftover.
 
 Construction is greedy: repeatedly add the disjoint edge that newly
-absorbs the most still-undercovered triples.  Each round indexes its
-tracked triples as bits and gives every edge one absorb mask over them,
-built from the rule above with 9 ANDs per edge (see _absorb_masks);
-coverage counts are bit-sliced over the chosen edges' masks, and a gain
-is one popcount.  Verification of the coverage is exhaustive while at
-most 12 vertices remain outside M*, and sampled (10^4 seeded triples)
-above that; the report says which.  A "sampled" verification holds
-every triple whenever there are at most 10^4 of them, since the seeded
-sampling would draw until it held them all.
+absorbs the most still-undercovered triples.  The tracked triples are
+the bits of an index, and one pass gives every edge an absorb mask over
+it (9 ANDs per edge, see _absorb_masks).  Once a round tracks every
+triple over its outside vertices, so does every later round, over a
+subset of those triples.  Absorption does not depend on what is tracked,
+so the later rounds only narrow a `tracked` mask over the same index;
+masks are rebuilt only for rounds that sample.  Coverage counts are
+bit-sliced over the chosen edges' masks, and a gain is one popcount.
+Verification is exhaustive while at most 12 vertices remain outside M*,
+and sampled (10^4 seeded triples) above that; the report says which.
+"sampled" holds every triple whenever there are at most 10^4 of them,
+since the seeded sampling would draw until it held them all.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations, tee
 
@@ -119,19 +121,17 @@ class AbsorbingMatching:
         }
 
 
-def _tracked_triples(outside: list[int], stream) -> tuple[list, str]:
-    """The triples to track over `outside`, and how they were chosen.
+def _tracked_triples(outside: list[int], stream) -> list:
+    """The triples to track over `outside`: all of them, or 10^4 sampled when there are more.
 
     Samples are drawn from `stream`, the seeded splitmix64 stream read from
     its start.
     """
     pool = sorted(outside)
     size = len(pool)
-    if size <= _EXHAUSTIVE_LIMIT:
-        return list(combinations(pool, 3)), "exhaustive"
     if math.comb(size, 3) <= _SAMPLE_TRIPLES:
         # the seeded sampling below would draw until it held every triple
-        return list(combinations(pool, 3)), "sampled"
+        return list(combinations(pool, 3))
     draw = stream.__next__
     seen = set()
     while len(seen) < _SAMPLE_TRIPLES:
@@ -151,7 +151,7 @@ def _tracked_triples(outside: list[int], stream) -> tuple[list, str]:
             if a > b:
                 a, b = b, a
         seen.add((pool[a], pool[b], pool[c]))
-    return sorted(seen), "sampled"
+    return sorted(seen)
 
 
 def _pair_links(H: Hypergraph3) -> dict[tuple[int, int], list[int]]:
@@ -164,22 +164,18 @@ def _pair_links(H: Hypergraph3) -> dict[tuple[int, int], list[int]]:
     return links
 
 
-def _absorb_masks(H: Hypergraph3, links, triples) -> Callable[[int], int]:
-    """mask_of(i): the triples (bit k for triples[k]) that edge i absorbs.
+def _absorb_masks(H: Hypergraph3, links, triples) -> tuple[list[int], list[int]]:
+    """masks[i]: the triples (bit k for triples[k]) that edge i absorbs; touch[v]: those holding v.
 
-    Edge e absorbs a disjoint triple T = (t0, t1, t2) iff T is an edge, or
-    for a split of e into a pair {x, y} and a vertex z and a position j,
-    both {x, y, t_j} and {z} ∪ (T - t_j) are edges.  Per position j:
-    posj[w] holds the triples with t_j = w; restj[(u, v)] the triples
-    whose two vertices other than t_j are u < v; Qj[z] ORs restj over the
-    edges {z, u, v}; and pair_mask(x, y) ORs posj over the third vertices
-    of the pair's edges, once per pair.
+    The rule is the module docstring's, for T = (t0, t1, t2).  Per position
+    j: posj[w] holds the triples with t_j = w; restj[u n + v] those whose
+    two other vertices are u < v; Qj[z] ORs restj over the edges {z, u, v};
+    Rj[x n + y] ORs posj over the third vertices of the pair's edges.
+    One pass over the pairs, then 9 ANDs per edge.
     """
     n = H.n
     pos0, pos1, pos2 = [0] * n, [0] * n, [0] * n
-    rest0: dict[tuple[int, int], int] = {}
-    rest1: dict[tuple[int, int], int] = {}
-    rest2: dict[tuple[int, int], int] = {}
+    rest0, rest1, rest2 = [0] * (n * n), [0] * (n * n), [0] * (n * n)
     is_edge = 0
     for k, T in enumerate(triples):
         bit = 1 << k
@@ -187,39 +183,34 @@ def _absorb_masks(H: Hypergraph3, links, triples) -> Callable[[int], int]:
         pos0[a] |= bit
         pos1[b] |= bit
         pos2[c] |= bit
-        rest0[b, c] = rest0.get((b, c), 0) | bit
-        rest1[a, c] = rest1.get((a, c), 0) | bit
-        rest2[a, b] = rest2.get((a, b), 0) | bit
+        rest0[b * n + c] |= bit
+        rest1[a * n + c] |= bit
+        rest2[a * n + b] |= bit
         if T in H.edge_set:
             is_edge |= bit
     touch = [p0 | p1 | p2 for p0, p1, p2 in zip(pos0, pos1, pos2)]
     Q0, Q1, Q2 = [0] * n, [0] * n, [0] * n
-    for rest, Q in ((rest0, Q0), (rest1, Q1), (rest2, Q2)):
-        for pair, tm in rest.items():
-            for z in links.get(pair, ()):
-                Q[z] |= tm
-    R: dict[tuple[int, int], tuple[int, int, int]] = {}
-
-    def pair_mask(x: int, y: int) -> tuple[int, int, int]:
-        got = R.get((x, y))
-        if got is None:
-            r0 = r1 = r2 = 0
-            for w in links[(x, y)]:
-                r0 |= pos0[w]
-                r1 |= pos1[w]
-                r2 |= pos2[w]
-            got = R[(x, y)] = (r0, r1, r2)
-        return got
-
-    def mask_of(i: int) -> int:
-        a, b, c = H.edges[i]
-        acc = is_edge
-        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
-            r0, r1, r2 = pair_mask(x, y)
-            acc |= (r0 & Q0[z]) | (r1 & Q1[z]) | (r2 & Q2[z])
-        return acc & ~(touch[a] | touch[b] | touch[c])
-
-    return mask_of
+    R0, R1, R2 = [0] * (n * n), [0] * (n * n), [0] * (n * n)
+    for (u, v), ws in links.items():
+        i = u * n + v
+        for rest, Q in ((rest0, Q0), (rest1, Q1), (rest2, Q2)):
+            if tm := rest[i]:
+                for z in ws:
+                    Q[z] |= tm
+        r0 = r1 = r2 = 0
+        for w in ws:
+            r0 |= pos0[w]
+            r1 |= pos1[w]
+            r2 |= pos2[w]
+        R0[i], R1[i], R2[i] = r0, r1, r2
+    masks = []
+    for a, b, c in H.edges:
+        ab, ac, bc = a * n + b, a * n + c, b * n + c
+        acc = is_edge | R0[ab] & Q0[c] | R1[ab] & Q1[c] | R2[ab] & Q2[c]
+        acc |= R0[ac] & Q0[b] | R1[ac] & Q1[b] | R2[ac] & Q2[b]
+        acc |= R0[bc] & Q0[a] | R1[bc] & Q1[a] | R2[bc] & Q2[a]
+        masks.append(acc & ~(touch[a] | touch[b] | touch[c]))
+    return masks, touch
 
 
 def _coverage_levels(masks: list[int], top: int) -> list[int]:
@@ -241,19 +232,23 @@ def find_absorbing(
     """Greedy absorbing matching: every leftover triple gets >= t absorbers.
 
     The size cap is floor(gamma^3 n / 3); outside contract mode at least
-    one edge is always allowed.  Each round adds the edge disjoint from
-    V(M*) that absorbs the most tracked triples still below t absorbers
-    (lowest edge index on ties).  Reaching the cap with undercovered
-    triples sets success=False (a result, not an exception).  The degree
-    hypothesis delta1 >= (1/2 + 2 gamma) C(n,2) is checked and logged,
-    not enforced.
+    one edge is always allowed.  A gamma that is not positive and finite,
+    or whose cap or gamma^6 n overflows a float, raises ValueError.  Each
+    round adds the edge disjoint from V(M*) that absorbs the most tracked
+    triples still below t absorbers (lowest edge index on ties).  Reaching
+    the cap with undercovered triples sets success=False (a result, not an
+    exception).  The degree hypothesis delta1 >= (1/2 + 2 gamma) C(n,2) is
+    checked and logged, not enforced.
     """
-    if not 0 < gamma:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     if t < 1:
         raise ValueError("redundancy t must be at least 1")
     n = H.n
-    cap = math.floor(gamma**3 * n / 3)
+    try:
+        cap, gamma6_capacity = math.floor(gamma**3 * n / 3), math.floor(gamma**6 * n)
+    except OverflowError:
+        raise ValueError(f"gamma {gamma} overflows the size cap for n = {n}") from None
     if not contract:
         cap = max(1, cap)
     hyp = H.m > 0 and H.min_degree(1) >= (0.5 + 2 * gamma) * math.comb(n, 2)
@@ -261,26 +256,32 @@ def find_absorbing(
 
     chosen: list[int] = []  # edge indices
     covered = 0
-    # base is never advanced: each round reads a fresh copy from the start,
-    # and tee draws every stream value only once
+    # base is never advanced: a sampling round tees a fresh copy from its start
     base = splitmix64_stream(seed)
+    indexed = False  # triples holds every triple over the last round's outside
     while True:
         outside = [v for v in range(n) if not covered >> v & 1]
-        base, stream = tee(base)
-        triples, verification = _tracked_triples(outside, stream)
-        mask_of = _absorb_masks(H, links, triples)
-        masks = [mask_of(i) for i in chosen]
-        ge = _coverage_levels(masks, max(t, len(chosen)))
-        full = (1 << len(triples)) - 1
-        lacking = full & ~ge[t]
+        verification = "exhaustive" if len(outside) <= _EXHAUSTIVE_LIMIT else "sampled"
+        if indexed:
+            # this round's triples are the index's that miss the edge just added
+            a, b, c = H.edges[chosen[-1]]
+            tracked &= ~(touch[a] | touch[b] | touch[c])
+        else:
+            base, stream = tee(base)
+            triples = _tracked_triples(outside, stream)
+            masks = touch = None  # a sampled round's masks go before the next build
+            masks, touch = _absorb_masks(H, links, triples)
+            tracked = (1 << len(triples)) - 1
+            indexed = len(triples) == math.comb(len(outside), 3)
+        ge = _coverage_levels([masks[i] for i in chosen], max(t, len(chosen)))
+        lacking = tracked & ~ge[t]
         if not lacking or len(chosen) >= cap:
             break
-        best_i = None
-        best_gain = 0
+        best_i, best_gain = None, 0
         for i, em in enumerate(H.edge_masks):
             if em & covered:
                 continue
-            gain = (mask_of(i) & lacking).bit_count()
+            gain = (masks[i] & lacking).bit_count()
             if gain > best_gain:
                 best_gain, best_i = gain, i
         if best_i is None:
@@ -288,21 +289,19 @@ def find_absorbing(
         chosen.append(best_i)
         covered |= H.edge_masks[best_i]
 
-    edges = tuple(H.edges[i] for i in chosen)
-    min_cvg = sum(1 for level in ge[1:] if not full & ~level) if triples else t
+    min_cvg = sum(1 for level in ge[1:] if not tracked & ~level) if tracked else t
     lacking_n = lacking.bit_count()
-    success = lacking_n == 0 and (not contract or len(chosen) <= gamma**3 * n / 3)
     return AbsorbingMatching(
-        edges=edges,
+        edges=tuple(H.edges[i] for i in chosen),
         gamma=gamma,
         t=t,
-        success=success,
-        absorb_index={e: tuple(triples[k] for k in _bits(M)) for e, M in zip(edges, masks)},
+        success=lacking_n == 0,  # the loop stops at the cap, so contract mode always keeps it
+        absorb_index={H.edges[i]: tuple(triples[k] for k in _bits(masks[i] & tracked)) for i in chosen},
         verification=verification,
         min_coverage=min_cvg,
         uncovered_triples=lacking_n,
-        capacity=3 * len(edges),
-        gamma6_capacity=math.floor(gamma**6 * n),
+        capacity=3 * len(chosen),
+        gamma6_capacity=gamma6_capacity,
         delta1_hypothesis=hyp,
         detail=None if lacking_n == 0 else f"{lacking_n} tracked triples below redundancy {t}",
     )

@@ -42,7 +42,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(payload, out: str | None) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
+    # strict JSON: a NaN or infinity raises ValueError (exit 2) instead of printing
+    _write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", out)
 
 
 # --- gen ---------------------------------------------------------------------

@@ -137,8 +137,15 @@ def deficiency(H: Hypergraph3, P: Partition) -> int:
     return _model_size(H.n, len(P.W)) - (or_w & or_v).bit_count()
 
 
+def _check_alpha(alpha: float) -> None:
+    # a NaN alpha would make every badness comparison false
+    if not 0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
+
+
 def classify_goodness(H: Hypergraph3, P: Partition, alpha: float) -> ClosenessReport:
     """Per-vertex badness and good/bad flags at threshold alpha * n^2."""
+    _check_alpha(alpha)
     W = P.W
     d = len(W)
     nv = H.n - d
@@ -202,6 +209,7 @@ def find_partition(
     patterns of uncovered vertices vote on each matching edge's special
     vertex (heuristic, no guarantee) and fills up by degree.
     """
+    _check_alpha(alpha)
     if not 0 <= d <= H.n // 3:
         raise ValueError("need 0 <= d <= n/3")
     if mode == "exhaustive":
@@ -425,7 +433,8 @@ def staged_matching(
     """Five-stage d-matching construction tolerating bad vertices.
 
     Returns (matching, log) on success and (None, log) on stall, with
-    the failing stage and obligation named in the log.
+    the failing stage and obligation named in the log.  Like every alpha
+    here, a negative or non-finite one raises ValueError.
     """
     log = StageLog(alpha=alpha, theta=theta)
     report = classify_goodness(H, P, alpha)

@@ -9,15 +9,19 @@ move search by its original loop over small uncovered sets U', the
 threshold scan by the old down-set walk and by an independent-set count
 over the disjointness graph, pattern relabelings bit by bit, and the exact
 branch and bound by its original form, with a fresh greedy cover at every
-node.  They are slow and obviously correct, which is the point.
+node, and the absorbing construction by its original form, with fresh absorb
+masks in every round.  They are slow and obviously correct, which is the
+point.
 """
 
 import math
 import random
 import time
-from itertools import combinations, permutations
+from collections.abc import Callable
+from itertools import combinations, permutations, tee
 from types import SimpleNamespace
 
+from hypermatch.absorbing import _EXHAUSTIVE_LIMIT, _SAMPLE_TRIPLES, AbsorbingMatching, _bits, _coverage_levels, _pair_links
 from hypermatch.augment import AugmentConfig, Move, _subsets
 from hypermatch.constructions import splitmix64_stream
 from hypermatch.core import Hypergraph3, Matching, Partition
@@ -678,3 +682,180 @@ def naive_augment_once(
                         move = Move(removed=tuple(S), added=rep.edges, uncovered_used=tuple(up))
                         return Matching(H, sorted(new_edges)), move
     return None
+
+
+# --- absorbing construction ---------------------------------------------------
+#
+# The original greedy construction: every round chooses and indexes its own
+# tracked triples, labels them, and builds the absorb mask of each edge it
+# looks at afresh, through a lazy per-pair cache.
+
+
+def _perround_tracked_triples(outside: list[int], stream) -> tuple[list, str]:
+    """The triples to track over `outside`, and how they were chosen.
+
+    Samples are drawn from `stream`, the seeded splitmix64 stream read from
+    its start.
+    """
+    pool = sorted(outside)
+    size = len(pool)
+    if size <= _EXHAUSTIVE_LIMIT:
+        return list(combinations(pool, 3)), "exhaustive"
+    if math.comb(size, 3) <= _SAMPLE_TRIPLES:
+        # the seeded sampling below would draw until it held every triple
+        return list(combinations(pool, 3)), "sampled"
+    draw = stream.__next__
+    seen = set()
+    while len(seen) < _SAMPLE_TRIPLES:
+        # three distinct pool positions, in order of drawing; pool is sorted,
+        # so sorting the positions sorts the triple
+        a = draw() % size
+        b = draw() % size
+        while b == a:
+            b = draw() % size
+        c = draw() % size
+        while c == a or c == b:
+            c = draw() % size
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        seen.add((pool[a], pool[b], pool[c]))
+    return sorted(seen), "sampled"
+
+
+def _perround_absorb_masks(H: Hypergraph3, links, triples) -> Callable[[int], int]:
+    """mask_of(i): the triples (bit k for triples[k]) that edge i absorbs.
+
+    Edge e absorbs a disjoint triple T = (t0, t1, t2) iff T is an edge, or
+    for a split of e into a pair {x, y} and a vertex z and a position j,
+    both {x, y, t_j} and {z} ∪ (T - t_j) are edges.  Per position j:
+    posj[w] holds the triples with t_j = w; restj[(u, v)] the triples
+    whose two vertices other than t_j are u < v; Qj[z] ORs restj over the
+    edges {z, u, v}; and pair_mask(x, y) ORs posj over the third vertices
+    of the pair's edges, once per pair.
+    """
+    n = H.n
+    pos0, pos1, pos2 = [0] * n, [0] * n, [0] * n
+    rest0: dict[tuple[int, int], int] = {}
+    rest1: dict[tuple[int, int], int] = {}
+    rest2: dict[tuple[int, int], int] = {}
+    is_edge = 0
+    for k, T in enumerate(triples):
+        bit = 1 << k
+        a, b, c = T
+        pos0[a] |= bit
+        pos1[b] |= bit
+        pos2[c] |= bit
+        rest0[b, c] = rest0.get((b, c), 0) | bit
+        rest1[a, c] = rest1.get((a, c), 0) | bit
+        rest2[a, b] = rest2.get((a, b), 0) | bit
+        if T in H.edge_set:
+            is_edge |= bit
+    touch = [p0 | p1 | p2 for p0, p1, p2 in zip(pos0, pos1, pos2)]
+    Q0, Q1, Q2 = [0] * n, [0] * n, [0] * n
+    for rest, Q in ((rest0, Q0), (rest1, Q1), (rest2, Q2)):
+        for pair, tm in rest.items():
+            for z in links.get(pair, ()):
+                Q[z] |= tm
+    R: dict[tuple[int, int], tuple[int, int, int]] = {}
+
+    def pair_mask(x: int, y: int) -> tuple[int, int, int]:
+        got = R.get((x, y))
+        if got is None:
+            r0 = r1 = r2 = 0
+            for w in links[(x, y)]:
+                r0 |= pos0[w]
+                r1 |= pos1[w]
+                r2 |= pos2[w]
+            got = R[(x, y)] = (r0, r1, r2)
+        return got
+
+    def mask_of(i: int) -> int:
+        a, b, c = H.edges[i]
+        acc = is_edge
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            r0, r1, r2 = pair_mask(x, y)
+            acc |= (r0 & Q0[z]) | (r1 & Q1[z]) | (r2 & Q2[z])
+        return acc & ~(touch[a] | touch[b] | touch[c])
+
+    return mask_of
+
+
+def perround_find_absorbing(
+    H: Hypergraph3,
+    gamma: float,
+    t: int = 2,
+    seed: int = 0,
+    contract: bool = False,
+) -> AbsorbingMatching:
+    """Greedy absorbing matching: every leftover triple gets >= t absorbers.
+
+    The size cap is floor(gamma^3 n / 3); outside contract mode at least
+    one edge is always allowed.  Each round adds the edge disjoint from
+    V(M*) that absorbs the most tracked triples still below t absorbers
+    (lowest edge index on ties).  Reaching the cap with undercovered
+    triples sets success=False (a result, not an exception).  The degree
+    hypothesis delta1 >= (1/2 + 2 gamma) C(n,2) is checked and logged,
+    not enforced.
+    """
+    if not 0 < gamma:
+        raise ValueError("gamma must be positive")
+    if t < 1:
+        raise ValueError("redundancy t must be at least 1")
+    n = H.n
+    cap = math.floor(gamma**3 * n / 3)
+    if not contract:
+        cap = max(1, cap)
+    hyp = H.m > 0 and H.min_degree(1) >= (0.5 + 2 * gamma) * math.comb(n, 2)
+    links = _pair_links(H)
+
+    chosen: list[int] = []  # edge indices
+    covered = 0
+    # base is never advanced: each round reads a fresh copy from the start,
+    # and tee draws every stream value only once
+    base = splitmix64_stream(seed)
+    while True:
+        outside = [v for v in range(n) if not covered >> v & 1]
+        base, stream = tee(base)
+        triples, verification = _perround_tracked_triples(outside, stream)
+        mask_of = _perround_absorb_masks(H, links, triples)
+        masks = [mask_of(i) for i in chosen]
+        ge = _coverage_levels(masks, max(t, len(chosen)))
+        full = (1 << len(triples)) - 1
+        lacking = full & ~ge[t]
+        if not lacking or len(chosen) >= cap:
+            break
+        best_i = None
+        best_gain = 0
+        for i, em in enumerate(H.edge_masks):
+            if em & covered:
+                continue
+            gain = (mask_of(i) & lacking).bit_count()
+            if gain > best_gain:
+                best_gain, best_i = gain, i
+        if best_i is None:
+            break
+        chosen.append(best_i)
+        covered |= H.edge_masks[best_i]
+
+    edges = tuple(H.edges[i] for i in chosen)
+    min_cvg = sum(1 for level in ge[1:] if not full & ~level) if triples else t
+    lacking_n = lacking.bit_count()
+    success = lacking_n == 0 and (not contract or len(chosen) <= gamma**3 * n / 3)
+    return AbsorbingMatching(
+        edges=edges,
+        gamma=gamma,
+        t=t,
+        success=success,
+        absorb_index={e: tuple(triples[k] for k in _bits(M)) for e, M in zip(edges, masks)},
+        verification=verification,
+        min_coverage=min_cvg,
+        uncovered_triples=lacking_n,
+        capacity=3 * len(edges),
+        gamma6_capacity=math.floor(gamma**6 * n),
+        delta1_hypothesis=hyp,
+        detail=None if lacking_n == 0 else f"{lacking_n} tracked triples below redundancy {t}",
+    )

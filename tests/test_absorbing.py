@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import math
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypermatch.absorbing
 import hypermatch.augment
 from hypermatch.absorbing import (
     _absorb_masks,
@@ -20,6 +22,7 @@ from hypermatch.absorbing import (
 from hypermatch.constructions import cut_family, extremal_star, random_triples, splitmix64_stream
 from hypermatch.core import Matching, build
 from hypermatch.exact import max_matching, max_matching_in_subset
+from oracles import perround_find_absorbing
 
 
 def complete(n):
@@ -108,6 +111,18 @@ class TestFindAbsorbing:
             find_absorbing(complete(9), gamma=0.0)
         with pytest.raises(ValueError):
             find_absorbing(complete(9), gamma=0.5, t=0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 1e200, 1e60])
+    def test_non_finite_or_overflowing_gamma_is_a_value_error(self, gamma):
+        # 1e200 overflows gamma^3, 1e60 only gamma^6
+        with pytest.raises(ValueError):
+            find_absorbing(complete(9), gamma=gamma)
+
+    def test_largest_gammas_still_work(self):
+        # gamma^6 * 9 is finite at 1e51: the same cap and capacities as before
+        A = find_absorbing(complete(9), gamma=1e51, t=1)
+        assert A.success and A.gamma6_capacity == math.floor(1e51**6 * 9)
+        assert A.to_json_dict() == perround_find_absorbing(complete(9), 1e51, t=1).to_json_dict()
 
 
 class TestAbsorbLeftover:
@@ -214,9 +229,9 @@ def kernel_cases(draw):
 def test_property_absorb_masks_match_absorbs(case):
     # every (edge, triple) pair: triples that meet the edge, or are edges, included
     H, triples = case
-    mask_of = _absorb_masks(H, _pair_links(H), triples)
+    masks, _ = _absorb_masks(H, _pair_links(H), triples)
     for i, e in enumerate(H.edges):
-        mask = mask_of(i)
+        mask = masks[i]
         for k, T in enumerate(triples):
             want = not set(e) & set(T) and absorbs(H, e, T)
             assert (mask >> k & 1) == want, (e, T)
@@ -680,3 +695,53 @@ def test_pinned_absorbing(spec, gamma, t, contract, success, edges, digest):
     A = find_absorbing(_host(spec), gamma, t=t, contract=contract)
     assert (A.success, A.edges) == (success, edges)
     assert hashlib.sha256(json.dumps(A.to_json_dict(), sort_keys=True).encode()).hexdigest() == digest
+
+
+# --- one mask build per call -----------------------------------------------------
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random host with n <= 18, dense or sparse, sometimes with a planted perfect matching."""
+    n = draw(st.integers(0, 18))
+    p = draw(st.sampled_from([0.05, 0.2, 0.5, 0.8, 1.0]))
+    seed = draw(st.integers(0, 2**32))
+    if n % 3 == 0 and draw(st.booleans()):
+        return _planted(n, p, seed)
+    return random_triples(n, p, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_cases(), st.integers(0, 2**32))
+def test_property_matches_perround_oracle(H, seed):
+    # the whole report, absorb_index order and verification label included
+    for gamma, t, _ in SETTINGS:
+        for contract in (False, True):
+            got = find_absorbing(H, gamma, t=t, seed=seed, contract=contract)
+            want = perround_find_absorbing(H, gamma, t=t, seed=seed, contract=contract)
+            assert got.to_json_dict() == want.to_json_dict(), (gamma, t, contract)
+
+
+@pytest.mark.parametrize(
+    "H,builds",
+    [
+        # every round tracks every triple: one index of C(24, 3)
+        (_search_absorbing(1, 24), [2024]),
+        # two rounds sample 10^4 triples (45 and 42 vertices outside), then one
+        # index of C(39, 3) serves the other six rounds
+        (random_triples(45, 0.04, 2), [10_000, 10_000, 9139]),
+    ],
+    ids=["planted-24", "random-45"],
+)
+def test_mask_builds_per_call(monkeypatch, H, builds):
+    calls = []  # the number of triples each build indexes
+    build_masks = hypermatch.absorbing._absorb_masks
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return build_masks(*args)
+
+    monkeypatch.setattr(hypermatch.absorbing, "_absorb_masks", counted)
+    A = find_absorbing(H, 0.8)
+    assert calls == builds
+    assert A.to_json_dict() == perround_find_absorbing(H, 0.8).to_json_dict()

@@ -157,6 +157,15 @@ class TestSolveCmd:
         assert rc == 0
         assert rep["size"] == 5 and rep["optimal"]
 
+    @pytest.mark.parametrize("gamma", ["inf", "1e200", "1e60", "nan"])
+    def test_absorbing_non_finite_or_overflowing_gamma_is_usage_error(self, tmp_path, capsys, gamma):
+        h3 = tmp_path / "r15.h3"
+        main(["gen", "random", "--n", "15", "--p", "0.8", "--seed", "4", "--out", str(h3)])
+        capsys.readouterr()
+        assert main(["solve", "--absorbing", str(h3), "--gamma", gamma]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("method", ["--exact", "--augment"])
     def test_reruns_are_byte_identical(self, tmp_path, method):
         h3 = tmp_path / "star15.h3"
@@ -191,6 +200,24 @@ class TestClosenessCmd:
         assert rc == 0
         assert rep["deficiency"] == 0
         assert rep["W"] == [8, 9, 10, 11]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["closeness", "--alpha=nan"],
+            ["closeness", "--alpha=inf"],
+            ["closeness", "--alpha=-0.5"],
+            ["solve", "--extremal", "--alpha=nan"],
+        ],
+    )
+    def test_non_finite_alpha_is_usage_error(self, tmp_path, capsys, argv):
+        # NaN once printed `"alpha": NaN`, which is no JSON
+        h3 = tmp_path / "h.h3"
+        main(["gen", "hnd", "--n", "12", "--d", "4", "--out", str(h3)])
+        capsys.readouterr()
+        assert main(argv + [str(h3), "--d", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestVerifyCmd:
@@ -456,9 +483,14 @@ _SIDECAR_PARTITION = st.one_of(
     d=st.none() | st.integers(0, 4) | st.integers(-3, 8),
     k_max=st.none() | st.integers(-1, 3),
     budget_nodes=st.none() | st.integers(1, 50),
+    real=st.none() | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200]),
 )
-def test_fuzzed_inputs_exit_cleanly(command, h3, sidecar, d, k_max, budget_nodes):
-    """Any .h3 text, sidecar and flag values: an exit code in 0..3 and no traceback."""
+def test_fuzzed_inputs_exit_cleanly(command, h3, sidecar, d, k_max, budget_nodes, real):
+    """Any .h3 text, sidecar and flag values: an exit code in 0..3, no traceback, strict JSON on exit 0.
+
+    `real` is the --gamma of solve --absorbing and the --alpha of closeness
+    and solve --extremal.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "x.h3")
         Path(path).write_text(h3, encoding="utf-8")
@@ -472,8 +504,19 @@ def test_fuzzed_inputs_exit_cleanly(command, h3, sidecar, d, k_max, budget_nodes
                 argv += ["--k-max", str(k_max)]
             if budget_nodes is not None:
                 argv += ["--budget-nodes", str(budget_nodes)]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        flags = {"--absorbing": "--gamma", "--extremal": "--alpha", "closeness": "--alpha"}
+        real_flag = next((flags[word] for word in command if word in flags), None)
+        if real is not None and real_flag:
+            # --flag=value, so argparse cannot read "-inf" as an option
+            argv.append(f"{real_flag}={real!r}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = main(argv)
     assert rc in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in a JSON report")

@@ -1,5 +1,6 @@
 """Tests for the closeness machinery and the staged matchers."""
 
+import math
 from itertools import combinations
 
 import pytest
@@ -81,6 +82,17 @@ class TestGoodness:
         assert rep.badness[w] == 15
         assert w in rep.bad_vertices  # 0.1 * 81 < 15
         assert all(rep.badness[v] <= 15 for v in range(9))
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, -0.01])
+    def test_non_finite_or_negative_alpha_is_a_value_error(self, alpha):
+        # with NaN every badness comparison is false, and the report is no JSON
+        H, P = cut_family(9, 3)
+        with pytest.raises(ValueError):
+            classify_goodness(H, P, alpha)
+        with pytest.raises(ValueError):
+            find_partition(H, 3, alpha=alpha)
+        with pytest.raises(ValueError):
+            staged_matching(H, P, 3, alpha=alpha)
 
     def test_alpha_one_never_flags(self):
         H = build(9, [])
