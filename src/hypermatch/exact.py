@@ -32,6 +32,15 @@ the node count and change nothing else an unbudgeted solve reports.
 Vertices with no available edge are dropped from the counting bound
 (degree-zero elimination).
 
+Connected components: a maximum matching is the union of maximum
+matchings of the connected components (Abu-Khzam, TAMC 2009).  When two
+or more components have edges, max_matching (and so has_d_matching)
+searches each on its own, from its own edge and vertex masks, in order
+of lowest vertex, and sums sizes, edges and nodes; the node budget, the
+clock and the target are shared.  An input with at most one such
+component runs the one search over all vertices, as does every
+max_matching_in_subset call.
+
 Everything is deterministic: identical inputs give identical reports,
 including node counts.
 """
@@ -57,7 +66,8 @@ class SolveBudget:
     def __post_init__(self):
         if self.node_limit <= 0:
             raise ValueError("node_limit must be positive")
-        if self.time_limit_ms is not None and self.time_limit_ms <= 0:
+        # "not > 0" also rejects NaN, which no elapsed time would ever exceed
+        if self.time_limit_ms is not None and not self.time_limit_ms > 0:
             raise ValueError("time_limit_ms must be positive")
         if self.target is not None and self.target < 0:
             raise ValueError("target must be non-negative")
@@ -90,22 +100,24 @@ class SolveReport:
         }
 
 
-def _search(H: Hypergraph3, active: int, budget: SolveBudget) -> SolveReport:
-    t0 = time.perf_counter()
+def _search(
+    H: Hypergraph3, avail: int, free: int, budget: SolveBudget, t0: float, nodes: int = 0, found: int = 0
+) -> SolveReport:
+    """Branch and bound from the root frame (avail edges, free vertices).
+
+    nodes and found are what earlier components of the same solve spent
+    and matched: the node limit, the clock check every 256 nodes and the
+    target apply to the whole solve, and the report's nodes include them.
+    """
     inc, edges, edge_masks = H.incidence, H.edges, H.edge_masks
-    node_limit, time_limit, target = budget.node_limit, budget.time_limit_ms, budget.target
-    inside = outside = 0
-    for v, vinc in enumerate(inc):
-        if active >> v & 1:
-            inside |= vinc
-        else:
-            outside |= vinc
-    nodes = best_size = 0
+    node_limit, time_limit = budget.node_limit, budget.time_limit_ms
+    target = None if budget.target is None else budget.target - found
+    best_size = 0
     best = None
     optimal, detail = True, None
     # frame: (available edges, vertices that may still lie on one, depth, chosen chain,
     #         the parent's greedy cover state, vertices the branch took from the parent)
-    stack = [(inside & ~outside, active, 0, None, None, 0)]
+    stack = [(avail, free, 0, None, None, 0)]
     while stack:
         avail, free, depth, chosen, shared, gone = stack.pop()
         nodes += 1
@@ -201,22 +213,96 @@ def _greedy_cover(state: list, inc, limit: int) -> bool:
     return not avail
 
 
+def _components(H: Hypergraph3) -> list[tuple[int, int]]:
+    """(edge mask, vertex mask) of each connected component with edges, by lowest vertex.
+
+    Stops after one component when it holds every edge.  A component grows
+    in rounds: the vertices of its new edges come from OR-ing their
+    edge_masks, or, once the new edges outnumber the vertices, from one
+    incidence test per vertex.  So a sparse component costs work in
+    proportion to its own edges, and a dense input a few passes over n.
+    """
+    inc, edge_masks, n = H.incidence, H.edge_masks, H.n
+    left = (1 << H.m) - 1  # edges of components not found yet
+    comps = []
+    for s in range(n):
+        if not left:
+            break
+        if not inc[s] & left:
+            continue
+        comp_edges = new = inc[s]
+        comp_vertices = 1 << s
+        while new:
+            grown = 0
+            if new.bit_count() > n:
+                for v in range(n):
+                    if inc[v] & new:
+                        grown |= 1 << v
+            else:
+                while new:
+                    low = new & -new
+                    new ^= low
+                    grown |= edge_masks[low.bit_length() - 1]
+            grown &= ~comp_vertices
+            comp_vertices |= grown
+            while grown:
+                low = grown & -grown
+                grown ^= low
+                new |= inc[low.bit_length() - 1]
+            new &= ~comp_edges
+            comp_edges |= new
+        comps.append((comp_edges, comp_vertices))
+        left &= ~comp_edges
+    return comps
+
+
 def max_matching(H: Hypergraph3, budget: SolveBudget | None = None) -> SolveReport:
-    """Maximum matching of H, exact unless the budget runs out first."""
+    """Maximum matching of H, exact unless the budget runs out first.
+
+    With two or more components that have edges, each is solved on its
+    own, in order of lowest vertex, and the sizes, edges and nodes are
+    summed.  The components share the node budget, the clock and the
+    target: the solve stops once the running size reaches the target.  A
+    budget stop keeps the components already solved to optimality plus
+    the best matching found so far in the one being searched; later
+    components add nothing.
+    """
     budget = budget or SolveBudget()
-    active = (1 << H.n) - 1 if H.n else 0
-    return _search(H, active, budget)
+    t0 = time.perf_counter()
+    comps = _components(H)
+    if len(comps) < 2:
+        return _search(H, (1 << H.m) - 1, (1 << H.n) - 1, budget, t0)
+    size = nodes = 0
+    edges = []
+    for avail, free in comps:
+        rep = _search(H, avail, free, budget, t0, nodes, size)
+        size += rep.size
+        edges.extend(rep.edges)
+        nodes = rep.nodes
+        if rep.detail is not None:
+            return SolveReport(size, tuple(edges), rep.optimal, nodes, rep.detail)
+    return SolveReport(size, tuple(edges), True, nodes)
 
 
 def max_matching_in_subset(H: Hypergraph3, subset, budget: SolveBudget | None = None) -> SolveReport:
-    """Maximum matching using only edges entirely inside the given vertex set."""
+    """Maximum matching using only edges entirely inside the given vertex set.
+
+    Never split into components, so every augment probe runs one search.
+    """
     budget = budget or SolveBudget()
+    t0 = time.perf_counter()
     active = 0
     for v in subset:
         if not 0 <= v < H.n:
             raise ValueError(f"vertex {v} out of range 0..{H.n - 1}")
         active |= 1 << v
-    return _search(H, active, budget)
+    inside = outside = 0
+    for v, vinc in enumerate(H.incidence):
+        if active >> v & 1:
+            inside |= vinc
+        else:
+            outside |= vinc
+    return _search(H, inside & ~outside, active, budget, t0)
 
 
 def has_d_matching(

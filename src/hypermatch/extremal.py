@@ -327,9 +327,7 @@ def _good_pair_swap(H: Hypergraph3, P: Partition, edges: list[Edge], cov: int):
     return None if best is None else best[1:]
 
 
-def good_case_matching(
-    H: Hypergraph3, P: Partition, d: int, alpha: float = 0.05
-) -> Matching | None:
+def good_case_matching(H: Hypergraph3, P: Partition, d: int) -> Matching | None:
     """Build a d-matching out of VVW edges only; None on stall.
 
     Intended for the regime where every vertex is good; out-of-regime
@@ -519,7 +517,7 @@ def staged_matching(
         return stall("M5", f"{len(w3)} W-vertices left exceed a third of the {sub.n} residual vertices")
     old_to_new = {v: i for i, v in enumerate(new_to_old)}
     P5 = Partition(sub.n, [old_to_new[w] for w in w3], len(w3))
-    m5 = good_case_matching(sub, P5, target5, alpha)
+    m5 = good_case_matching(sub, P5, target5)
     if m5 is None:
         return stall("M5", f"good-case matcher stalled before reaching {target5} edges")
     m5_edges = log.stages["M5"] = [tuple(sorted(new_to_old[v] for v in e)) for e in m5.edges]

@@ -410,7 +410,7 @@ def _naive_good_pair_rematch(H, e1, e2, v1, v2, w, Wset):
     return None
 
 
-def naive_good_case_matching(H, P, d: int, alpha: float = 0.05):
+def naive_good_case_matching(H, P, d: int):
     """extremal.good_case_matching by nested combinations loops and triple lookups."""
     if d < 0:
         raise ValueError("d must be non-negative")
@@ -622,7 +622,7 @@ def naive_staged_matching(H, P, d: int, alpha: float = 0.05, theta: float = 0.01
         return None, log
     old_to_new = {v: i for i, v in enumerate(new_to_old)}
     P5 = Partition(sub.n, [old_to_new[w] for w in w3], len(w3))
-    m5 = naive_good_case_matching(sub, P5, target5, alpha)
+    m5 = naive_good_case_matching(sub, P5, target5)
     if m5 is None:
         log.stalled_stage = "M5"
         log.detail = f"good-case matcher stalled before reaching {target5} edges"

@@ -98,6 +98,12 @@ class TestSolveCmd:
         rc = main(["solve", "--exact", str(h3), "--budget-nodes", "2", "--out", str(out)])
         assert rc == 3
 
+    @pytest.mark.parametrize("budget_ms", ["nan", "0", "-1"])
+    def test_exact_non_positive_or_nan_time_budget_is_usage_error(self, tmp_path, budget_ms):
+        h3 = tmp_path / "star9.h3"
+        main(["gen", "star", "--n", "9", "--out", str(h3)])
+        assert main(["solve", "--exact", str(h3), "--budget-ms", budget_ms]) == 2
+
     def test_augment(self, tmp_path):
         h3 = tmp_path / "hnd12.h3"
         main(["gen", "hnd", "--n", "12", "--d", "4", "--out", str(h3)])

@@ -1,5 +1,7 @@
 """Tests for the branch-and-bound matching oracle."""
 
+import math
+import time
 from itertools import combinations
 
 import pytest
@@ -7,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypermatch import exact
-from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples
+from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples, splitmix64_stream
 from hypermatch.core import Matching, build
 from hypermatch.exact import SolveBudget, has_d_matching, max_matching, max_matching_in_subset
-from oracles import naive_max_matching, pairing_has_pm_n6, percover_search
+from oracles import naive_has_k_matching, naive_max_matching, pairing_has_pm_n6, percover_search
 
 
 def complete(n):
@@ -125,6 +127,9 @@ def test_budget_validation():
         SolveBudget(time_limit_ms=-1)
     with pytest.raises(ValueError, match="target must be non-negative"):
         SolveBudget(target=-1)
+    # NaN fails every comparison, so a NaN budget would never stop a solve
+    with pytest.raises(ValueError, match="time_limit_ms must be positive"):
+        SolveBudget(time_limit_ms=math.nan)
     assert SolveBudget(target=0).target == 0
 
 
@@ -245,10 +250,22 @@ def test_pinned_reports(spec, stats, edges):
 
 
 def test_deep_disjoint_edges():
-    # deeper than the default recursion limit: one dive of k nodes, then k
-    # "pivot unmatched" siblings cut by the counting bound
+    # 1100 components of one edge each: root, edge child, pruned "unmatched" sibling
     k = 1100
     rep = max_matching(build(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)]))
+    assert (rep.size, rep.nodes, rep.optimal) == (k, 3 * k, True)
+    assert rep.edges == tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(k))
+
+
+def test_deep_connected_chain():
+    # deeper than the default recursion limit: a connected chain whose pivot
+    # always has one edge, so one dive of k nodes, then k "pivot unmatched"
+    # siblings cut by the counting bound
+    k = 1100
+    links = [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(k - 1)]
+    H = build(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)] + links)
+    assert len(exact._components(H)) == 1
+    rep = max_matching(H)
     assert (rep.size, rep.nodes, rep.optimal) == (k, 2 * k + 1, True)
 
 
@@ -290,7 +307,9 @@ def _both(inst, target, bits, node_limit=10_000_000):
     H = random_triples(*inst)
     budget = SolveBudget(node_limit=node_limit, target=target)
     if bits is None:
-        new, active = max_matching(H, budget), (1 << H.n) - 1
+        # the unsplit search on every vertex, as percover_search runs it
+        active = (1 << H.n) - 1
+        new = exact._search(H, (1 << H.m) - 1, active, budget, time.perf_counter())
     else:
         active = bits & ((1 << H.n) - 1)
         new = max_matching_in_subset(H, [v for v in range(H.n) if active >> v & 1], budget)
@@ -340,3 +359,117 @@ def test_star_siblings_share_one_cover(monkeypatch):
     monkeypatch.setattr(exact, "_greedy_cover", lambda *a: calls.append(1) or greedy(*a))
     assert max_matching(extremal_star(24)[0]).nodes == 400
     assert len(calls) <= 20
+
+
+# --- connected components -------------------------------------------------------
+#
+# With two or more components that have edges, max_matching solves each on its
+# own, in order of lowest vertex, and sums.  The unsplit search (exact._search
+# on every vertex) stays the reference: unbudgeted, both agree on size, optimal
+# and detail.
+
+
+def _unsplit(H, budget=SolveBudget()):
+    return exact._search(H, (1 << H.m) - 1, (1 << H.n) - 1, budget, time.perf_counter())
+
+
+def _block_union(blocks, seed):
+    """Disjoint union of random blocks, relabelled by a seeded permutation so that components interleave."""
+    n = sum(nb for nb, _, _ in blocks)
+    edges, base = [], 0
+    for nb, p, s in blocks:
+        edges += [tuple(base + v for v in e) for e in random_triples(nb, p, s).edges]
+        base += nb
+    rng = splitmix64_stream(seed)
+    perm = list(range(n))
+    for j in range(n - 1):
+        r = j + next(rng) % (n - j)
+        perm[j], perm[r] = perm[r], perm[j]
+    return build(n, [tuple(perm[v] for v in e) for e in edges])
+
+
+def _component_of(H):
+    """Index in exact._components(H) of each edge, checking that the components partition H."""
+    comps = exact._components(H)
+    lows = [(free & -free).bit_length() for _, free in comps]
+    assert lows == sorted(lows)
+    owner = {}
+    for c, (avail, free) in enumerate(comps):
+        for i in range(H.m):
+            if avail >> i & 1:
+                assert i not in owner and H.edge_masks[i] & ~free == 0
+                owner[H.edges[i]] = c
+    assert len(owner) == H.m
+    return owner
+
+
+union_instances = st.integers(2, 3).flatmap(
+    lambda k: st.tuples(
+        st.lists(
+            st.tuples(st.integers(3, 12 // k), st.sampled_from([0.1, 0.2, 0.35, 0.5, 0.8]), st.integers(0, 2**32)),
+            min_size=k,
+            max_size=k,
+        ),
+        st.integers(0, 2**32),
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(union_instances)
+def test_property_disjoint_union_matches_naive(inst):
+    H = _block_union(*inst)
+    owner = _component_of(H)
+    rep = max_matching(H)
+    assert rep.optimal and rep.size == naive_max_matching(H)
+    ref = _unsplit(H)
+    assert (rep.size, rep.optimal, rep.detail) == (ref.size, ref.optimal, ref.detail)
+    Matching(H, rep.edges)
+    order = [owner[e] for e in rep.edges]
+    assert order == sorted(order)  # listed component by component
+    for d in range(H.n // 3 + 1):
+        status, drep = has_d_matching(H, d)
+        assert status == ("yes" if naive_has_k_matching(H, d) else "no"), d
+        Matching(H, drep.edges)
+        if d:
+            ref = _unsplit(H, SolveBudget(target=d))
+            assert (drep.size, drep.optimal, drep.detail) == (ref.size, ref.optimal, ref.detail)
+
+
+@settings(max_examples=100, deadline=None)
+@given(union_instances, st.none() | st.integers(0, 4), st.integers(1, 40))
+def test_property_disjoint_union_under_node_budget(inst, target, node_limit):
+    H = _block_union(*inst)
+    rep = max_matching(H, SolveBudget(node_limit=node_limit, target=target))
+    assert rep.nodes <= node_limit + 1
+    assert rep.optimal == (rep.detail != "node budget exhausted")
+    Matching(H, rep.edges)
+
+
+def test_target_zero_stops_at_the_first_edge_as_unsplit():
+    H = _block_union([(6, 0.5, 1), (6, 0.5, 2)], 3)
+    assert len(exact._components(H)) == 2
+    rep, ref = max_matching(H, SolveBudget(target=0)), _unsplit(H, SolveBudget(target=0))
+    assert (rep.size, rep.optimal, rep.detail) == (ref.size, ref.optimal, ref.detail) == (1, True, "target reached")
+
+
+def test_unplanted_blocks_solve_component_by_component():
+    # 16 blocks of random_triples(9, 0.12): unsplit, 6 blocks already take
+    # 17,182 nodes and 8 blocks over a million; split, 16 blocks take 107
+    rng = splitmix64_stream(5)
+    blocks = [random_triples(9, 0.12, next(rng)) for _ in range(16)]
+    H = build(9 * 16, [tuple(9 * b + v for v in e) for b, B in enumerate(blocks) for e in B.edges])
+    rep = max_matching(H)
+    assert rep.optimal and rep.size == sum(naive_max_matching(B) for B in blocks) == 36
+    assert rep.nodes <= 150
+    Matching(H, rep.edges)
+
+
+def test_components_share_one_clock():
+    # every component is 3 nodes, so only a clock check on the solve's own
+    # node count (every 256 nodes) can stop it
+    k = 1100
+    H = build(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)])
+    rep = max_matching(H, SolveBudget(time_limit_ms=1e-6))
+    assert (rep.nodes, rep.optimal, rep.detail) == (256, False, "time budget exhausted")
+    Matching(H, rep.edges)

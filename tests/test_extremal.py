@@ -179,7 +179,7 @@ class TestGoodCase:
         Hp = perturb_remove(H, 5, seed=13)
         rep = classify_goodness(Hp, P, alpha=0.1)
         assert rep.bad_vertices == ()
-        M = good_case_matching(Hp, P, 10, alpha=0.1)
+        M = good_case_matching(Hp, P, 10)
         assert M is not None and M.size == 10
         assert all(edge_type(e, P) == "VVW" for e in M.edges)
         assert has_d_matching(Hp, 10)[0] == "yes"
@@ -524,9 +524,9 @@ def test_property_staged_matches_original_loops(case):
 @settings(max_examples=150, deadline=None)
 @given(staged_cases())
 def test_property_good_case_matches_original_loops(case):
-    H, P, d, alpha, _ = case
-    M = good_case_matching(H, P, d, alpha)
-    M0 = naive_good_case_matching(H, P, d, alpha)
+    H, P, d, _, _ = case
+    M = good_case_matching(H, P, d)
+    M0 = naive_good_case_matching(H, P, d)
     assert (M and M.edges) == (M0 and M0.edges)
 
 
