@@ -33,13 +33,12 @@ Vertices with no available edge are dropped from the counting bound
 (degree-zero elimination).
 
 Connected components: a maximum matching is the union of maximum
-matchings of the connected components (Abu-Khzam, TAMC 2009).  When two
-or more components have edges, max_matching (and so has_d_matching)
-searches each on its own, from its own edge and vertex masks, in order
-of lowest vertex, and sums sizes, edges and nodes; the node budget, the
-clock and the target are shared.  An input with at most one such
-component runs the one search over all vertices, as does every
-max_matching_in_subset call.
+matchings of the connected components (Abu-Khzam, TAMC 2009).
+max_matching (and so has_d_matching) searches each component that has
+edges on its own, from its own edge and vertex masks, in order of lowest
+vertex, and sums sizes, edges and nodes; the node budget, the clock and
+the target are shared.  An input with no edges is one search of one
+node.  Every max_matching_in_subset call runs one search over its subset.
 
 Everything is deterministic: identical inputs give identical reports,
 including node counts.
@@ -220,7 +219,9 @@ def _components(H: Hypergraph3) -> list[tuple[int, int]]:
     in rounds: the vertices of its new edges come from OR-ing their
     edge_masks, or, once the new edges outnumber the vertices, from one
     incidence test per vertex.  So a sparse component costs work in
-    proportion to its own edges, and a dense input a few passes over n.
+    proportion to its own edges, and a dense input a few passes over n
+    (OR-ing edge by edge is quadratic in m: each step rewrites an m-bit
+    mask).
     """
     inc, edge_masks, n = H.incidence, H.edge_masks, H.n
     left = (1 << H.m) - 1  # edges of components not found yet
@@ -259,19 +260,18 @@ def _components(H: Hypergraph3) -> list[tuple[int, int]]:
 def max_matching(H: Hypergraph3, budget: SolveBudget | None = None) -> SolveReport:
     """Maximum matching of H, exact unless the budget runs out first.
 
-    With two or more components that have edges, each is solved on its
-    own, in order of lowest vertex, and the sizes, edges and nodes are
-    summed.  The components share the node budget, the clock and the
-    target: the solve stops once the running size reaches the target.  A
-    budget stop keeps the components already solved to optimality plus
-    the best matching found so far in the one being searched; later
-    components add nothing.
+    Each component that has edges is solved on its own, in order of
+    lowest vertex, and the sizes, edges and nodes are summed.  The
+    components share the node budget, the clock and the target: the solve
+    stops once the running size reaches the target.  A budget stop keeps
+    the components already solved to optimality plus the best matching
+    found so far in the one being searched; later components add nothing.
     """
     budget = budget or SolveBudget()
     t0 = time.perf_counter()
     comps = _components(H)
-    if len(comps) < 2:
-        return _search(H, (1 << H.m) - 1, (1 << H.n) - 1, budget, t0)
+    if not comps:
+        return _search(H, 0, (1 << H.n) - 1, budget, t0)
     size = nodes = 0
     edges = []
     for avail, free in comps:

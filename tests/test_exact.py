@@ -5,13 +5,13 @@ import time
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypermatch import exact
 from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples, splitmix64_stream
 from hypermatch.core import Matching, build
-from hypermatch.exact import SolveBudget, has_d_matching, max_matching, max_matching_in_subset
+from hypermatch.exact import SolveBudget, SolveReport, has_d_matching, max_matching, max_matching_in_subset
 from oracles import naive_has_k_matching, naive_max_matching, pairing_has_pm_n6, percover_search
 
 
@@ -21,8 +21,8 @@ def complete(n):
 
 class TestMaxMatching:
     def test_empty(self):
-        rep = max_matching(build(7, []))
-        assert rep.size == 0 and rep.optimal
+        # no component: one search of one node, as before the split
+        assert max_matching(build(7, [])) == SolveReport(size=0, edges=(), optimal=True, nodes=1)
 
     def test_complete_k9(self):
         rep = max_matching(complete(9))
@@ -363,10 +363,10 @@ def test_star_siblings_share_one_cover(monkeypatch):
 
 # --- connected components -------------------------------------------------------
 #
-# With two or more components that have edges, max_matching solves each on its
-# own, in order of lowest vertex, and sums.  The unsplit search (exact._search
-# on every vertex) stays the reference: unbudgeted, both agree on size, optimal
-# and detail.
+# max_matching solves each component that has edges on its own, in order of
+# lowest vertex, and sums.  The unsplit search (exact._search on every vertex)
+# stays the reference: unbudgeted, both agree on size, optimal and detail, and
+# on an input with one such component every field of the report is the same.
 
 
 def _unsplit(H, budget=SolveBudget()):
@@ -444,6 +444,21 @@ def test_property_disjoint_union_under_node_budget(inst, target, node_limit):
     assert rep.nodes <= node_limit + 1
     assert rep.optimal == (rep.detail != "node budget exhausted")
     Matching(H, rep.edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(3, 12),
+    st.sampled_from([0.2, 0.35, 0.5, 0.8]),
+    st.integers(0, 2**32),
+    st.none() | st.integers(0, 4),
+    st.none() | st.integers(1, 60),
+)
+def test_property_one_component_reports_as_unsplit(n, p, seed, target, node_limit):
+    H = random_triples(n, p, seed)
+    assume(len(exact._components(H)) == 1)
+    budget = SolveBudget(target=target) if node_limit is None else SolveBudget(node_limit, target=target)
+    assert max_matching(H, budget) == _unsplit(H, budget)
 
 
 def test_target_zero_stops_at_the_first_edge_as_unsplit():
