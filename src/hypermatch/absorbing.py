@@ -69,9 +69,7 @@ def absorbs(H: Hypergraph3, e, T) -> bool:
         raise ValueError("T must be a set of 3 distinct vertices of the host")
     if set(e) & set(T):
         raise ValueError("T must be disjoint from e")
-    emask = (1 << e[0]) | (1 << e[1]) | (1 << e[2])
-    tmask = (1 << T[0]) | (1 << T[1]) | (1 << T[2])
-    return _split2(H, emask | tmask) is not None
+    return _split2(H, sum(1 << v for v in e + T)) is not None
 
 
 @dataclass
@@ -311,62 +309,57 @@ def absorb_leftover(H: Hypergraph3, A: AbsorbingMatching, Vp) -> Matching | None
     """Fold a leftover vertex set into the absorbing matching.
 
     Partitions Vp into triples and assigns each to a distinct absorbing
-    edge (backtracking over both choices); every assigned edge e is
-    replaced by the 2-matching on e ∪ T.  The result covers exactly
-    V(M*) ∪ Vp.  Returns None when no assignment exists or Vp exceeds
-    the declared capacity.
+    edge; every assigned edge e is replaced by the 2-matching on e ∪ T.
+    The result covers exactly V(M*) ∪ Vp.  Returns None when no
+    assignment exists or Vp exceeds the declared capacity.
+
+    Depth first over vertex masks: each new triple holds the lowest
+    unplaced leftover vertex, its other two in lexicographic order.  Each
+    partial partition gets its first injective assignment, triple by
+    triple over the edges of A in order; with none, no completion has
+    one, and the branch ends.  The first partition that fits wins.
     """
     Vp = sorted(set(Vp))
     if len(Vp) % 3 != 0:
         raise ValueError("leftover set must have size divisible by 3")
-    star_vertices = {v for e in A.edges for v in e}
-    if star_vertices & set(Vp):
+    star = Matching(H, A.edges)  # an edge of A that is not an edge of H raises ValueError
+    if star.covered.intersection(Vp):
         raise ValueError("leftover set must be disjoint from the absorbing matching")
     if not Vp:
-        return Matching(H, A.edges)
+        return star
     if len(Vp) > A.capacity:
         return None
+    emasks = [sum(1 << v for v in e) for e in star.edges]
+    absorbers: dict[int, list] = {}  # triple mask -> its (edge index, split) pairs
 
-    def partitions(rest):
-        if not rest:
-            yield []
-            return
-        first = rest[0]
-        for two in combinations(rest[1:], 2):
-            T = (first,) + two
-            remaining = [v for v in rest if v not in T]
-            for tail in partitions(remaining):
-                yield [T] + tail
-
-    def assign(triples, free_edges, acc):
-        if not triples:
-            return list(acc)
-        T = triples[0]
-        for e in free_edges:
-            if not set(e) & set(T) and absorbs(H, e, T):
-                got = assign(triples[1:], [f for f in free_edges if f != e], acc + [(e, T)])
-                if got is not None:
-                    return got
+    def fit(part, k=0, used=0):
+        """The first assignment of part[k:] to edges outside `used`, as {edge index: split}."""
+        if k == len(part):
+            return {}
+        if (T := part[k]) not in absorbers:
+            absorbers[T] = [(i, s) for i, em in enumerate(emasks) if (s := _split2(H, em | T))]
+        for i, split in absorbers[T]:
+            if not used >> i & 1 and (tail := fit(part, k + 1, used | 1 << i)) is not None:
+                return {i: split, **tail}
         return None
 
-    for part in partitions(Vp):
-        got = assign(part, list(A.edges), [])
-        if got is not None:
-            out = [e for e in A.edges if e not in {e for e, _ in got}]
-            for e, T in got:
-                out.extend(_two_matching_on(H, e, T))
-            return Matching(H, sorted(out))
-    return None
+    def search(part, rest):
+        got = fit(part)
+        if got is None or not rest:
+            return got
+        low = rest & -rest
+        for a, b in combinations(_bits(rest ^ low), 2):
+            T = low | 1 << a | 1 << b
+            if (got := search(part + (T,), rest ^ T)) is not None:
+                return got
+        return None
 
-
-def _two_matching_on(H: Hypergraph3, e, T) -> list[Edge]:
-    pool = 0
-    for v in (*e, *T):
-        pool |= 1 << v
-    split = _split2(H, pool)
-    if split is None:
-        raise AssertionError("absorbs() certified a split that does not exist")
-    return [tuple(_bits(m)) for m in split]
+    got = search((), sum(1 << H._check_vertex(v) for v in Vp))
+    if got is None:
+        return None
+    out = [e for i, e in enumerate(star.edges) if i not in got]
+    out.extend(tuple(_bits(m)) for split in got.values() for m in split)
+    return Matching(H, sorted(out))
 
 
 def perfect_via_absorbing(

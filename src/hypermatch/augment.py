@@ -46,12 +46,11 @@ class AugmentConfig:
     s_cap: int = 200
     probe_nodes: int = 200_000
     seed: int = 0
-    max_moves: int = 10_000
 
     def __post_init__(self):
         if not 1 <= self.k_max:
             raise ValueError("k_max must be at least 1")
-        if min(self.s_cap, self.probe_nodes, self.max_moves) <= 0:
+        if min(self.s_cap, self.probe_nodes) <= 0:
             raise ValueError("caps and budgets must be positive")
 
 
@@ -178,7 +177,7 @@ def augment_once(
 def solve(
     H: Hypergraph3, d: int, cfg: AugmentConfig | None = None
 ) -> tuple[SolveReport, MoveTrace]:
-    """Greedy start, then swap moves until size d, stall, or the move cap.
+    """Greedy start, then swap moves (each adds one edge) until size d or a stall.
 
     The report's optimal flag records whether the target was reached,
     and its nodes sum the B&B nodes of every probe, the failed ones
@@ -190,7 +189,7 @@ def solve(
     M = greedy_matching(H)
     trace = MoveTrace(initial=M.edges)
     stats = {"nodes": 0}
-    while M.size < d and len(trace.moves) < cfg.max_moves:
+    while M.size < d:
         step = augment_once(H, M, cfg, stats)
         if step is None:
             break

@@ -39,10 +39,10 @@ Two matchers live here:
 * staged_matching handles bad vertices first, in five stages: M1 covers
   the bad W-vertices inside V ∪ W_bad, M2 covers "useful" bad vertices
   with V2-V2-W1 edges, M3 buries the remaining bad vertices in pure-V
-  edges, M4 rebalances with one V-W-W edge per M3 edge, and M5 finishes
-  with good_case_matching on the residual.  A stage that cannot meet
-  its obligation produces a stall report naming the stage, never an
-  exception.
+  edges, M4 rebalances with one V-W-W edge per M3 edge, and M5 runs the
+  good-case loop on the vertices still free, in H itself.  A stage that
+  cannot meet its obligation produces a stall report naming the stage,
+  never an exception.
 
 Both matchers work on the same incidence bitsets: the covered vertices
 are one vertex mask, and the edges still usable one edge mask that loses
@@ -172,13 +172,14 @@ def classify_goodness(H: Hypergraph3, P: Partition, alpha: float) -> ClosenessRe
 
 
 _EXHAUSTIVE_CAP = 1_000_000
+_VOTERS = 10  # uncovered vertices whose link patterns vote in _bottom_votes
 
 
-def _bottom_votes(H: Hypergraph3, sample_cap: int = 10) -> list[int]:
+def _bottom_votes(H: Hypergraph3) -> list[int]:
     """Vote for each matching edge's degree-3 link vertex; see find_partition."""
     rep, _ = _augment_solve(H, H.n // 3 if H.n >= 3 else 0, AugmentConfig(k_max=2))
     M = rep.edges
-    uncovered = [v for v in range(H.n) if all(v not in e for e in M)][:sample_cap]
+    uncovered = [v for v in range(H.n) if all(v not in e for e in M)][:_VOTERS]
     votes: dict[int, int] = {}
     for i, E in enumerate(M):
         for j, F in enumerate(M):
@@ -335,12 +336,20 @@ def good_case_matching(H: Hypergraph3, P: Partition, d: int) -> Matching | None:
     """
     if d < 0:
         raise ValueError("d must be non-negative")
+    edges = _good_case(H, P, d, 0, (1 << H.m) - 1)
+    return None if edges is None else Matching(H, sorted(edges))
+
+
+def _good_case(H: Hypergraph3, P: Partition, d: int, cov: int, live: int) -> list[Edge] | None:
+    """good_case_matching on H - cov, in the labels of H: its edges, or None on stall.
+
+    `live` holds exactly the edges that miss the covered vertices `cov`.
+    """
     inc = H.incidence
     W = P.w_sorted()
     _, twice_w = _meets(H, W)
     edges: list[Edge] = []
-    cov = 0  # covered vertices
-    avail = ((1 << H.m) - 1) & ~twice_w  # edges with one W-vertex at most, none covered
+    avail = live & ~twice_w  # edges with one W-vertex at most, none covered
     while len(edges) < d:
         # direct edge on uncovered vertices
         j = _first_edge(H, W, avail)
@@ -358,7 +367,7 @@ def good_case_matching(H: Hypergraph3, P: Partition, d: int) -> Matching | None:
             for x in e:
                 cov |= 1 << x
                 avail &= ~inc[x]
-    return Matching(H, sorted(edges))
+    return edges
 
 
 # --- staged construction ----------------------------------------------------
@@ -507,20 +516,18 @@ def staged_matching(
             return stall("M4", "no V-W-W rebalancing edge available")
         take(j, m4)
 
-    # stage 5: good case on the residual
+    # stage 5: good case on the uncovered vertices
     w3 = [w for w in W if not cov >> w & 1]
     target5 = d - c - len(m2) - 2 * len(m3)
     if target5 < 0 or target5 > len(w3):
         return stall("M5", f"residual target {target5} infeasible with {len(w3)} W-vertices left")
-    sub, new_to_old = H.remove_vertices([x for e in m1 + m2 + m3 + m4 for x in e])
-    if 3 * len(w3) > sub.n:
-        return stall("M5", f"{len(w3)} W-vertices left exceed a third of the {sub.n} residual vertices")
-    old_to_new = {v: i for i, v in enumerate(new_to_old)}
-    P5 = Partition(sub.n, [old_to_new[w] for w in w3], len(w3))
-    m5 = good_case_matching(sub, P5, target5)
+    residual = H.n - cov.bit_count()
+    if 3 * len(w3) > residual:
+        return stall("M5", f"{len(w3)} W-vertices left exceed a third of the {residual} residual vertices")
+    m5 = _good_case(H, P, target5, cov, live)
     if m5 is None:
         return stall("M5", f"good-case matcher stalled before reaching {target5} edges")
-    m5_edges = log.stages["M5"] = [tuple(sorted(new_to_old[v] for v in e)) for e in m5.edges]
+    m5_edges = log.stages["M5"] = sorted(m5)
 
     matching = Matching(H, sorted(m1 + m2 + m3 + m4 + m5_edges))
     if matching.size != d:

@@ -9,9 +9,10 @@ move search by its original loop over small uncovered sets U', the
 threshold scan by the old down-set walk and by an independent-set count
 over the disjointness graph, pattern relabelings bit by bit, and the exact
 branch and bound by its original form, with a fresh greedy cover at every
-node, and the absorbing construction by its original form, with fresh absorb
-masks in every round.  They are slow and obviously correct, which is the
-point.
+node, the absorbing construction by its original form, with fresh absorb
+masks in every round, and the leftover fold by its original enumeration of
+every partition with a public absorbs() test per (edge, triple) pair.  They
+are slow and obviously correct, which is the point.
 """
 
 import math
@@ -21,7 +22,16 @@ from collections.abc import Callable
 from itertools import combinations, permutations, tee
 from types import SimpleNamespace
 
-from hypermatch.absorbing import _EXHAUSTIVE_LIMIT, _SAMPLE_TRIPLES, AbsorbingMatching, _bits, _coverage_levels, _pair_links
+from hypermatch.absorbing import (
+    _EXHAUSTIVE_LIMIT,
+    _SAMPLE_TRIPLES,
+    AbsorbingMatching,
+    _bits,
+    _coverage_levels,
+    _pair_links,
+    _split2,
+    absorbs,
+)
 from hypermatch.augment import AugmentConfig, Move, _subsets
 from hypermatch.constructions import splitmix64_stream
 from hypermatch.core import Hypergraph3, Matching, Partition
@@ -859,3 +869,72 @@ def perround_find_absorbing(
         delta1_hypothesis=hyp,
         detail=None if lacking_n == 0 else f"{lacking_n} tracked triples below redundancy {t}",
     )
+
+
+# --- leftover fold ----------------------------------------------------------------
+#
+# The original fold: a generator over every partition of the leftover into
+# triples, each tried with a backtracking assignment that asks absorbs() about
+# every (edge, triple) pair, and the winning splits found again afterwards.
+
+
+def naive_absorb_leftover(H: Hypergraph3, A: AbsorbingMatching, Vp) -> Matching | None:
+    """Fold a leftover vertex set into the absorbing matching.
+
+    Partitions Vp into triples and assigns each to a distinct absorbing
+    edge (backtracking over both choices); every assigned edge e is
+    replaced by the 2-matching on e ∪ T.  The result covers exactly
+    V(M*) ∪ Vp.  Returns None when no assignment exists or Vp exceeds
+    the declared capacity.
+    """
+    Vp = sorted(set(Vp))
+    if len(Vp) % 3 != 0:
+        raise ValueError("leftover set must have size divisible by 3")
+    star_vertices = {v for e in A.edges for v in e}
+    if star_vertices & set(Vp):
+        raise ValueError("leftover set must be disjoint from the absorbing matching")
+    if not Vp:
+        return Matching(H, A.edges)
+    if len(Vp) > A.capacity:
+        return None
+
+    def partitions(rest):
+        if not rest:
+            yield []
+            return
+        first = rest[0]
+        for two in combinations(rest[1:], 2):
+            T = (first,) + two
+            remaining = [v for v in rest if v not in T]
+            for tail in partitions(remaining):
+                yield [T] + tail
+
+    def assign(triples, free_edges, acc):
+        if not triples:
+            return list(acc)
+        T = triples[0]
+        for e in free_edges:
+            if not set(e) & set(T) and absorbs(H, e, T):
+                got = assign(triples[1:], [f for f in free_edges if f != e], acc + [(e, T)])
+                if got is not None:
+                    return got
+        return None
+
+    for part in partitions(Vp):
+        got = assign(part, list(A.edges), [])
+        if got is not None:
+            out = [e for e in A.edges if e not in {e for e, _ in got}]
+            for e, T in got:
+                out.extend(_naive_two_matching_on(H, e, T))
+            return Matching(H, sorted(out))
+    return None
+
+
+def _naive_two_matching_on(H: Hypergraph3, e, T) -> list:
+    pool = 0
+    for v in (*e, *T):
+        pool |= 1 << v
+    split = _split2(H, pool)
+    if split is None:
+        raise AssertionError("absorbs() certified a split that does not exist")
+    return [tuple(_bits(m)) for m in split]

@@ -22,7 +22,7 @@ from hypermatch.absorbing import (
 from hypermatch.constructions import cut_family, extremal_star, random_triples, splitmix64_stream
 from hypermatch.core import Matching, build
 from hypermatch.exact import max_matching, max_matching_in_subset
-from oracles import perround_find_absorbing
+from oracles import naive_absorb_leftover, perround_find_absorbing
 
 
 def complete(n):
@@ -125,6 +125,14 @@ class TestFindAbsorbing:
         assert A.to_json_dict() == perround_find_absorbing(complete(9), 1e51, t=1).to_json_dict()
 
 
+def _counting(calls, name, fn):
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return counted
+
+
 class TestAbsorbLeftover:
     def test_empty_leftover_returns_star(self):
         K12 = complete(12)
@@ -158,6 +166,38 @@ class TestAbsorbLeftover:
         rest = [u for u in range(12) if all(u not in e for e in A.edges)][:2]
         with pytest.raises(ValueError):
             absorb_leftover(K12, A, [v] + rest)  # overlaps the star
+        with pytest.raises(ValueError):
+            absorb_leftover(K12, A, rest + [12])  # not a vertex of the host
+
+    def test_rejects_absorbing_edges_outside_the_host(self):
+        # A was built on the complete host; one of its edges is missing here
+        K12 = complete(12)
+        A = find_absorbing(K12, gamma=0.9, t=2)
+        H = build(12, [e for e in K12.edges if e != A.edges[0]])
+        left = [v for v in range(12) if all(v not in e for e in A.edges)][:3]
+        with pytest.raises(ValueError, match="not an edge"):
+            absorb_leftover(H, A, left)
+
+    def test_sparse_fold_is_pruned(self, monkeypatch):
+        # 15 of the 18 vertices outside a 6-edge M*: the full enumeration
+        # made 377,622 absorbs() calls here, the pruned search makes 300
+        # _split2 calls; the edges were recorded from the full enumeration.
+        # _bits runs once per _split2 call and once per search node (and
+        # twice per assigned edge), so its count bounds the nodes: 324 calls
+        # with the prune, 68,434 with every partition tried to its end
+        H = random_triples(36, 0.06, 3)
+        A = find_absorbing(H, 0.8, t=2)
+        Vp = [v for v in range(36) if all(v not in e for e in A.edges)][:15]
+        calls = {"_split2": 0, "_bits": 0}
+        for name in calls:
+            monkeypatch.setattr(hypermatch.absorbing, name, _counting(calls, name, getattr(hypermatch.absorbing, name)))
+        monkeypatch.setattr(hypermatch.absorbing, "absorbs", None)
+        M = absorb_leftover(H, A, Vp)
+        assert calls["_split2"] <= 1000 and calls["_bits"] <= 1000
+        assert M.edges == (
+            (0, 17, 27), (1, 15, 34), (2, 3, 9), (4, 6, 7), (5, 14, 19), (8, 22, 33),
+            (10, 12, 35), (11, 16, 25), (13, 18, 23), (20, 24, 29), (21, 26, 28),
+        )  # fmt: skip
 
 
 class TestPerfectViaAbsorbing:
@@ -257,6 +297,27 @@ def test_property_absorb_leftover_covers_exactly(case):
     if M is not None:
         assert M.covered == {v for e in A.edges for v in e} | set(Vp)
         assert M.size == A.size + len(Vp) // 3
+
+
+@st.composite
+def sparse_leftover_cases(draw):
+    """(H, A, Vp): a host with n <= 30, its absorbing matching, and at most 9 leftover vertices within capacity."""
+    n = draw(st.integers(9, 30))
+    H = random_triples(n, draw(st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.8])), draw(st.integers(0, 2**32)))
+    A = find_absorbing(H, draw(st.sampled_from([0.8, 0.9])), t=draw(st.integers(1, 2)))
+    outside = [v for v in range(n) if all(v not in e for e in A.edges)]
+    most = min(9, A.capacity, len(outside)) // 3
+    size = 3 * draw(st.integers(min(1, most), most))  # empty only when nothing fits
+    return H, A, draw(st.permutations(outside))[:size]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_leftover_cases())
+def test_property_absorb_leftover_matches_naive_fold(case):
+    # the same partition and assignment win, so the same edges, or None together
+    H, A, Vp = case
+    got, want = absorb_leftover(H, A, Vp), naive_absorb_leftover(H, A, Vp)
+    assert (got and got.edges) == (want and want.edges)
 
 
 # --- pinned absorbing table -----------------------------------------------------

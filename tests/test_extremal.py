@@ -239,11 +239,12 @@ class TestStaged:
         assert max_matching(H).size == 2
 
     def test_oversized_residual_w_stalls_at_m5(self):
-        # W is larger than a third of the vertices, so the stage-5 residual
-        # partition cannot be formed: a stall, not a ValueError
+        # W is larger than a third of the vertices stage 5 starts from: a
+        # stall, not a ValueError
         M, log = staged_matching(complete(9), Partition(9, {5, 6, 7, 8}, 3), 3)
         assert M is None
-        assert log.stalled_stage == "M5" and log.detail
+        assert log.stalled_stage == "M5"
+        assert log.detail == "4 W-vertices left exceed a third of the 9 residual vertices"
 
     def test_m2_skips_vertex_covered_by_earlier_m2_edge(self):
         # the M2 edge placed for bad vertex 0 is (0, 1, 6); bad vertex 1 is
@@ -510,9 +511,15 @@ def staged_cases(draw):
     return H, Partition(n, W, d), d, alpha, theta
 
 
+def m5_swap_after_m1_case():
+    """M1 covers (0, 2, 3), then M5 needs good-pair swaps among the vertices left."""
+    return random_triples(18, 0.9, 2308501029), Partition(18, [3, 6, 10, 14, 15, 16], 6), 6, 0.05, 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(staged_cases())
 @example((*m2_double_cover_case(), 3, 0.1, 0.01))
+@example(m5_swap_after_m1_case())
 def test_property_staged_matches_original_loops(case):
     H, P, d, alpha, theta = case
     M, log = staged_matching(H, P, d, alpha, theta)
