@@ -33,7 +33,7 @@ from itertools import combinations, tee
 
 from .augment import AugmentConfig, solve as _augment_solve
 from .constructions import splitmix64_stream
-from .core import Edge, Hypergraph3, Matching
+from .core import Edge, Hypergraph3, Matching, Report
 from .exact import SolveReport
 
 __all__ = ["AbsorbingMatching", "absorbs", "find_absorbing", "absorb_leftover", "perfect_via_absorbing"]
@@ -73,13 +73,15 @@ def absorbs(H: Hypergraph3, e, T) -> bool:
 
 
 @dataclass
-class AbsorbingMatching:
+class AbsorbingMatching(Report):
     """An absorbing matching with its per-edge absorption index.
 
     absorb_index maps each M*-edge to the tracked triples it can absorb
     (triples over the vertices left outside V(M*)).  success is False
     when the greedy construction stopped with undercovered triples.
     """
+
+    SCHEMA = "hypermatch.absorbing/1"
 
     edges: tuple[Edge, ...]
     gamma: float
@@ -97,26 +99,6 @@ class AbsorbingMatching:
     @property
     def size(self) -> int:
         return len(self.edges)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "hypermatch.absorbing/1",
-            "edges": [list(e) for e in self.edges],
-            "gamma": self.gamma,
-            "t": self.t,
-            "success": self.success,
-            "verification": self.verification,
-            "min_coverage": self.min_coverage,
-            "uncovered_triples": self.uncovered_triples,
-            "capacity": self.capacity,
-            "gamma6_capacity": self.gamma6_capacity,
-            "delta1_hypothesis": self.delta1_hypothesis,
-            "absorb_index": {
-                " ".join(map(str, e)): [list(t) for t in ts]
-                for e, ts in self.absorb_index.items()
-            },
-            "detail": self.detail,
-        }
 
 
 def _tracked_triples(outside: list[int], stream) -> list:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .constructions import splitmix64_stream
-from .core import Edge, Hypergraph3, Matching
+from .core import Edge, Hypergraph3, Matching, Report
 from .exact import SolveBudget, SolveReport, max_matching_in_subset
 
 __all__ = ["AugmentConfig", "Move", "MoveTrace", "greedy_matching", "augment_once", "solve", "replay"]
@@ -62,23 +62,11 @@ class Move:
 
 
 @dataclass
-class MoveTrace:
+class MoveTrace(Report):
+    SCHEMA = "hypermatch.trace/1"
+
     initial: tuple[Edge, ...]
     moves: list[Move] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "hypermatch.trace/1",
-            "initial": [list(e) for e in self.initial],
-            "moves": [
-                {
-                    "removed": [list(e) for e in mv.removed],
-                    "added": [list(e) for e in mv.added],
-                    "uncovered_used": list(mv.uncovered_used),
-                }
-                for mv in self.moves
-            ],
-        }
 
 
 def replay(H: Hypergraph3, trace: MoveTrace) -> Matching:

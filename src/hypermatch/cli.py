@@ -148,22 +148,18 @@ def _cmd_solve(args) -> int:
         time_limit_ms=args.budget_ms,
         target=args.d,
     )
+    extra = {}
     if args.method == "exact":
         rep = exact.max_matching(H, budget)
-        _emit(rep.to_json_dict(), args.out)
-        return EXIT_OK if rep.optimal else EXIT_BUDGET
-    if args.method == "augment":
+    elif args.method == "augment":
         d = args.d if args.d is not None else H.n // 3
         cfg = augment.AugmentConfig(k_max=args.k_max, seed=args.seed)
         rep, trace = augment.solve(H, d, cfg)
-        payload = rep.to_json_dict()
-        payload["trace"] = trace.to_json_dict()
+        extra["trace"] = trace.to_json_dict()
         if args.explain and rep.size < d:
             close = extremal.find_partition(H, min(d, H.n // 3), mode="local", alpha=args.alpha)
-            payload["closeness_on_stall"] = close.to_json_dict()
-        _emit(payload, args.out)
-        return EXIT_OK
-    if args.method == "extremal":
+            extra["closeness_on_stall"] = close.to_json_dict()
+    elif args.method == "extremal":
         if args.d is None:
             print("solve --extremal requires --d", file=sys.stderr)
             return EXIT_USAGE
@@ -175,21 +171,16 @@ def _cmd_solve(args) -> int:
                 args.d,
             )
         m, log = extremal.staged_matching(H, P, args.d, alpha=args.alpha)
-        payload = {
-            "schema": "hypermatch.solve/1",
-            "size": 0 if m is None else m.size,
-            "matching": [] if m is None else [list(e) for e in m.edges],
-            "optimal": m is not None,
-            "stage_log": log.to_json_dict(),
-        }
-        _emit(payload, args.out)
-        return EXIT_OK
-    if args.method == "absorbing":
+        if m is None:
+            rep = exact.SolveReport(0, (), False, 0, f"stalled at {log.stalled_stage}: {log.detail}")
+        else:
+            rep = exact.SolveReport(m.size, m.edges, True, 0, "target reached")
+        extra["stage_log"] = log.to_json_dict()
+    else:
         cfg = augment.AugmentConfig(k_max=args.k_max, seed=args.seed)
         rep = absorbing.perfect_via_absorbing(H, gamma=args.gamma, cfg=cfg, seed=args.seed)
-        _emit(rep.to_json_dict(), args.out)
-        return EXIT_OK
-    return EXIT_USAGE  # pragma: no cover
+    _emit({**rep.to_json_dict(), **extra}, args.out)
+    return EXIT_BUDGET if args.method == "exact" and not rep.optimal else EXIT_OK
 
 
 # --- closeness ---------------------------------------------------------------

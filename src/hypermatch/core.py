@@ -25,16 +25,18 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from itertools import combinations
 from operator import lt
+from typing import ClassVar
 
 __all__ = [
     "Hypergraph3",
     "Partition",
     "Matching",
     "DegreeProfile",
+    "Report",
     "build",
     "threshold",
     "edge_type",
@@ -286,6 +288,37 @@ class DegreeProfile:
     codegrees: dict[tuple[int, int], int]
     delta1: int
     delta2: int | None
+
+
+class Report:
+    """A JSON report: `to_json_dict` is {"schema": SCHEMA} plus every field.
+
+    Subclasses are dataclasses that set the class attribute SCHEMA
+    (unannotated, so that it is not a field).  Field
+    values are written recursively: tuples and lists as lists, nested
+    dataclasses as objects of their fields, dicts with their values
+    converted and a tuple key as its items joined by spaces (the edge
+    (0, 1, 6) as "0 1 6"); anything else as it is.
+    """
+
+    SCHEMA: ClassVar[str]
+
+    def to_json_dict(self) -> dict:
+        return {"schema": self.SCHEMA, **_json_value(self)}
+
+
+_SCALARS = (int, float, str, type(None))
+
+
+def _json_value(x):
+    if isinstance(x, (tuple, list)):
+        # scalars are copied without a call: edge lists are most of a report
+        return [v if isinstance(v, _SCALARS) else _json_value(v) for v in x]
+    if isinstance(x, dict):
+        return {" ".join(map(str, k)) if isinstance(k, tuple) else k: _json_value(v) for k, v in x.items()}
+    if is_dataclass(x):
+        return {f.name: _json_value(getattr(x, f.name)) for f in fields(x)}
+    return x
 
 
 def degree_profile(H: Hypergraph3) -> DegreeProfile:

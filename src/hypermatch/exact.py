@@ -49,7 +49,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import Edge, Hypergraph3
+from .core import Edge, Hypergraph3, Report
 
 __all__ = ["SolveBudget", "SolveReport", "max_matching", "max_matching_in_subset", "has_d_matching"]
 
@@ -73,7 +73,7 @@ class SolveBudget:
 
 
 @dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Report):
     """Result of a solve: best matching found plus search statistics.
 
     optimal is True only if the search space was exhausted or the
@@ -82,6 +82,8 @@ class SolveReport:
     equal inputs give byte-identical reports.
     """
 
+    SCHEMA = "hypermatch.solve/1"
+
     size: int
     edges: tuple[Edge, ...]
     optimal: bool
@@ -89,14 +91,9 @@ class SolveReport:
     detail: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "hypermatch.solve/1",
-            "size": self.size,
-            "matching": [list(e) for e in self.edges],
-            "optimal": self.optimal,
-            "nodes": self.nodes,
-            "detail": self.detail,
-        }
+        out = super().to_json_dict()
+        out["matching"] = out.pop("edges")
+        return out
 
 
 def _search(

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .augment import AugmentConfig, solve as _augment_solve
-from .core import Edge, Hypergraph3, Matching, Partition
+from .core import Edge, Hypergraph3, Matching, Partition, Report
 from .links import PatternKind, classify, link_bipartite
 
 __all__ = [
@@ -76,8 +76,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ClosenessReport:
+class ClosenessReport(Report):
     """How close H is to the cut family over a given partition."""
+
+    SCHEMA = "hypermatch.closeness/1"
 
     n: int
     d: int
@@ -87,19 +89,6 @@ class ClosenessReport:
     alpha: float
     badness: tuple[int, ...]
     bad_vertices: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "hypermatch.closeness/1",
-            "n": self.n,
-            "d": self.d,
-            "W": list(self.W),
-            "deficiency": self.deficiency,
-            "epsilon": self.epsilon,
-            "alpha": self.alpha,
-            "badness": list(self.badness),
-            "bad_vertices": list(self.bad_vertices),
-        }
 
 
 def _model_size(n: int, d: int) -> int:
@@ -336,18 +325,19 @@ def good_case_matching(H: Hypergraph3, P: Partition, d: int) -> Matching | None:
     """
     if d < 0:
         raise ValueError("d must be non-negative")
-    edges = _good_case(H, P, d, 0, (1 << H.m) - 1)
+    _, twice_w = _meets(H, P.w_sorted())
+    edges = _good_case(H, P, d, 0, (1 << H.m) - 1, twice_w)
     return None if edges is None else Matching(H, sorted(edges))
 
 
-def _good_case(H: Hypergraph3, P: Partition, d: int, cov: int, live: int) -> list[Edge] | None:
+def _good_case(H: Hypergraph3, P: Partition, d: int, cov: int, live: int, twice_w: int) -> list[Edge] | None:
     """good_case_matching on H - cov, in the labels of H: its edges, or None on stall.
 
-    `live` holds exactly the edges that miss the covered vertices `cov`.
+    `live` holds exactly the edges that miss the covered vertices `cov`, and
+    `twice_w` the edges of H with two W-vertices or more.
     """
     inc = H.incidence
     W = P.w_sorted()
-    _, twice_w = _meets(H, W)
     edges: list[Edge] = []
     avail = live & ~twice_w  # edges with one W-vertex at most, none covered
     while len(edges) < d:
@@ -374,8 +364,13 @@ def _good_case(H: Hypergraph3, P: Partition, d: int, cov: int, live: int) -> lis
 
 
 @dataclass
-class StageLog:
-    """Sizes and edges of the five stages, plus stall information."""
+class StageLog(Report):
+    """Sizes and edges of the five stages, plus stall information.
+
+    bde_check is None when there is no bad W-vertex (c = 0).
+    """
+
+    SCHEMA = "hypermatch.stages/1"
 
     alpha: float
     theta: float
@@ -386,20 +381,6 @@ class StageLog:
     bde_check: dict | None = None
     stalled_stage: str | None = None
     detail: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "hypermatch.stages/1",
-            "alpha": self.alpha,
-            "theta": self.theta,
-            "c": self.c,
-            "m2": self.m2,
-            "m3": self.m3,
-            "stages": {k: [list(e) for e in v] for k, v in self.stages.items()},
-            "bde_check": self.bde_check,
-            "stalled_stage": self.stalled_stage,
-            "detail": self.detail,
-        }
 
 
 def _cover_each_with_own_edge(H: Hypergraph3, targets, allowed: int) -> list[int] | None:
@@ -465,16 +446,20 @@ def staged_matching(
         log.stalled_stage, log.detail = stage, detail
         return None, log
 
-    # stage 1: one edge per bad W-vertex, inside V ∪ W_bad
-    a = len(v1_set)
-    _, meets_outside = _class_ors(H, v1_set)
-    inside = full & ~meets_outside
-    bde_lhs = min(((inc[v] & inside).bit_count() for v in v1_set), default=0)
-    bde_rhs = math.comb(a - 1, 2) - math.comb(a - c, 2) if a >= 1 and a >= c else 0
-    log.bde_check = {"delta1_inside_V1": bde_lhs, "bound": bde_rhs, "holds": bde_lhs > bde_rhs}
-    picked = _cover_each_with_own_edge(H, w_bad, inside)
-    if picked is None:
-        return stall("M1", f"cannot cover bad W-vertices {w_bad} inside V ∪ W_bad")
+    # stage 1: one edge per bad W-vertex, inside V ∪ W_bad, and the
+    # Bollobás–Daykin–Erdős bound C(a-1,2) - C(a-c,2) on degrees inside it;
+    # with c = 0 that bound is -(a-1), which checks nothing: bde_check stays None
+    picked = []
+    if c:
+        a = len(v1_set)
+        _, meets_outside = _class_ors(H, v1_set)
+        inside = full & ~meets_outside
+        bde_lhs = min((inc[v] & inside).bit_count() for v in v1_set)
+        bde_rhs = math.comb(a - 1, 2) - math.comb(a - c, 2)
+        log.bde_check = {"delta1_inside_V1": bde_lhs, "bound": bde_rhs, "holds": bde_lhs > bde_rhs}
+        picked = _cover_each_with_own_edge(H, w_bad, inside)
+        if picked is None:
+            return stall("M1", f"cannot cover bad W-vertices {w_bad} inside V ∪ W_bad")
     m1 = log.stages["M1"] = []
     for j in picked:
         take(j, m1)
@@ -524,7 +509,7 @@ def staged_matching(
     residual = H.n - cov.bit_count()
     if 3 * len(w3) > residual:
         return stall("M5", f"{len(w3)} W-vertices left exceed a third of the {residual} residual vertices")
-    m5 = _good_case(H, P, target5, cov, live)
+    m5 = _good_case(H, P, target5, cov, live, twice_w)
     if m5 is None:
         return stall("M5", f"good-case matcher stalled before reaching {target5} edges")
     m5_edges = log.stages["M5"] = sorted(m5)

@@ -514,14 +514,15 @@ def naive_staged_matching(H, P, d: int, alpha: float = 0.05, theta: float = 0.01
     v1_set = Vset | set(w_bad)
     covered = set()
 
-    # stage 1: one edge per bad W-vertex, inside V ∪ W_bad
-    a = len(v1_set)
-    inside = [e for e in H.edges if all(x in v1_set for x in e)]
-    bde_lhs = min((sum(v in e for e in inside) for v in v1_set), default=0)
-    bde_rhs = math.comb(a - 1, 2) - math.comb(a - c, 2) if a >= 1 and a >= c else 0
-    log.bde_check = {"delta1_inside_V1": bde_lhs, "bound": bde_rhs, "holds": bde_lhs > bde_rhs}
+    # stage 1: one edge per bad W-vertex, inside V ∪ W_bad; the degree bound
+    # is logged only when there is a bad W-vertex (with c = 0 it is negative)
     m1 = []
     if c:
+        a = len(v1_set)
+        inside = [e for e in H.edges if all(x in v1_set for x in e)]
+        bde_lhs = min((sum(v in e for e in inside) for v in v1_set), default=0)
+        bde_rhs = math.comb(a - 1, 2) - math.comb(a - c, 2) if a >= 1 and a >= c else 0
+        log.bde_check = {"delta1_inside_V1": bde_lhs, "bound": bde_rhs, "holds": bde_lhs > bde_rhs}
         got = _naive_cover_each_with_own_edge(H, w_bad, v1_set, covered)
         if got is None:
             log.stalled_stage = "M1"

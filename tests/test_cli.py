@@ -156,6 +156,22 @@ class TestSolveCmd:
         assert main(["solve", "--extremal", str(h3), "--d", "4"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("method", ["--exact", "--augment", "--extremal", "--absorbing"])
+    def test_every_method_prints_the_solve_keys(self, tmp_path, method):
+        h3 = tmp_path / "hnd15.h3"
+        main(["gen", "hnd", "--n", "15", "--d", "5", "--out", str(h3)])
+        rc, rep = run_json(tmp_path, ["solve", method, str(h3), "--d", "5"])
+        assert rc == 0 and rep["schema"] == "hypermatch.solve/1"
+        assert {"schema", "size", "matching", "optimal", "nodes", "detail"} <= rep.keys()
+
+    def test_extremal_stall_names_its_stage(self, tmp_path):
+        h3 = tmp_path / "b15.h3"
+        main(["gen", "bde", "--n", "15", "--d", "5", "--out", str(h3)])
+        rc, rep = run_json(tmp_path, ["solve", "--extremal", str(h3), "--d", "5"])
+        assert rc == 0 and rep["optimal"] is False and (rep["size"], rep["nodes"]) == (0, 0)
+        assert rep["detail"] == "stalled at M5: residual target 5 infeasible with 4 W-vertices left"
+        assert rep["stage_log"]["stalled_stage"] == "M5"
+
     def test_absorbing(self, tmp_path):
         h3 = tmp_path / "r15.h3"
         main(["gen", "random", "--n", "15", "--p", "0.8", "--seed", "4", "--out", str(h3)])

@@ -20,8 +20,8 @@ from hypermatch.core import (
     threshold,
     to_h3,
 )
-from hypermatch import core
-from hypermatch.constructions import cut_family, extremal_star
+from hypermatch import absorbing, augment, core, exact, extremal
+from hypermatch.constructions import cut_family, extremal_star, random_triples
 from oracles import naive_hypergraph, naive_parse_h3
 
 
@@ -398,3 +398,67 @@ def test_many_vertices_few_edges_stay_small():
     assert H.edges == ((0, 1, 2),) and H.incidence[:4] == (1, 1, 1, 0)
     assert not any(H.incidence[3:])
     assert peak < 64 * 2**20
+
+
+# --- JSON reports ----------------------------------------------------------------
+
+
+def _staged_log():
+    H = random_triples(15, 0.7, 19)  # five bad W-vertices, so bde_check is a dict
+    return extremal.staged_matching(H, Partition(15, extremal.find_partition(H, 5).W, 5), 5)[1]
+
+
+# (report, its exact to_json_dict key set); each report is built by the call
+# that returns it, with nested values filled in (a trace with a move, a stage
+# log with a bde_check, an absorb index with entries)
+REPORTS = {
+    "solve": (
+        lambda: exact.max_matching(extremal_star(9)[0]),
+        {"schema", "size", "matching", "optimal", "nodes", "detail"},
+    ),
+    "trace": (
+        lambda: augment.solve(random_triples(30, 0.05, 3), 10, augment.AugmentConfig(k_max=3))[1],
+        {"schema", "initial", "moves"},
+    ),
+    "closeness": (
+        lambda: extremal.find_partition(cut_family(12, 4)[0], 4),
+        {"schema", "n", "d", "W", "deficiency", "epsilon", "alpha", "badness", "bad_vertices"},
+    ),
+    "stages": (
+        _staged_log,
+        {"schema", "alpha", "theta", "c", "m2", "m3", "stages", "bde_check", "stalled_stage", "detail"},
+    ),
+    "absorbing": (
+        lambda: absorbing.find_absorbing(random_triples(24, 0.5, 1), 0.8),
+        {"schema", "edges", "gamma", "t", "success", "verification", "min_coverage", "uncovered_triples",
+         "capacity", "gamma6_capacity", "delta1_hypothesis", "absorb_index", "detail"},
+    ),
+}
+
+
+def _has_tuple(x) -> bool:
+    if isinstance(x, tuple):
+        return True
+    if isinstance(x, list):
+        return any(map(_has_tuple, x))
+    if isinstance(x, dict):
+        return any(map(_has_tuple, x.keys())) or any(map(_has_tuple, x.values()))
+    return False
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_report_json_keys_and_no_tuples(name):
+    make, keys = REPORTS[name]
+    out = make().to_json_dict()
+    assert out.keys() == keys
+    assert out["schema"] == f"hypermatch.{name}/1"
+    assert not _has_tuple(out)
+
+
+def test_report_json_nested_values():
+    moves = REPORTS["trace"][0]().to_json_dict()["moves"]
+    assert moves and all(mv.keys() == {"removed", "added", "uncovered_used"} for mv in moves)
+    assert _staged_log().to_json_dict()["bde_check"].keys() == {"delta1_inside_V1", "bound", "holds"}
+    A = REPORTS["absorbing"][0]()
+    index = A.to_json_dict()["absorb_index"]
+    assert index and index == {" ".join(map(str, e)): [list(t) for t in ts] for e, ts in A.absorb_index.items()}

@@ -274,9 +274,13 @@ class TestStaged:
         assert set(M.edges) == set(disjoint_w_edges(1100)[0].edges)
 
     def test_bde_inequality_logged(self):
-        H, P = cut_family(9, 3)
-        _, log = staged_matching(H, P, 3)
-        assert log.bde_check is not None and "holds" in log.bde_check
+        # five bad W-vertices (a PINNED_BDE row): the bound is
+        # C(a-1,2) - C(a-c,2) over a = |V ∪ W_bad| = 10 + c
+        H = _instance(("random", 15, 0.7, 19))
+        _, log = staged_matching(H, Partition(15, find_partition(H, 5).W, 5), 5)
+        a, bde = 10 + log.c, log.bde_check
+        assert log.c == 5 and bde["bound"] == math.comb(a - 1, 2) - math.comb(a - log.c, 2)
+        assert bde["holds"] == (bde["delta1_inside_V1"] > bde["bound"])
 
 
 # --- pinned closeness table ----------------------------------------------------
@@ -400,7 +404,7 @@ def test_pinned_partitions(spec, d, mode, seed, W, deficiency, bad_vertices, bad
 # staged_matching's bde_check dict and stall stage on the partition that
 # local find_partition recovers, recorded like the table above
 PINNED_BDE = [
-    (("cut", 15, 5, 1), 5, {"delta1_inside_V1": 0, "bound": -9, "holds": True}, 0, None),
+    (("cut", 15, 5, 1), 5, None, 0, None),
     (("strip", 30, 10, 17), 10, {"delta1_inside_V1": 0, "bound": 0, "holds": False}, 1, None),
     (("strip", 15, 5, 5), 5, {"delta1_inside_V1": 0, "bound": 0, "holds": False}, 1, "M3"),
     (("random", 12, 0.5, 18), 4, {"delta1_inside_V1": 21, "bound": 27, "holds": False}, 4, "M3"),
