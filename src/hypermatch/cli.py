@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 assertion failure, 2 usage error, 3 budget
 exhaustion.  Reports are JSON (sorted keys, no timestamps) or CSV with
 fixed columns, so reruns with equal inputs are byte-identical.
+
+Each command, `gen` kind, `solve` method and `verify` suite accepts only
+the flags it reads; any other is a usage error (exit 2).  `solve` and
+`closeness` pass on only the flags given: the rest keep library defaults.
 """
 
 from __future__ import annotations
@@ -10,21 +14,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from itertools import combinations
 
 from . import absorbing, augment, constructions, exact, extremal
-from .core import (
-    Hypergraph3,
-    Matching,
-    Partition,
-    degree_profile,
-    read_h3,
-    threshold,
-    write_h3,
-)
+from .core import Hypergraph3, Partition, degree_profile, read_h3, threshold, write_h3
 from .links import verify_fact1
 
 EXIT_OK = 0
@@ -56,31 +51,9 @@ def _cmd_gen(args) -> int:
     if side == out:
         print(f"--out {out} is also the path of its .json sidecar", file=sys.stderr)
         return EXIT_USAGE
-    partition = None
-    if kind == "star":
-        H, partition = constructions.extremal_star(args.n)
-        params = {"n": args.n}
-    elif kind == "hnd":
-        if args.d is None:
-            print("gen hnd requires --d", file=sys.stderr)
-            return EXIT_USAGE
-        H, partition = constructions.cut_family(args.n, args.d)
-        params = {"n": args.n, "d": args.d}
-    elif kind == "bde":
-        if args.d is None:
-            print("gen bde requires --d", file=sys.stderr)
-            return EXIT_USAGE
-        H, partition = constructions.blocker_family(args.n, args.d)
-        params = {"n": args.n, "d": args.d}
-    elif kind == "random":
-        if args.p is None:
-            print("gen random requires --p", file=sys.stderr)
-            return EXIT_USAGE
-        H = constructions.random_triples(args.n, args.p, args.seed)
-        params = {"n": args.n, "p": args.p, "seed": args.seed}
-    else:  # pragma: no cover - argparse restricts choices
-        return EXIT_USAGE
-
+    # the kind's own flags are the keyword arguments of its constructor
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "kind", "out", "func", "build")}
+    H, partition = args.build(**params)
     write_h3(H, out)
     meta = {
         "schema": "hypermatch.instance/1",
@@ -141,46 +114,59 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# the flags each solve method reads; solve rejects any other
+_SOLVE_READS = {
+    "exact": ("--d", "--budget-nodes", "--budget-ms"),
+    "augment": ("--d", "--k-max", "--seed", "--alpha", "--explain"),
+    "extremal": ("--d", "--alpha"),
+    "absorbing": ("--k-max", "--seed", "--gamma"),
+}
+_SOLVE_FLAGS = set().union(*_SOLVE_READS.values())
+
+
+def _given(args, *names, **renamed) -> dict:
+    """Keyword arguments from the flags that were given; an absent flag keeps the library's default."""
+    renamed.update(zip(names, names))
+    return {kw: getattr(args, dest) for kw, dest in renamed.items() if dest in args}
+
+
 def _cmd_solve(args) -> int:
+    method, reads = args.method, _SOLVE_READS[args.method]
+    given = {"--" + dest.replace("_", "-") for dest in vars(args)}
+    unread = sorted((given & _SOLVE_FLAGS).difference(reads))
+    if unread:
+        raise ValueError(f"solve --{method} does not read {', '.join(unread)}; it reads only {', '.join(reads)}")
     H = read_h3(args.input)
-    budget = exact.SolveBudget(
-        node_limit=args.budget_nodes,
-        time_limit_ms=args.budget_ms,
-        target=args.d,
-    )
     extra = {}
-    if args.method == "exact":
-        rep = exact.max_matching(H, budget)
-    elif args.method == "augment":
-        d = args.d if args.d is not None else H.n // 3
-        cfg = augment.AugmentConfig(k_max=args.k_max, seed=args.seed)
-        rep, trace = augment.solve(H, d, cfg)
+    if method == "exact":
+        budget = _given(args, node_limit="budget_nodes", time_limit_ms="budget_ms", target="d")
+        rep = exact.max_matching(H, exact.SolveBudget(**budget))
+    elif method == "augment":
+        d = getattr(args, "d", H.n // 3)
+        rep, trace = augment.solve(H, d, augment.AugmentConfig(**_given(args, "k_max", "seed")))
         extra["trace"] = trace.to_json_dict()
-        if args.explain and rep.size < d:
-            close = extremal.find_partition(H, min(d, H.n // 3), mode="local", alpha=args.alpha)
+        if getattr(args, "explain", False) and rep.size < d:
+            close = extremal.find_partition(H, min(d, H.n // 3), **_given(args, "alpha"))
             extra["closeness_on_stall"] = close.to_json_dict()
-    elif args.method == "extremal":
-        if args.d is None:
+    elif method == "extremal":
+        if "d" not in args:
             print("solve --extremal requires --d", file=sys.stderr)
             return EXIT_USAGE
+        alpha = _given(args, "alpha")
         P = _load_partition(args, H)
         if P is None:
-            P = Partition(
-                H.n,
-                extremal.find_partition(H, args.d, mode="local", alpha=args.alpha).W,
-                args.d,
-            )
-        m, log = extremal.staged_matching(H, P, args.d, alpha=args.alpha)
+            P = Partition(H.n, extremal.find_partition(H, args.d, **alpha).W, args.d)
+        m, log = extremal.staged_matching(H, P, args.d, **alpha)
         if m is None:
             rep = exact.SolveReport(0, (), False, 0, f"stalled at {log.stalled_stage}: {log.detail}")
         else:
             rep = exact.SolveReport(m.size, m.edges, True, 0, "target reached")
         extra["stage_log"] = log.to_json_dict()
     else:
-        cfg = augment.AugmentConfig(k_max=args.k_max, seed=args.seed)
-        rep = absorbing.perfect_via_absorbing(H, gamma=args.gamma, cfg=cfg, seed=args.seed)
+        cfg = augment.AugmentConfig(**_given(args, "k_max", "seed"))
+        rep = absorbing.perfect_via_absorbing(H, cfg=cfg, **_given(args, "gamma", "seed"))
     _emit({**rep.to_json_dict(), **extra}, args.out)
-    return EXIT_BUDGET if args.method == "exact" and not rep.optimal else EXIT_OK
+    return EXIT_BUDGET if method == "exact" and not rep.optimal else EXIT_OK
 
 
 # --- closeness ---------------------------------------------------------------
@@ -188,7 +174,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_closeness(args) -> int:
     H = read_h3(args.input)
-    rep = extremal.find_partition(H, args.d, mode=args.mode, alpha=args.alpha)
+    rep = extremal.find_partition(H, args.d, **_given(args, "mode", "alpha"))
     _emit(rep.to_json_dict(), args.out)
     return EXIT_OK
 
@@ -196,20 +182,14 @@ def _cmd_closeness(args) -> int:
 # --- verify ------------------------------------------------------------------
 
 
-def _cmd_verify(args) -> int:
-    if args.suite == "fact1":
-        try:
-            rep = verify_fact1()
-        except AssertionError as exc:
-            print(f"classification violated: {exc}", file=sys.stderr)
-            return EXIT_ASSERT
-        _emit(rep, args.out)
-        return EXIT_OK
-    if args.suite == "tightness":
-        return _verify_tightness(args)
-    if args.suite == "thresholds":
-        return _verify_thresholds(args)
-    return EXIT_USAGE  # pragma: no cover
+def _verify_fact1(args) -> int:
+    try:
+        rep = verify_fact1()
+    except AssertionError as exc:
+        print(f"classification violated: {exc}", file=sys.stderr)
+        return EXIT_ASSERT
+    _emit(rep, args.out)
+    return EXIT_OK
 
 
 def _verify_tightness(args) -> int:
@@ -219,7 +199,7 @@ def _verify_tightness(args) -> int:
     ok = True
     for n in range(6, args.n_max + 1, 3):
         H, P = constructions.extremal_star(n)
-        want_delta = math.comb(n - 1, 2) - math.comb(2 * n // 3, 2)
+        want_delta = threshold(n, n // 3)
         delta = H.min_degree(1)
         rep = exact.max_matching(H)
         row = {
@@ -358,54 +338,70 @@ def _build_parser() -> argparse.ArgumentParser:
         description="3-uniform hypergraph matching toolkit",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    # flags shared by the gen kinds and verify suites, copied into each through parents=
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    sized = argparse.ArgumentParser(add_help=False, parents=[out])
+    sized.add_argument("--n", type=int, required=True)
 
     gen = sub.add_parser("gen", help="generate an instance (.h3 plus .json sidecar)")
-    gen.add_argument("kind", choices=["star", "hnd", "bde", "random"])
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--d", type=int)
-    gen.add_argument("--p", type=float)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out")
     gen.set_defaults(func=_cmd_gen)
+    kinds = gen.add_subparsers(dest="kind", required=True)
+    kinds.add_parser("star", parents=[sized]).set_defaults(build=constructions.extremal_star)
+    for kind, build in (("hnd", constructions.cut_family), ("bde", constructions.blocker_family)):
+        kp = kinds.add_parser(kind, parents=[sized])
+        kp.add_argument("--d", type=int, required=True)
+        kp.set_defaults(build=build)
+    kp = kinds.add_parser("random", parents=[sized])
+    kp.add_argument("--p", type=float, required=True)
+    kp.add_argument("--seed", type=int, default=0)
+    kp.set_defaults(build=lambda n, p, seed: (constructions.random_triples(n, p, seed), None))
 
     deg = sub.add_parser("degrees", help="degree profile of an .h3 instance")
     deg.add_argument("input")
     deg.add_argument("--out")
     deg.set_defaults(func=_cmd_degrees)
 
-    solve = sub.add_parser("solve", help="run a solver on an .h3 instance")
+    # solve and closeness set no argument defaults: an absent flag is absent from the namespace
+    solve = sub.add_parser(
+        "solve", help="run a solver on an .h3 instance", argument_default=argparse.SUPPRESS
+    )
     meth = solve.add_mutually_exclusive_group(required=True)
-    meth.add_argument("--exact", dest="method", action="store_const", const="exact")
-    meth.add_argument("--augment", dest="method", action="store_const", const="augment")
-    meth.add_argument("--extremal", dest="method", action="store_const", const="extremal")
-    meth.add_argument("--absorbing", dest="method", action="store_const", const="absorbing")
+    for method in _SOLVE_READS:
+        meth.add_argument(f"--{method}", dest="method", action="store_const", const=method)
     solve.add_argument("input")
     solve.add_argument("--d", type=int)
-    solve.add_argument("--budget-nodes", type=int, default=10_000_000)
+    solve.add_argument("--budget-nodes", type=int)
     solve.add_argument("--budget-ms", type=float)
-    solve.add_argument("--k-max", type=int, default=5)
-    solve.add_argument("--alpha", type=float, default=0.05)
-    solve.add_argument("--gamma", type=float, default=0.8)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--k-max", type=int)
+    solve.add_argument("--alpha", type=float)
+    solve.add_argument("--gamma", type=float)
+    solve.add_argument("--seed", type=int)
     solve.add_argument("--explain", action="store_true")
-    solve.add_argument("--out")
+    solve.add_argument("--out", default=None)
     solve.set_defaults(func=_cmd_solve)
 
-    close = sub.add_parser("closeness", help="deficiency-minimizing partition search")
+    close = sub.add_parser(
+        "closeness", help="deficiency-minimizing partition search", argument_default=argparse.SUPPRESS
+    )
     close.add_argument("input")
     close.add_argument("--d", type=int, required=True)
-    close.add_argument("--mode", choices=["exhaustive", "local"], default="local")
-    close.add_argument("--alpha", type=float, default=0.05)
-    close.add_argument("--out")
+    close.add_argument("--mode", choices=["exhaustive", "local"])
+    close.add_argument("--alpha", type=float)
+    close.add_argument("--out", default=None)
     close.set_defaults(func=_cmd_closeness)
 
     ver = sub.add_parser("verify", help="verification suites")
-    ver.add_argument("suite", choices=["fact1", "tightness", "thresholds"])
-    ver.add_argument("--n", type=int, default=6)
-    ver.add_argument("--d", type=int, default=2)
-    ver.add_argument("--n-max", type=int, default=15)
-    ver.add_argument("--out")
-    ver.set_defaults(func=_cmd_verify)
+    suites = ver.add_subparsers(dest="suite", required=True)
+    suites.add_parser("fact1", parents=[out]).set_defaults(func=_verify_fact1)
+    # no abbreviations: --n would be read as --n-max
+    tight = suites.add_parser("tightness", parents=[out], allow_abbrev=False)
+    tight.add_argument("--n-max", type=int, default=15)
+    tight.set_defaults(func=_verify_tightness)
+    thr = suites.add_parser("thresholds", parents=[out])
+    thr.add_argument("--n", type=int, default=6)
+    thr.add_argument("--d", type=int, default=2)
+    thr.set_defaults(func=_verify_thresholds)
 
     sweep = sub.add_parser("sweep", help="random-instance sweep to CSV")
     sweep.add_argument("--n", type=int, required=True)

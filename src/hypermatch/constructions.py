@@ -5,9 +5,9 @@ Partition along with the hypergraph, so callers never have to re-infer
 it.  The distinguished class W always sits at the top of the index range
 unless the caller supplies one.
 
-Every generator except `pad_to_perfect` emits its triples sorted and in
-lexicographic order, so it builds through `Hypergraph3._from_canonical`
-and skips the per-edge canonicalisation of the constructor.
+Every generator puts its sorted triples in lexicographic order itself,
+so it builds through `Hypergraph3._from_canonical` and skips the
+per-edge canonicalisation of the constructor.
 
 Randomness is a seeded splitmix64 stream (documented below), chosen so
 that any implementation in any language can reproduce the exact same
@@ -148,6 +148,7 @@ def pad_to_perfect(H: Hypergraph3, d: int) -> Hypergraph3:
         return H
     n2 = H.n + a
     edges = list(H.edges)
-    # new vertices are the top indices, so "meets a new vertex" = max >= old n
+    # new vertices are the top indices, so "meets a new vertex" = max >= old n:
+    # the new triples are canonical and none of them is an old edge
     edges.extend(e for e in combinations(range(n2), 3) if e[2] >= H.n)
-    return Hypergraph3(n2, edges)
+    return Hypergraph3._from_canonical(n2, tuple(sorted(edges)))

@@ -74,7 +74,8 @@ class Hypergraph3:
 
     The constructor accepts any iterable of triples and canonicalises
     them.  Edge lists that are canonical already (`parse_h3` on a sorted
-    file, `remove_vertices`) skip that step through `_from_canonical`.
+    file, `remove_vertices`, the generators of `constructions`) skip that
+    step through `_from_canonical`.
     """
 
     def __init__(self, n: int, edges=()):

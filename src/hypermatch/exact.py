@@ -290,9 +290,7 @@ def max_matching_in_subset(H: Hypergraph3, subset, budget: SolveBudget | None = 
     t0 = time.perf_counter()
     active = 0
     for v in subset:
-        if not 0 <= v < H.n:
-            raise ValueError(f"vertex {v} out of range 0..{H.n - 1}")
-        active |= 1 << v
+        active |= 1 << H._check_vertex(v)
     inside = outside = 0
     for v, vinc in enumerate(H.incidence):
         if active >> v & 1:

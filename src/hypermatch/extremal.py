@@ -421,9 +421,11 @@ def staged_matching(
     """Five-stage d-matching construction tolerating bad vertices.
 
     Returns (matching, log) on success and (None, log) on stall, with
-    the failing stage and obligation named in the log.  Like every alpha
-    here, a negative or non-finite one raises ValueError.
+    the failing stage and obligation named in the log.  A negative d, and
+    like every alpha here a negative or non-finite one, raises ValueError.
     """
+    if d < 0:
+        raise ValueError("d must be non-negative")
     log = StageLog(alpha=alpha, theta=theta)
     report = classify_goodness(H, P, alpha)
     bad = set(report.bad_vertices)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypermatch
-from hypermatch import cli
+from hypermatch import absorbing, augment, cli, exact, extremal
 from hypermatch.cli import _build_parser, main
 from hypermatch.constructions import cut_family
 from hypermatch.core import build, read_h3, threshold, write_h3
@@ -160,7 +160,8 @@ class TestSolveCmd:
     def test_every_method_prints_the_solve_keys(self, tmp_path, method):
         h3 = tmp_path / "hnd15.h3"
         main(["gen", "hnd", "--n", "15", "--d", "5", "--out", str(h3)])
-        rc, rep = run_json(tmp_path, ["solve", method, str(h3), "--d", "5"])
+        target = [] if method == "--absorbing" else ["--d", "5"]
+        rc, rep = run_json(tmp_path, ["solve", method, str(h3), *target])
         assert rc == 0 and rep["schema"] == "hypermatch.solve/1"
         assert {"schema", "size", "matching", "optimal", "nodes", "detail"} <= rep.keys()
 
@@ -207,6 +208,15 @@ class TestSolveCmd:
         assert main(["solve", method, str(h3), "--d", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
+
+    def test_extremal_negative_target_is_usage_error(self, tmp_path, capsys):
+        # the sidecar gives the partition, so only the staged matcher sees --d
+        h3 = tmp_path / "hnd9.h3"
+        main(["gen", "hnd", "--n", "9", "--d", "3", "--out", str(h3)])
+        capsys.readouterr()
+        assert main(["solve", "--extremal", str(h3), "--d", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: d must be non-negative\n"
 
     def test_method_required(self, tmp_path):
         h3 = tmp_path / "x.h3"
@@ -421,19 +431,131 @@ class TestSweepCmd:
         assert not out.exists()
 
 
+# the flags each solve method reads, and a value for each flag
+SOLVE_READS = {
+    "--exact": {"--d", "--budget-nodes", "--budget-ms"},
+    "--augment": {"--d", "--k-max", "--seed", "--alpha", "--explain"},
+    "--extremal": {"--d", "--alpha"},
+    "--absorbing": {"--k-max", "--seed", "--gamma"},
+}
+FLAG_VALUES = {
+    "--d": ["5"], "--budget-nodes": ["1"], "--budget-ms": ["10"], "--k-max": ["2"],
+    "--alpha": ["0.1"], "--gamma": ["0.5"], "--seed": ["1"], "--explain": [],
+}
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("method,flag", [(m, f) for m in SOLVE_READS for f in FLAG_VALUES])
+    def test_solve_rejects_every_flag_its_method_does_not_read(self, tmp_path, capsys, method, flag):
+        # the input does not exist: an unread flag is refused before it is opened
+        missing = tmp_path / "missing.h3"
+        assert main(["solve", method, str(missing), flag, *FLAG_VALUES[flag]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if flag in SOLVE_READS[method]:
+            assert "does not read" not in captured.err and str(missing) in captured.err
+        else:
+            assert captured.err.startswith(f"error: solve {method} does not read {flag}; it reads only ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "star", "--n", "9", "--d", "3"],
+            ["gen", "star", "--n", "9", "--p", "0.5"],
+            ["gen", "star", "--n", "9", "--seed", "1"],
+            ["gen", "hnd", "--n", "9", "--d", "3", "--p", "0.5"],
+            ["gen", "hnd", "--n", "9", "--d", "3", "--seed", "1"],
+            ["gen", "bde", "--n", "9", "--d", "3", "--p", "0.5"],
+            ["gen", "bde", "--n", "9", "--d", "3", "--seed", "1"],
+            ["gen", "random", "--n", "9", "--p", "0.5", "--d", "3"],
+            ["verify", "fact1", "--n", "7"],
+            ["verify", "fact1", "--d", "2"],
+            ["verify", "fact1", "--n-max", "9"],
+            ["verify", "tightness", "--n", "7"],
+            ["verify", "tightness", "--d", "2"],
+            ["verify", "thresholds", "--n-max", "9"],
+        ],
+    )
+    def test_gen_and_verify_reject_flags_they_do_not_read(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "x.h3")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: " in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv,calls",
+        [
+            (["solve", "--exact"], {"SolveBudget": {}}),
+            (["solve", "--exact", "--d", "2", "--budget-nodes", "50", "--budget-ms", "900"],
+             {"SolveBudget": {"target": 2, "node_limit": 50, "time_limit_ms": 900.0}}),
+            (["solve", "--augment"], {"AugmentConfig": {}}),
+            (["solve", "--augment", "--k-max", "2", "--seed", "7"], {"AugmentConfig": {"k_max": 2, "seed": 7}}),
+            (["solve", "--augment", "--d", "5", "--explain"], {"AugmentConfig": {}, "find_partition": {}}),
+            (["solve", "--augment", "--explain", "--alpha", "0.2"],
+             {"AugmentConfig": {}, "find_partition": {"alpha": 0.2}}),
+            (["solve", "--extremal", "--d", "5"], {"staged_matching": {}}),
+            (["solve", "--extremal", "--d", "5", "--alpha", "0.2"], {"staged_matching": {"alpha": 0.2}}),
+            (["solve", "--absorbing"], {"AugmentConfig": {}, "perfect_via_absorbing": {}}),
+            (["solve", "--absorbing", "--gamma", "0.5", "--k-max", "2", "--seed", "7"],
+             {"AugmentConfig": {"k_max": 2, "seed": 7}, "perfect_via_absorbing": {"gamma": 0.5, "seed": 7}}),
+            (["closeness", "--d", "5"], {"find_partition": {}}),
+            (["closeness", "--d", "3", "--mode", "exhaustive", "--alpha", "0.2"],
+             {"find_partition": {"mode": "exhaustive", "alpha": 0.2}}),
+        ],
+    )
+    def test_given_flags_reach_the_library_as_keywords(self, tmp_path, capsys, monkeypatch, argv, calls):
+        # the first call of each library entry point, keyword arguments only (cfg aside);
+        # SolveBudget is built for --exact alone
+        h3 = tmp_path / "b15.h3"
+        assert main(["gen", "bde", "--n", "15", "--d", "5", "--out", str(h3)]) == 0
+        seen = {}
+        for owner, name in [(exact, "SolveBudget"), (augment, "AugmentConfig"), (extremal, "find_partition"),
+                            (extremal, "staged_matching"), (absorbing, "perfect_via_absorbing")]:
+            def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+                seen.setdefault(_name, {k: v for k, v in kwargs.items() if k != "cfg"})
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, spy)
+        assert main(argv + [str(h3)]) in (0, 3)
+        assert seen == calls
+
+    @pytest.mark.parametrize(
+        "instance,command,defaults",
+        [
+            (["hnd", "--n", "15", "--d", "5"], ["solve", "--exact"], ["--budget-nodes", "10000000"]),
+            (["bde", "--n", "15", "--d", "5"], ["solve", "--augment"], ["--k-max", "5", "--seed", "0"]),
+            (["bde", "--n", "15", "--d", "5"], ["solve", "--augment", "--explain"], ["--alpha", "0.05"]),
+            (["random", "--n", "15", "--p", "0.8", "--seed", "4"], ["solve", "--absorbing"],
+             ["--gamma", "0.8", "--k-max", "5", "--seed", "0"]),
+            (["bde", "--n", "15", "--d", "5"], ["solve", "--extremal", "--d", "5"], ["--alpha", "0.05"]),
+            (["hnd", "--n", "12", "--d", "4"], ["closeness", "--d", "4"], ["--mode", "local", "--alpha", "0.05"]),
+        ],
+        ids=["exact", "augment", "augment-explain", "absorbing", "extremal", "closeness"],
+    )
+    def test_absent_flag_is_the_library_default(self, tmp_path, capsys, instance, command, defaults):
+        h3 = tmp_path / "x.h3"
+        assert main(["gen", *instance, "--out", str(h3)]) == 0
+        capsys.readouterr()
+        outputs = []
+        for argv in (command + [str(h3)], command + [str(h3)] + defaults):
+            assert main(argv) in (0, 3)
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] and outputs[0].out
+
+
 class TestParserReuse:
     def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
         """The parser is built once per process; no default or namespace state leaks between calls.
 
-        --budget-nodes 1 does not affect augment, but would end a later
-        exact solve with exit 3 if it leaked into that call.
+        --budget-nodes 1 ends the third call, an exact solve, with exit 3,
+        and would end the plain exact solve after it the same way if it leaked.
         """
         h3 = tmp_path / "hnd.h3"
         assert main(["gen", "hnd", "--n", "12", "--d", "4", "--out", str(h3)]) == 0
         calls = [
             ["solve", "--exact", "--augment", str(h3), "--budget-nodes", "1"],
             ["solve", "--exact", str(h3)],
-            ["solve", "--augment", str(h3), "--k-max", "2", "--budget-nodes", "1"],
+            ["solve", "--exact", str(h3), "--budget-nodes", "1"],
             ["closeness", str(h3), "--d", "4", "--mode", "local"],
             ["solve", "--exact", str(h3)],
         ]
@@ -450,7 +572,7 @@ class TestParserReuse:
                 [sys.executable, "-m", "hypermatch.cli", *argv], capture_output=True, text=True, env=env
             )
             fresh.append((proc.returncode, proc.stdout))
-        assert [rc for rc, _ in in_process] == [2, 0, 0, 0, 0]
+        assert [rc for rc, _ in in_process] == [2, 0, 3, 0, 0]
         assert in_process == fresh
 
 
@@ -519,13 +641,11 @@ def test_fuzzed_inputs_exit_cleanly(command, h3, sidecar, d, k_max, budget_nodes
         if sidecar is not None:
             Path(tmp, "x.json").write_text(sidecar, encoding="utf-8")
         argv = command + [path]
-        if d is not None:
-            argv += ["--d", str(d)]
-        if command[0] == "solve":
-            if k_max is not None:
-                argv += ["--k-max", str(k_max)]
-            if budget_nodes is not None:
-                argv += ["--budget-nodes", str(budget_nodes)]
+        # only the flags the command reads, so that every example reaches its solver
+        reads = SOLVE_READS[command[1]] if command[0] == "solve" else {"--d"} if command[0] == "closeness" else set()
+        for flag, value in (("--d", d), ("--k-max", k_max), ("--budget-nodes", budget_nodes)):
+            if value is not None and flag in reads:
+                argv += [flag, str(value)]
         flags = {"--absorbing": "--gamma", "--extremal": "--alpha", "closeness": "--alpha"}
         real_flag = next((flags[word] for word in command if word in flags), None)
         if real is not None and real_flag:

@@ -14,7 +14,7 @@ from hypermatch.constructions import (
     random_triples,
     splitmix64_stream,
 )
-from hypermatch.core import Matching, build, threshold
+from hypermatch.core import Hypergraph3, Matching, build, threshold
 from hypermatch.exact import has_d_matching
 from oracles import naive_has_k_matching, naive_hypergraph, naive_max_matching
 
@@ -257,6 +257,18 @@ class TestPadToPerfect:
         H, _ = cut_family(10, 2)
         Hp = pad_to_perfect(H, 2)
         assert H.edge_set <= Hp.edge_set
+
+    @pytest.mark.parametrize("n", range(16))
+    def test_matches_canonicalising_constructor(self, n):
+        # the old edges and the new ones (max >= n) are each canonical and
+        # disjoint, so sorting them together is all the builder needs
+        for d in range(n // 3 + 1):
+            for H in (cut_family(n, d)[0], random_triples(n, 0.3, 100 * n + d)):
+                Hp = pad_to_perfect(H, d)
+                n2 = n + (n - 3 * d) // 2
+                edges = list(H.edges) + [e for e in combinations(range(n2), 3) if e[2] >= n]
+                assert Hp == Hypergraph3(n2, edges)
+                _same_views(Hp, edges)
 
     @pytest.mark.parametrize("n,d", [(n, d) for n in range(6, 31, 3) for d in (1, 2, n // 3)])
     def test_padded_degree_bound(self, n, d):

@@ -199,6 +199,12 @@ class TestGoodCase:
 
 
 class TestStaged:
+    def test_negative_d_is_a_value_error(self):
+        # a stall would report "residual target -1 infeasible", which is no answer
+        H, P = cut_family(9, 3)
+        with pytest.raises(ValueError, match="d must be non-negative"):
+            staged_matching(H, P, -1)
+
     def test_exact_family_skips_stages(self):
         H, P = cut_family(9, 3)
         M, log = staged_matching(H, P, 3)
