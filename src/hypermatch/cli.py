@@ -136,6 +136,8 @@ def _cmd_solve(args) -> int:
     unread = sorted((given & _SOLVE_FLAGS).difference(reads))
     if unread:
         raise ValueError(f"solve --{method} does not read {', '.join(unread)}; it reads only {', '.join(reads)}")
+    if method == "extremal" and "d" not in args:
+        raise ValueError("solve --extremal requires --d")
     H = read_h3(args.input)
     extra = {}
     if method == "exact":
@@ -149,9 +151,6 @@ def _cmd_solve(args) -> int:
             close = extremal.find_partition(H, min(d, H.n // 3), **_given(args, "alpha"))
             extra["closeness_on_stall"] = close.to_json_dict()
     elif method == "extremal":
-        if "d" not in args:
-            print("solve --extremal requires --d", file=sys.stderr)
-            return EXIT_USAGE
         alpha = _given(args, "alpha")
         P = _load_partition(args, H)
         if P is None:

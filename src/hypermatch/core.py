@@ -7,15 +7,23 @@ hypergraph keeps one incidence bitmask per vertex (bit i set iff edge i
 contains the vertex), so degree, codegree and link extraction are
 word-level operations at the instance sizes this library targets.
 
-One private builder, `Hypergraph3._from_canonical`, derives every view
-from an edge list that is already canonical; the incidence masks are
-built in linear time, one packed bit row per vertex.  The frozenset
-`edge_set` and the per-edge `edge_masks` are built on first use (the
-closeness path reads neither).  The constructor canonicalises
-arbitrary triples with `_canon_edge` before it calls the builder;
-`remove_vertices` (an order-preserving relabelling keeps edges
-canonical) and `parse_h3` on an already canonical body (the fast path:
-`.h3` files are written sorted) call it directly.
+Two private builders derive every view from edges that are already
+canonical.  Both build the incidence masks in linear time, one packed
+bit row per vertex (bit k of byte j is edge 8j + k).
+`Hypergraph3._from_canonical` takes an edge list and sets the three
+vertices of each edge in turn.  The constructor calls it after it has
+canonicalised arbitrary triples with `_canon_edge`; `remove_vertices`
+(an order-preserving relabelling keeps edges canonical) and the
+generators of `constructions` call it directly.
+`Hypergraph3._from_columns` takes the columns A, B, C of a canonical
+body, which `parse_h3` has parsed and checked (the fast path: `.h3`
+files are written sorted).  A is non-decreasing, so the edges of each
+first vertex form one run of indices, set as one range mask; B and C
+are set in eight passes, one per residue of the edge index mod 8.
+Before that, `parse_h3` decodes each distinct token once: a body holds
+about n distinct tokens among its 3m.  The frozenset `edge_set` and the
+per-edge `edge_masks` are built on first use (the closeness path reads
+neither).
 
 All objects here are immutable after construction; operations that
 "modify" a hypergraph return a new one.
@@ -27,8 +35,8 @@ import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
-from itertools import combinations
-from operator import lt
+from itertools import combinations, compress, count
+from operator import lt, ne
 from typing import ClassVar
 
 __all__ = [
@@ -73,9 +81,10 @@ class Hypergraph3:
     incidence : per-vertex bitmask over edge indices.
 
     The constructor accepts any iterable of triples and canonicalises
-    them.  Edge lists that are canonical already (`parse_h3` on a sorted
-    file, `remove_vertices`, the generators of `constructions`) skip that
-    step through `_from_canonical`.
+    them.  Edge lists that are canonical already (`remove_vertices`, the
+    generators of `constructions`) skip that step through
+    `_from_canonical`; `parse_h3` on a sorted file skips it through
+    `_from_columns`, which builds `incidence` from the parsed columns.
     """
 
     def __init__(self, n: int, edges=()):
@@ -102,6 +111,30 @@ class Hypergraph3:
             rows[b][j] |= bit
             rows[c][j] |= bit
         self.incidence = tuple(int.from_bytes(row, "little") for row in rows)
+
+    @classmethod
+    def _from_columns(cls, n: int, edges: tuple[Edge, ...], A, B, C) -> "Hypergraph3":
+        """`_from_canonical(n, edges)`, built from the columns of edges: edges[i] == (A[i], B[i], C[i])."""
+        H = cls.__new__(cls)
+        H.n = n
+        H.edges = edges
+        m = len(edges)
+        # A is non-decreasing, so the edges that share a first vertex form
+        # one run of indices [s, e), set as one range mask
+        starts = list(compress(count(), map(ne, A, [-1, *A])))
+        runs = [0] * n
+        for s, e in zip(starts, [*starts[1:], m]):
+            runs[A[s]] = ((1 << (e - s)) - 1) << s
+        # B and C go into packed rows as in _set_views, one pass per residue
+        # k of the edge index: edge 8j + k is bit k of byte j
+        rows = [bytearray((m + 7) >> 3) for _ in range(n)]
+        for k in range(8):
+            bit = 1 << k
+            for j, b, c in zip(count(), B[k::8], C[k::8]):
+                rows[b][j] |= bit
+                rows[c][j] |= bit
+        H.incidence = tuple(run | int.from_bytes(row, "little") for run, row in zip(runs, rows))
+        return H
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -360,16 +393,20 @@ def parse_h3(text: str) -> Hypergraph3:
     tokens = _COMMENT.sub("", text).split()
     if len(tokens) < 2:
         raise ValueError("missing 'n m' header")
+    # a body repeats about n distinct tokens 3m times: decode each once, in
+    # order of first appearance, so the first bad token is the one named
+    distinct = dict.fromkeys(tokens)
     try:
-        nums = list(map(int, tokens))
+        value = dict(zip(distinct, map(int, distinct)))
     except ValueError as exc:
         raise ValueError(f"non-integer token in .h3 input: {exc}") from None
+    nums = list(map(value.__getitem__, tokens))
     n, m = nums[0], nums[1]
     body = nums[2:]
     if len(body) != 3 * m:
         raise ValueError(f"expected {3 * m} vertex tokens for {m} edges, got {len(body)}")
     A, B, C = body[0::3], body[1::3], body[2::3]
-    edges = list(zip(A, B, C))
+    edges = tuple(zip(A, B, C))
     # fast path: sorted in-range triples in strictly increasing order are
     # canonical already, which a file written by to_h3 always is
     if (
@@ -380,7 +417,7 @@ def parse_h3(text: str) -> Hypergraph3:
         and max(C) < n
         and all(map(lt, edges, edges[1:]))
     ):
-        return Hypergraph3._from_canonical(n, tuple(edges))
+        return Hypergraph3._from_columns(n, edges, A, B, C)
     return Hypergraph3(n, edges)
 
 

@@ -452,10 +452,23 @@ class TestFlagsPerCommand:
         assert main(["solve", method, str(missing), flag, *FLAG_VALUES[flag]]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        if flag in SOLVE_READS[method]:
-            assert "does not read" not in captured.err and str(missing) in captured.err
-        else:
+        if flag not in SOLVE_READS[method]:
             assert captured.err.startswith(f"error: solve {method} does not read {flag}; it reads only ")
+        elif method == "--extremal" and flag != "--d":
+            # a missing --d is refused before the input is opened, like an unread flag
+            assert captured.err == "error: solve --extremal requires --d\n"
+        else:
+            assert "does not read" not in captured.err and str(missing) in captured.err
+
+    @pytest.mark.parametrize("exists", [False, True], ids=["missing-input", "input"])
+    def test_extremal_without_d_is_refused_before_the_input_is_read(self, tmp_path, capsys, exists):
+        h3 = tmp_path / "hnd12.h3"
+        if exists:
+            main(["gen", "hnd", "--n", "12", "--d", "4", "--out", str(h3)])
+            capsys.readouterr()
+        assert main(["solve", "--extremal", str(h3)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: solve --extremal requires --d\n"
 
     @pytest.mark.parametrize(
         "argv",

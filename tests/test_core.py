@@ -400,6 +400,91 @@ def test_many_vertices_few_edges_stay_small():
     assert peak < 64 * 2**20
 
 
+# --- the column loader: canonical bodies against the original reader ------------
+
+
+@pytest.fixture
+def columns_only(monkeypatch):
+    """Canonical bodies must load through the column builder, never through _canon_edge."""
+
+    def refuse(edge, n):
+        raise AssertionError("canonical input was re-canonicalised")
+
+    monkeypatch.setattr(core, "_canon_edge", refuse)
+
+
+def h3_text(n, edges):
+    return f"{n} {len(edges)}\n" + "".join(f"{a} {b} {c}\n" for a, b, c in edges)
+
+
+def block_union(blocks, seed):
+    """Disjoint random_triples(9, 0.12) blocks; block b holds the vertices 9b..9b+8."""
+    parts = [random_triples(9, 0.12, seed + b) for b in range(blocks)]
+    return 9 * blocks, [tuple(9 * b + v for v in e) for b, B in enumerate(parts) for e in B.edges]
+
+
+@pytest.mark.parametrize(
+    "n,edges",
+    [
+        (45, cut_family(45, 15)[0].edges),
+        *((60, random_triples(60, 0.05, s).edges) for s in range(3)),
+        block_union(16, 5),
+        (3000, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)]),
+    ],
+    ids=["cut-45-15", "random-60-s0", "random-60-s1", "random-60-s2", "union-16-blocks", "disjoint-1000"],
+)
+def test_large_canonical_bodies_match_original_reader(columns_only, n, edges):
+    text = h3_text(n, edges)
+    assert views(parse_h3, text) == views(naive_parse_h3, text)
+    assert parse_h3(text).edges == tuple(edges)
+
+
+# edge counts on both sides of a byte of the packed rows: every residue of
+# the edge index mod 8 is empty, partly filled or full
+EDGE_COUNTS = [0, 1, 7, 8, 9, 15, 16, 17]
+
+
+@pytest.mark.parametrize("m", EDGE_COUNTS)
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_bodies_at_byte_edges_match_original_reader(columns_only, m, seed):
+    edges = sorted(random.Random(seed).sample(list(combinations(range(9), 3)), m))
+    text = h3_text(9, edges)
+    assert views(parse_h3, text) == views(naive_parse_h3, text)
+
+
+@pytest.mark.parametrize("m", EDGE_COUNTS[1:])
+@pytest.mark.parametrize("first", [0, 3])
+def test_one_first_vertex_owns_every_edge(columns_only, m, first):
+    # one run of first vertices covering every edge index; B and C columns repeat labels
+    edges = [(first, b, c) for b, c in combinations(range(first + 1, first + 9), 2)][:m]
+    text = h3_text(first + 9, edges)
+    assert views(parse_h3, text) == views(naive_parse_h3, text)
+    assert parse_h3(text).incidence[first] == (1 << m) - 1
+
+
+def test_equal_values_in_distinct_tokens(columns_only):
+    # "01", "+0" and "1" are distinct tokens, each decoded once, to equal values
+    text = "4 2\n0 1 2\n+0 01 3\n"
+    assert views(parse_h3, text) == views(naive_parse_h3, text)
+    assert parse_h3(text).edges == ((0, 1, 2), (0, 1, 3))
+
+
+@pytest.mark.parametrize(
+    "text,bad",
+    [
+        ("4 2\n0 1 y\n0 1 x\n", "y"),  # the first bad token in the file, not in order of value
+        ("4 3\n0 1 y\n0 1 x\n1 2 y\n", "y"),  # a bad token that repeats
+        ("4 2\n0 1 2\n0 1 x\n", "x"),  # after good tokens that repeat
+        ("x 1\n0 1 2\n", "x"),  # the header's n
+        ("4 1.0\n0 1 2\n", "1.0"),  # the header's m
+        ("4 1\n0 1 x # y\n", "x"),
+    ],
+)
+def test_first_bad_token_is_named(text, bad):
+    message = f"non-integer token in .h3 input: invalid literal for int() with base 10: {bad!r}"
+    assert views(parse_h3, text) == views(naive_parse_h3, text) == ("ValueError", message)
+
+
 # --- JSON reports ----------------------------------------------------------------
 
 
