@@ -236,6 +236,7 @@ def find_absorbing(
 
     chosen: list[int] = []  # edge indices
     covered = 0
+    free = (1 << H.m) - 1  # the edges disjoint from V(M*)
     # base is never advanced: a sampling round tees a fresh copy from its start
     base = splitmix64_stream(seed)
     indexed = False  # triples holds every triple over the last round's outside
@@ -243,8 +244,7 @@ def find_absorbing(
         outside = [v for v in range(n) if not covered >> v & 1]
         verification = "exhaustive" if len(outside) <= _EXHAUSTIVE_LIMIT else "sampled"
         if indexed:
-            # this round's triples are the index's that miss the edge just added
-            a, b, c = H.edges[chosen[-1]]
+            # this round's triples are the index's that miss (a, b, c), the edge just added
             tracked &= ~(touch[a] | touch[b] | touch[c])
         else:
             base, stream = tee(base)
@@ -258,16 +258,16 @@ def find_absorbing(
         if not lacking or len(chosen) >= cap:
             break
         best_i, best_gain = None, 0
-        for i, em in enumerate(H.edge_masks):
-            if em & covered:
-                continue
+        for i in _bits(free):
             gain = (masks[i] & lacking).bit_count()
             if gain > best_gain:
                 best_gain, best_i = gain, i
         if best_i is None:
             break
         chosen.append(best_i)
-        covered |= H.edge_masks[best_i]
+        a, b, c = H.edges[best_i]
+        covered |= 1 << a | 1 << b | 1 << c
+        free &= ~(H.incidence[a] | H.incidence[b] | H.incidence[c])
 
     min_cvg = sum(1 for level in ge[1:] if not tracked & ~level) if tracked else t
     lacking_n = lacking.bit_count()

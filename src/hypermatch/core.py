@@ -21,9 +21,9 @@ files are written sorted).  A is non-decreasing, so the edges of each
 first vertex form one run of indices, set as one range mask; B and C
 are set in eight passes, one per residue of the edge index mod 8.
 Before that, `parse_h3` decodes each distinct token once: a body holds
-about n distinct tokens among its 3m.  The frozenset `edge_set` and the
-per-edge `edge_masks` are built on first use (the closeness path reads
-neither).
+about n distinct tokens among its 3m.  Incidence is the only view indexed
+by edge (the vertices of edge i are `edges[i]`), and the frozenset
+`edge_set` is built on first use.
 
 All objects here are immutable after construction; operations that
 "modify" a hypergraph return a new one.
@@ -76,9 +76,8 @@ class Hypergraph3:
     edges : tuple of sorted vertex triples, lexicographically ordered.
     edge_set : frozenset of the same triples, for O(1) membership; built
         on first use.
-    edge_masks : per-edge vertex bitmask (bit v set iff v in edge); built
-        on first use.
-    incidence : per-vertex bitmask over edge indices.
+    incidence : per-vertex bitmask over edge indices, the only view
+        indexed by edge.
 
     The constructor accepts any iterable of triples and canonicalises
     them.  Edge lists that are canonical already (`remove_vertices`, the
@@ -140,10 +139,6 @@ class Hypergraph3:
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    @cached_property
-    def edge_masks(self) -> tuple[int, ...]:
-        return tuple((1 << a) | (1 << b) | (1 << c) for a, b, c in self.edges)
-
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -175,6 +170,9 @@ class Hypergraph3:
         if ell == 2:
             if self.n < 2:
                 raise ValueError("minimum codegree needs at least 2 vertices")
+            # v meets at most 2 deg(v) others; if no v meets fewer than n - 1, C(n, 2) <= 3m
+            if 2 * min(x.bit_count() for x in self.incidence) < self.n - 1:
+                return 0
             return min(
                 (self.incidence[u] & self.incidence[v]).bit_count()
                 for u, v in combinations(range(self.n), 2)

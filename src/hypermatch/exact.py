@@ -105,7 +105,7 @@ def _search(
     and matched: the node limit, the clock check every 256 nodes and the
     target apply to the whole solve, and the report's nodes include them.
     """
-    inc, edges, edge_masks = H.incidence, H.edges, H.edge_masks
+    inc, edges = H.incidence, H.edges
     node_limit, time_limit = budget.node_limit, budget.time_limit_ms
     target = None if budget.target is None else budget.target - found
     best_size = 0
@@ -165,7 +165,7 @@ def _search(
             i = branch.bit_length() - 1
             branch ^= 1 << i
             a, b, c = edges[i]
-            gone = edge_masks[i]
+            gone = 1 << a | 1 << b | 1 << c
             stack.append(
                 (avail & ~(inc[a] | inc[b] | inc[c]), live_mask & ~gone, depth + 1, (edges[i], chosen), state, gone)
             )
@@ -213,14 +213,14 @@ def _components(H: Hypergraph3) -> list[tuple[int, int]]:
     """(edge mask, vertex mask) of each connected component with edges, by lowest vertex.
 
     Stops after one component when it holds every edge.  A component grows
-    in rounds: the vertices of its new edges come from OR-ing their
-    edge_masks, or, once the new edges outnumber the vertices, from one
-    incidence test per vertex.  So a sparse component costs work in
-    proportion to its own edges, and a dense input a few passes over n
-    (OR-ing edge by edge is quadratic in m: each step rewrites an m-bit
-    mask).
+    in rounds: the vertices of its new edges come from OR-ing their vertex
+    bits (read from H.edges), or, once the new edges outnumber the
+    vertices, from one incidence test per vertex.  So a sparse component
+    costs work in proportion to its own edges, and a dense input a few
+    passes over n (walking the new edges one by one is quadratic in m:
+    each step rewrites an m-bit mask).
     """
-    inc, edge_masks, n = H.incidence, H.edge_masks, H.n
+    inc, edges, n = H.incidence, H.edges, H.n
     left = (1 << H.m) - 1  # edges of components not found yet
     comps = []
     for s in range(n):
@@ -240,7 +240,8 @@ def _components(H: Hypergraph3) -> list[tuple[int, int]]:
                 while new:
                     low = new & -new
                     new ^= low
-                    grown |= edge_masks[low.bit_length() - 1]
+                    a, b, c = edges[low.bit_length() - 1]
+                    grown |= 1 << a | 1 << b | 1 << c
             grown &= ~comp_vertices
             comp_vertices |= grown
             while grown:
@@ -291,13 +292,11 @@ def max_matching_in_subset(H: Hypergraph3, subset, budget: SolveBudget | None = 
     active = 0
     for v in subset:
         active |= 1 << H._check_vertex(v)
-    inside = outside = 0
+    outside = 0  # the edges that leave the subset
     for v, vinc in enumerate(H.incidence):
-        if active >> v & 1:
-            inside |= vinc
-        else:
+        if not active >> v & 1:
             outside |= vinc
-    return _search(H, inside & ~outside, active, budget, t0)
+    return _search(H, ((1 << H.m) - 1) & ~outside, active, budget, t0)
 
 
 def has_d_matching(

@@ -5,14 +5,15 @@ by raw combination enumeration, pattern perfect matchings by the 3x3
 permanent, closeness by listing every triple of the cut-family model,
 hypergraph views by the original per-edge constructor, the good-case and
 staged matchers by their original nested loops over triple lookups, the
-move search by its original loop over small uncovered sets U', the
-threshold scan by the old down-set walk and by an independent-set count
-over the disjointness graph, pattern relabelings bit by bit, and the exact
-branch and bound by its original form, with a fresh greedy cover at every
-node, the absorbing construction by its original form, with fresh absorb
-masks in every round, and the leftover fold by its original enumeration of
-every partition with a public absorbs() test per (edge, triple) pair.  They
-are slow and obviously correct, which is the point.
+greedy start by its pass over every edge, the move search by its original
+loop over small uncovered sets U', the threshold scan by the old down-set
+walk and by an independent-set count over the disjointness graph,
+pattern relabelings bit by bit, and the exact branch and bound by its
+original form, with a fresh greedy cover at every node, the absorbing
+construction by its original form, with fresh absorb masks in every
+round, and the leftover fold by its original enumeration of every
+partition with a public absorbs() test per (edge, triple) pair.  They are
+slow and obviously correct, which is the point.
 """
 
 import math
@@ -39,9 +40,14 @@ from hypermatch.exact import SolveBudget, SolveReport, max_matching_in_subset
 from hypermatch.extremal import StageLog, classify_goodness
 
 
+def _edge_masks(H) -> list[int]:
+    """One vertex mask per edge of H (bit v set iff v is on the edge), from H.edges."""
+    return [(1 << a) | (1 << b) | (1 << c) for a, b, c in H.edges]
+
+
 def naive_max_matching(H) -> int:
     """Largest k such that some k edges are pairwise disjoint (combinations scan)."""
-    masks = H.edge_masks
+    masks = _edge_masks(H)
     for k in range(H.n // 3, 0, -1):
         for combo in combinations(masks, k):
             total = 0
@@ -59,7 +65,7 @@ def naive_max_matching(H) -> int:
 def naive_has_k_matching(H, k: int) -> bool:
     if k == 0:
         return True
-    for combo in combinations(H.edge_masks, k):
+    for combo in combinations(_edge_masks(H), k):
         total = 0
         ok = True
         for m in combo:
@@ -126,7 +132,7 @@ def model_badness(H, W) -> tuple[int, ...]:
 def percover_search(H, active: int, budget: SolveBudget) -> SolveReport:
     """The exact B&B before children shared their parent's cover: one fresh greedy cover per node."""
     t0 = time.perf_counter()
-    inc, edges, edge_masks = H.incidence, H.edges, H.edge_masks
+    inc, edges, edge_masks = H.incidence, H.edges, _edge_masks(H)
     node_limit, time_limit, target = budget.node_limit, budget.time_limit_ms, budget.target
     inside = outside = 0
     for v, vinc in enumerate(inc):
@@ -374,7 +380,6 @@ def naive_hypergraph(n: int, edges) -> SimpleNamespace:
         n=int(n),
         edges=out,
         edge_set=frozenset(out),
-        edge_masks=tuple((1 << a) | (1 << b) | (1 << c) for a, b, c in out),
         incidence=tuple(inc),
     )
 
@@ -650,6 +655,25 @@ def naive_staged_matching(H, P, d: int, alpha: float = 0.05, theta: float = 0.01
     return matching, log
 
 
+def naive_greedy_matching(H: Hypergraph3, seed: int | None = None) -> Matching:
+    """The original greedy start: one pass over every edge (lexicographic, or shuffled by seed)."""
+    order = list(range(H.m))
+    if seed is not None:
+        rng = splitmix64_stream(seed)
+        for j in range(len(order) - 1):
+            r = j + next(rng) % (len(order) - j)
+            order[j], order[r] = order[r], order[j]
+    edge_masks = _edge_masks(H)
+    covered = 0
+    picked = []
+    for i in order:
+        mask = edge_masks[i]
+        if not mask & covered:
+            covered |= mask
+            picked.append(H.edges[i])
+    return Matching(H, sorted(picked))
+
+
 def naive_augment_once(
     H: Hypergraph3,
     M: Matching,
@@ -823,6 +847,7 @@ def perround_find_absorbing(
     hyp = H.m > 0 and H.min_degree(1) >= (0.5 + 2 * gamma) * math.comb(n, 2)
     links = _pair_links(H)
 
+    edge_masks = _edge_masks(H)
     chosen: list[int] = []  # edge indices
     covered = 0
     # base is never advanced: each round reads a fresh copy from the start,
@@ -841,7 +866,7 @@ def perround_find_absorbing(
             break
         best_i = None
         best_gain = 0
-        for i, em in enumerate(H.edge_masks):
+        for i, em in enumerate(edge_masks):
             if em & covered:
                 continue
             gain = (mask_of(i) & lacking).bit_count()
@@ -850,7 +875,7 @@ def perround_find_absorbing(
         if best_i is None:
             break
         chosen.append(best_i)
-        covered |= H.edge_masks[best_i]
+        covered |= edge_masks[best_i]
 
     edges = tuple(H.edges[i] for i in chosen)
     min_cvg = sum(1 for level in ge[1:] if not full & ~level) if triples else t

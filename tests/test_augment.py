@@ -4,7 +4,7 @@ import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypermatch.augment
@@ -12,7 +12,7 @@ from hypermatch.augment import AugmentConfig, augment_once, greedy_matching, rep
 from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples
 from hypermatch.core import Matching, build
 from hypermatch.exact import max_matching
-from oracles import naive_augment_once, naive_max_matching
+from oracles import naive_augment_once, naive_greedy_matching, naive_max_matching
 
 from move_fixtures import five_for_six_fixture, one_for_two_fixture, two_for_three_fixture
 
@@ -41,6 +41,22 @@ class TestGreedy:
             M = greedy_matching(H, seed=seed)
             unc = set(M.uncovered)
             assert not any(set(e) <= unc for e in H.edges)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 21),
+    st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.7, 1.0]),
+    st.integers(0, 2**32),
+    st.one_of(st.none(), st.integers(0, 2**64 - 1)),
+)
+@example(n=12, p=0.0, host_seed=0, seed=None)
+@example(n=12, p=0.0, host_seed=0, seed=7)
+def test_property_greedy_matches_the_edge_pass(n, p, host_seed, seed):
+    # the lowest-bit walk (seed None) and the seeded pass pick the same
+    # edges as one pass over every edge in the same order
+    H = random_triples(n, p, host_seed)
+    assert greedy_matching(H, seed).edges == naive_greedy_matching(H, seed).edges
 
 
 class TestAugmentOnce:

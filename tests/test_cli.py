@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 import hypermatch
 from hypermatch import absorbing, augment, cli, exact, extremal
 from hypermatch.cli import _build_parser, main
-from hypermatch.constructions import cut_family
-from hypermatch.core import build, read_h3, threshold, write_h3
+from hypermatch.constructions import cut_family, random_triples
+from hypermatch.core import build, degree_profile, read_h3, threshold, write_h3
 from oracles import intersecting_family_count, naive_threshold_scan, walk_threshold_scan
 
 
@@ -81,6 +82,43 @@ class TestDegreesCmd:
         assert rc == 0
         assert rep["delta1"] == 18
         assert rep["delta2"] == 3
+
+    def test_empty_vertex_set_is_a_usage_error(self, tmp_path, capsys):
+        h3 = tmp_path / "e.h3"
+        h3.write_text("0 0\n")
+        assert main(["degrees", str(h3)]) == 2
+        assert capsys.readouterr() == ("", "error: degree profile of an empty vertex set is undefined\n")
+
+    def test_sparse_file_needs_no_pair_table(self, tmp_path):
+        # 1000 disjoint edges on 3000 vertices: delta2 is 0 without the
+        # C(3000, 2) = 4.5M codegrees that degree_profile would build
+        h3, out = tmp_path / "d.h3", tmp_path / "d.json"
+        write_h3(build(3000, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)]), h3)
+        tracemalloc.start()
+        try:
+            assert main(["degrees", str(h3), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rep = json.loads(out.read_text())
+        assert (rep["n"], rep["m"], rep["delta1"], rep["delta2"]) == (3000, 1000, 1, 0)
+        assert rep["degrees"] == [1] * 3000
+        assert peak < 6 * 2**20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 15), st.sampled_from([0.0, 0.03, 0.1, 0.2, 0.5, 0.9, 1.0]), st.integers(0, 2**32))
+def test_property_degrees_match_the_profile(n, p, seed):
+    # the minimum codegree's shortcut (some vertex on fewer than (n - 1) / 2
+    # edges) and the full pair pass both agree with the pair table
+    H = random_triples(n, p, seed)
+    prof = degree_profile(H)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "x.h3"), os.path.join(tmp, "x.json")
+        write_h3(H, path)
+        assert main(["degrees", path, "--out", out]) == 0
+        rep = json.loads(Path(out).read_text())
+    assert (rep["degrees"], rep["delta1"], rep["delta2"]) == (list(prof.degrees), prof.delta1, prof.delta2)
 
 
 class TestSolveCmd:

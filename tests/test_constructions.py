@@ -206,7 +206,7 @@ def _same_views(H, edges):
     # equal those of the original per-edge constructor on the same triples
     want = naive_hypergraph(H.n, edges)
     assert (H.n, H.edges, H.incidence) == (want.n, want.edges, want.incidence)
-    assert (H.edge_set, H.edge_masks) == (want.edge_set, want.edge_masks)
+    assert H.edge_set == want.edge_set
 
 
 class TestCanonicalBuild:

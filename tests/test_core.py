@@ -256,11 +256,22 @@ def test_degree_profile():
         degree_profile(build(0, []))
 
 
+def test_min_codegree_at_the_shortcut_boundary():
+    # the Fano plane: every vertex on 3 = (n - 1) / 2 edges and every pair on
+    # one, so no vertex proves a codegree of 0; without one line, three do
+    fano = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (0, 4, 5), (1, 5, 6), (0, 2, 6)]
+    assert build(7, fano).min_degree(2) == degree_profile(build(7, fano)).delta2 == 1
+    assert build(7, fano[1:]).min_degree(2) == 0
+    assert build(2, []).min_degree(2) == 0
+    with pytest.raises(ValueError):
+        build(1, []).min_degree(2)
+
+
 # --- fast paths against the original constructor (tests/oracles.py) ---------
 
 
 def views_of(H):
-    return (H.n, H.edges, H.edge_masks, H.incidence, H.edge_set)
+    return (H.n, H.edges, H.incidence, H.edge_set)
 
 
 def views(build_fn, *args):
@@ -371,12 +382,13 @@ def test_parse_fast_path_skips_canonicalisation(monkeypatch):
             parse_h3(other)
 
 
-def test_edge_set_and_masks_built_on_first_use():
+def test_edge_set_built_on_first_use():
     H = parse_h3("5 2\n0 1 2\n2 3 4\n")
-    assert "edge_set" not in vars(H) and "edge_masks" not in vars(H)
+    assert "edge_set" not in vars(H)
     assert H.has_edge((2, 1, 0)) and not H.has_edge((1, 2, 3))
     assert vars(H)["edge_set"] == frozenset({(0, 1, 2), (2, 3, 4)})
-    assert H.edge_masks == (0b00111, 0b11100) and vars(H)["edge_masks"] is H.edge_masks
+    # incidence is the only view indexed by edge
+    assert not hasattr(H, "edge_masks") and H.incidence == (0b01, 0b01, 0b11, 0b10, 0b10)
 
 
 def test_incidence_of_large_sparse_instance():

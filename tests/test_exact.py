@@ -397,7 +397,7 @@ def _component_of(H):
     for c, (avail, free) in enumerate(comps):
         for i in range(H.m):
             if avail >> i & 1:
-                assert i not in owner and H.edge_masks[i] & ~free == 0
+                assert i not in owner and all(free >> v & 1 for v in H.edges[i])
                 owner[H.edges[i]] = c
     assert len(owner) == H.m
     return owner
