@@ -11,12 +11,16 @@ per-edge canonicalisation of the constructor.
 
 Randomness is a seeded splitmix64 stream (documented below), chosen so
 that any implementation in any language can reproduce the exact same
-instances from (n, p, seed).
+instances from (n, p, seed).  Its i-th state is s_i = seed + i·γ mod 2^64
+(γ = 0x9E3779B97F4A7C15), so `random_triples` computes its outputs by
+index, many at once.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import cache
+from itertools import chain, combinations, compress
+from math import comb
 
 from .core import Hypergraph3, Partition
 
@@ -48,6 +52,40 @@ def splitmix64_stream(seed: int):
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
         yield z ^ (z >> 31)
+
+
+_BLOCK = 512
+
+
+@cache
+def _lanes() -> tuple[int, int, int]:
+    """ONES, LANE and RAMP over _BLOCK lanes, built on first use."""
+    ones = int.from_bytes((b"\1" + bytes(15)) * _BLOCK, "little")
+    ramp = b"".join((j * _GOLDEN).to_bytes(16, "little") for j in range(1, _BLOCK + 1))
+    return ones, ones * _M64, int.from_bytes(ramp, "little")
+
+
+def _keep_flags(seed: int, cut: int, total: int):
+    """Yield one byte per splitmix64 output 1..total: 1 iff the output is < cut.
+
+    A block starting at output index s packs 128-bit lanes, lane j holding
+    output s + j + 1 in its low 64 bits (each RAMP lane is below 2^74).  A
+    64-bit lane times a 64-bit constant is below 2^128, so no product
+    reaches the next lane.  base - z = ONES·(2^64 + cut - 1) - z stays below
+    2^65 per lane and sets bit 64 exactly when the output is < cut.
+    """
+    ones, lane, ramp = _lanes()
+    base = ones * ((1 << 64) + cut - 1)
+    for s in range(0, total, _BLOCK):
+        k = min(_BLOCK, total - s)
+        if k < _BLOCK:
+            short = (1 << 128 * k) - 1
+            ones, lane, ramp, base = ones & short, lane & short, ramp & short, base & short
+        z = (ramp + ones * ((seed + s * _GOLDEN) & _M64)) & lane
+        z = ((z ^ (z >> 30) & lane) * 0xBF58476D1CE4E5B9) & lane
+        z = ((z ^ (z >> 27) & lane) * 0x94D049BB133111EB) & lane
+        z ^= (z >> 31) & lane
+        yield (base - z).to_bytes(16 * k, "little")[8::16]
 
 
 def extremal_star(n: int) -> tuple[Hypergraph3, Partition]:
@@ -109,15 +147,15 @@ def random_triples(n: int, p: float, seed: int) -> Hypergraph3:
     Triples are enumerated in lexicographic order; triple i is included
     iff the i-th splitmix64 output for `seed` is < floor(p * 2^64).  Two
     runs (in any conforming implementation) with equal (n, p, seed)
-    produce identical edge sets.
+    produce identical edge sets.  Output i is computed from its state
+    s_i = seed + i·γ, in blocks, not by stepping `splitmix64_stream`.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
-    cut = int(p * 2**64)
-    rng = splitmix64_stream(seed)
-    return Hypergraph3._from_canonical(n, tuple(e for e in combinations(range(n), 3) if next(rng) < cut))
+    flags = chain.from_iterable(_keep_flags(seed, int(p * 2**64), comb(n, 3)))
+    return Hypergraph3._from_canonical(n, tuple(compress(combinations(range(n), 3), flags)))
 
 
 def perturb_remove(H: Hypergraph3, k: int, seed: int) -> Hypergraph3:

@@ -11,8 +11,9 @@ Two private builders derive every view from edges that are already
 canonical.  Both build the incidence masks in linear time, one packed
 bit row per vertex (bit k of byte j is edge 8j + k).
 `Hypergraph3._from_canonical` takes an edge list and sets the three
-vertices of each edge in turn.  The constructor calls it after it has
-canonicalised arbitrary triples with `_canon_edge`; `remove_vertices`
+vertices of each edge in turn.  The constructor calls it after
+`_canon_edges` has sorted each raw triple, checked them column by
+column and sorted them by an integer key; `remove_vertices`
 (an order-preserving relabelling keeps edges canonical) and the
 generators of `constructions` call it directly.
 `Hypergraph3._from_columns` takes the columns A, B, C of a canonical
@@ -34,9 +35,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cached_property
-from itertools import combinations, compress, count
-from operator import lt, ne
+from functools import cached_property, partial
+from itertools import combinations, compress, count, repeat
+from operator import add, lt, mul, ne
 from typing import ClassVar
 
 __all__ = [
@@ -58,13 +59,28 @@ __all__ = [
 Edge = tuple[int, int, int]
 
 
-def _canon_edge(edge, n: int) -> Edge:
-    t = tuple(sorted(int(v) for v in edge))
-    if len(t) != 3 or len(set(t)) != 3:
-        raise ValueError(f"edge {edge!r} must have exactly 3 distinct vertices")
-    if t[0] < 0 or t[2] >= n:
-        raise ValueError(f"edge {edge!r} has a vertex outside 0..{n - 1}")
-    return t
+def _canon_edges(edges: list, n: int) -> tuple[Edge, ...]:
+    """The canonical edge list of a non-empty list of raw triples; ValueError names the first bad one."""
+    canon: list = []
+    err = None
+    try:
+        # list.extend keeps the triples converted before a failing int()
+        canon.extend(map(tuple, map(sorted, map(partial(map, int), edges))))
+    except (TypeError, ValueError, OverflowError) as exc:
+        err = exc
+    else:
+        if set(map(len, canon)) == {3}:
+            lo, mid, hi = zip(*canon)
+            if min(lo) >= 0 and max(hi) < n and all(map(lt, lo, mid)) and all(map(lt, mid, hi)):
+                # (a·n + b)·n + c orders like (a, b, c)
+                keyed = dict(zip(map(add, map(mul, map(add, map(mul, lo, repeat(n)), mid), repeat(n)), hi), canon))
+                return tuple(map(keyed.__getitem__, sorted(keyed)))
+    for edge, t in zip(edges, canon):
+        if len(t) != 3 or len(set(t)) != 3:
+            raise ValueError(f"edge {edge!r} must have exactly 3 distinct vertices")
+        if t[0] < 0 or t[2] >= n:
+            raise ValueError(f"edge {edge!r} has a vertex outside 0..{n - 1}")
+    raise err
 
 
 class Hypergraph3:
@@ -89,7 +105,8 @@ class Hypergraph3:
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        self._set_views(int(n), tuple(sorted({_canon_edge(e, n) for e in edges})))
+        edges = list(edges)
+        self._set_views(int(n), _canon_edges(edges, n) if edges else ())
 
     @classmethod
     def _from_canonical(cls, n: int, edges: tuple[Edge, ...]) -> "Hypergraph3":
@@ -287,9 +304,16 @@ class Matching:
     def __init__(self, host: Hypergraph3, edges):
         self.host = host
         self.edges = tuple(tuple(sorted(e)) for e in edges)
+        inc, n = host.incidence, host.n
         seen: set[int] = set()
         for e in self.edges:
-            if e not in host.edge_set:
+            try:
+                # three distinct vertices form an edge iff their incidences meet
+                a, b, c = e
+                hit = 0 <= a < b < c < n and inc[a] & inc[b] & inc[c]
+            except (TypeError, ValueError):
+                hit = False
+            if not hit:
                 raise ValueError(f"{e} is not an edge of the host hypergraph")
             if seen & set(e):
                 raise ValueError(f"edge {e} overlaps another matching edge")
@@ -380,9 +404,7 @@ _COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 def to_h3(H: Hypergraph3) -> str:
-    lines = [f"{H.n} {H.m}"]
-    lines.extend(f"{a} {b} {c}" for a, b, c in H.edges)
-    return "\n".join(lines) + "\n"
+    return f"{H.n} {H.m}\n" + "".join(map("%d %d %d\n".__mod__, H.edges))
 
 
 def parse_h3(text: str) -> Hypergraph3:

@@ -3,12 +3,14 @@
 These deliberately avoid the package's search code: matchings are found
 by raw combination enumeration, pattern perfect matchings by the 3x3
 permanent, closeness by listing every triple of the cut-family model,
-hypergraph views by the original per-edge constructor, the good-case and
-staged matchers by their original nested loops over triple lookups, the
-greedy start by its pass over every edge, the move search by its original
-loop over small uncovered sets U', the threshold scan by the old down-set
-walk and by an independent-set count over the disjointness graph,
-pattern relabelings bit by bit, and the exact branch and bound by its
+hypergraph views by the original per-edge constructor, .h3 text by the
+original line-by-line writer, random instances by one splitmix64 step
+per candidate triple, the good-case and staged matchers by their
+original nested loops over triple lookups, the greedy start by its pass
+over every edge, the move search by its original loop over small
+uncovered sets U', the threshold scan by the old down-set walk and by an
+independent-set count over the disjointness graph, pattern relabelings
+bit by bit, and the exact branch and bound by its
 original form, with a fresh greedy cover at every node, the absorbing
 construction by its original form, with fresh absorb masks in every
 round, and the leftover fold by its original enumeration of every
@@ -382,6 +384,24 @@ def naive_hypergraph(n: int, edges) -> SimpleNamespace:
         edge_set=frozenset(out),
         incidence=tuple(inc),
     )
+
+
+def naive_to_h3(H) -> str:
+    """The original .h3 writer: one f-string per line, joined by newlines."""
+    lines = [f"{H.n} {H.m}"]
+    lines.extend(f"{a} {b} {c}" for a, b, c in H.edges)
+    return "\n".join(lines) + "\n"
+
+
+def naive_random_triples(n: int, p: float, seed: int) -> Hypergraph3:
+    """The original generator loop: one splitmix64_stream step per candidate triple."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    cut = int(p * 2**64)
+    rng = splitmix64_stream(seed)
+    return Hypergraph3._from_canonical(n, tuple(e for e in combinations(range(n), 3) if next(rng) < cut))
 
 
 def naive_parse_h3(text: str) -> SimpleNamespace:

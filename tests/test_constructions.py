@@ -1,9 +1,12 @@
 """Tests for the instance generators."""
 
+import hashlib
 import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypermatch.constructions import (
     blocker_family,
@@ -14,9 +17,9 @@ from hypermatch.constructions import (
     random_triples,
     splitmix64_stream,
 )
-from hypermatch.core import Hypergraph3, Matching, build, threshold
+from hypermatch.core import Hypergraph3, Matching, build, threshold, to_h3
 from hypermatch.exact import has_d_matching
-from oracles import naive_has_k_matching, naive_hypergraph, naive_max_matching
+from oracles import naive_has_k_matching, naive_hypergraph, naive_max_matching, naive_random_triples
 
 
 class TestExtremalStar:
@@ -174,6 +177,31 @@ class TestRandomTriples:
     def test_negative_n(self):
         with pytest.raises(ValueError, match="non-negative"):
             random_triples(-1, 0.5, 0)
+
+    # C(n, 3) on either side of one 512-lane block (15/16) and of two (19/20),
+    # and many blocks (60)
+    @pytest.mark.parametrize("n", [15, 16, 19, 20, 60])
+    @pytest.mark.parametrize("p", [0.0, 2**-60, 0.05, 0.5, 1 - 2**-53, 1.0])
+    def test_block_boundaries_match_the_stream(self, n, p):
+        for seed in (-3, 0, 2**64 - 1, 2**70 + 5):
+            assert random_triples(n, p, seed).edges == naive_random_triples(n, p, seed).edges
+
+    def test_pinned_h3_digest(self):
+        # recorded from the generator that stepped splitmix64_stream once per triple
+        H = random_triples(90, 0.1, 7)
+        assert H.m == 11718
+        digest = hashlib.sha256(to_h3(H).encode()).hexdigest()
+        assert digest == "b20ed04d483dd54e9025c734a1bc0599e19efd87f1f7532457e27405c2483350"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 40),
+    st.one_of(st.sampled_from([0.0, 1.0, 0.5, 2**-60, 1 - 2**-53]), st.floats(0.0, 1.0)),
+    st.integers(-(2**70), 2**70),
+)
+def test_random_triples_match_the_stream(n, p, seed):
+    assert random_triples(n, p, seed).edges == naive_random_triples(n, p, seed).edges
 
 
 class TestPerturbRemove:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -22,7 +23,7 @@ from hypermatch.core import (
 )
 from hypermatch import absorbing, augment, core, exact, extremal
 from hypermatch.constructions import cut_family, extremal_star, random_triples
-from oracles import naive_hypergraph, naive_parse_h3
+from oracles import naive_hypergraph, naive_parse_h3, naive_to_h3
 
 
 def complete(n):
@@ -202,6 +203,29 @@ class TestMatching:
         with pytest.raises(ValueError):
             Matching(H, [(3, 4, 5)])
 
+    @pytest.mark.parametrize(
+        "edge, shown",
+        [
+            ((0, 1, 3), "(0, 1, 3)"),  # three vertices that share no edge
+            ((2, 1, 1), "(1, 1, 2)"),  # a repeated vertex
+            ((0, 1, 6), "(0, 1, 6)"),  # a vertex equal to n
+            ((-1, 0, 1), "(-1, 0, 1)"),  # a negative vertex
+            ((0, 1), "(0, 1)"),  # too short
+            ((0, 1, 2, 3), "(0, 1, 2, 3)"),  # too long
+            ((0.0, 1, 2), "(0.0, 1, 2)"),  # equal to an edge, but not an int
+            (("0", "1", "2"), "('0', '1', '2')"),
+        ],
+    )
+    def test_non_edge_messages(self, edge, shown):
+        H = build(6, [(0, 1, 2), (3, 4, 5)])
+        with pytest.raises(ValueError, match=f"^{re.escape(shown)} is not an edge of the host hypergraph$"):
+            Matching(H, [(3, 4, 5), edge])
+
+    def test_greedy_start_builds_no_edge_set(self):
+        H = random_triples(18, 0.5, 1)
+        M = augment.greedy_matching(H)
+        assert M.size >= 1 and "edge_set" not in vars(H)
+
 
 class TestPartition:
     def test_validates(self):
@@ -327,6 +351,70 @@ def test_parse_and_construct_match_original_constructor(case):
     assert views(Hypergraph3, n, triples) == views(naive_hypergraph, n, triples)
 
 
+def shaped(triples, shapes):
+    """The triples as tuples, lists or generators (shape 0, 1, 2), fresh on each call."""
+    return [tuple(t) if k == 0 else list(t) if k == 1 else (v for v in t) for t, k in zip(triples, shapes)]
+
+
+def without_addresses(result):
+    # a generator's repr shows its address, which differs between two builds
+    return tuple(re.sub(" at 0x[0-9a-f]+", "", x) if isinstance(x, str) else x for x in result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(h3_cases(), st.data())
+def test_construct_from_any_edge_shape_matches_original_constructor(case, data):
+    n, triples, _ = case
+    if triples:
+        triples = triples + data.draw(st.lists(st.sampled_from(triples), max_size=5))  # duplicates
+        triples = data.draw(st.permutations(triples))
+    shapes = data.draw(st.lists(st.integers(0, 2), min_size=len(triples), max_size=len(triples)))
+    lazy = data.draw(st.booleans())  # the edge list itself as an iterator
+
+    def edges():
+        got = shaped(triples, shapes)
+        return iter(got) if lazy else got
+
+    assert without_addresses(views(Hypergraph3, n, edges())) == without_addresses(views(naive_hypergraph, n, edges()))
+
+
+BAD_EDGES = {
+    "length": (0, 1),
+    "repeat": (2, 2, 1),
+    "range": (1, 2, 6),
+    "negative": (-1, 2, 3),
+    "string": ("x", 1, 2),
+}
+
+
+def error_of(build_fn, *args):
+    with pytest.raises(ValueError) as info:
+        build_fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("first, second", [(a, b) for a in BAD_EDGES for b in BAD_EDGES if a != b])
+@pytest.mark.parametrize("as_list", [False, True])
+def test_first_bad_edge_is_named(first, second, as_list):
+    bad1, bad2 = (list(BAD_EDGES[k]) if as_list else BAD_EDGES[k] for k in (first, second))
+    edges = [(5, 4, 3), bad1, [0, 1, 2], bad2, (1, 2, 3)]
+    want = error_of(naive_hypergraph, 6, edges)
+    assert error_of(Hypergraph3, 6, edges) == want == error_of(naive_hypergraph, 6, [bad1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(h3_cases())
+def test_to_h3_matches_original_writer(case):
+    n, triples, text = case
+    for build_fn, args in ((parse_h3, (text,)), (Hypergraph3, (n, triples))):
+        try:
+            H = build_fn(*args)
+        except ValueError:
+            continue
+        assert to_h3(H) == naive_to_h3(H)
+    assert to_h3(build(0, [])) == naive_to_h3(build(0, [])) == "0 0\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -365,7 +453,7 @@ def test_remove_vertices_matches_original_constructor(data, rnd):
 
 
 def test_parse_fast_path_skips_canonicalisation(monkeypatch):
-    """A canonical body never reaches _canon_edge; any other body still does."""
+    """A canonical body never reaches _canon_edges; any other body still does."""
     H, _ = cut_family(12, 4)
     text = to_h3(H)
     sub_edges = H.remove_vertices([0, 5])[0].edges
@@ -373,7 +461,7 @@ def test_parse_fast_path_skips_canonicalisation(monkeypatch):
     def refuse(edge, n):
         raise AssertionError("canonical input was re-canonicalised")
 
-    monkeypatch.setattr(core, "_canon_edge", refuse)
+    monkeypatch.setattr(core, "_canon_edges", refuse)
     assert parse_h3(text) == H
     assert parse_h3(text.replace("\n", "\r\n")) == H
     assert H.remove_vertices([0, 5])[0].edges == sub_edges
@@ -417,12 +505,12 @@ def test_many_vertices_few_edges_stay_small():
 
 @pytest.fixture
 def columns_only(monkeypatch):
-    """Canonical bodies must load through the column builder, never through _canon_edge."""
+    """Canonical bodies must load through the column builder, never through _canon_edges."""
 
     def refuse(edge, n):
         raise AssertionError("canonical input was re-canonicalised")
 
-    monkeypatch.setattr(core, "_canon_edge", refuse)
+    monkeypatch.setattr(core, "_canon_edges", refuse)
 
 
 def h3_text(n, edges):
