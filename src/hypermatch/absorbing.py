@@ -293,7 +293,8 @@ def absorb_leftover(H: Hypergraph3, A: AbsorbingMatching, Vp) -> Matching | None
     Partitions Vp into triples and assigns each to a distinct absorbing
     edge; every assigned edge e is replaced by the 2-matching on e ∪ T.
     The result covers exactly V(M*) ∪ Vp.  Returns None when no
-    assignment exists or Vp exceeds the declared capacity.
+    assignment exists or Vp exceeds the declared capacity; a vertex of
+    Vp outside 0..n-1 raises ValueError either way.
 
     Depth first over vertex masks: each new triple holds the lowest
     unplaced leftover vertex, its other two in lexicographic order.  Each
@@ -304,6 +305,7 @@ def absorb_leftover(H: Hypergraph3, A: AbsorbingMatching, Vp) -> Matching | None
     Vp = sorted(set(Vp))
     if len(Vp) % 3 != 0:
         raise ValueError("leftover set must have size divisible by 3")
+    rest = sum(1 << H._check_vertex(v) for v in Vp)  # before the capacity test, which returns None
     star = Matching(H, A.edges)  # an edge of A that is not an edge of H raises ValueError
     if star.covered.intersection(Vp):
         raise ValueError("leftover set must be disjoint from the absorbing matching")
@@ -336,7 +338,7 @@ def absorb_leftover(H: Hypergraph3, A: AbsorbingMatching, Vp) -> Matching | None
                 return got
         return None
 
-    got = search((), sum(1 << H._check_vertex(v) for v in Vp))
+    got = search((), rest)
     if got is None:
         return None
     out = [e for i, e in enumerate(star.edges) if i not in got]

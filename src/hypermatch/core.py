@@ -7,24 +7,21 @@ hypergraph keeps one incidence bitmask per vertex (bit i set iff edge i
 contains the vertex), so degree, codegree and link extraction are
 word-level operations at the instance sizes this library targets.
 
-Two private builders derive every view from edges that are already
-canonical.  Both build the incidence masks in linear time, one packed
-bit row per vertex (bit k of byte j is edge 8j + k).
-`Hypergraph3._from_canonical` takes an edge list and sets the three
-vertices of each edge in turn.  The constructor calls it after
-`_canon_edges` has sorted each raw triple, checked them column by
-column and sorted them by an integer key; `remove_vertices`
-(an order-preserving relabelling keeps edges canonical) and the
-generators of `constructions` call it directly.
-`Hypergraph3._from_columns` takes the columns A, B, C of a canonical
-body, which `parse_h3` has parsed and checked (the fast path: `.h3`
-files are written sorted).  A is non-decreasing, so the edges of each
-first vertex form one run of indices, set as one range mask; B and C
-are set in eight passes, one per residue of the edge index mod 8.
-Before that, `parse_h3` decodes each distinct token once: a body holds
-about n distinct tokens among its 3m.  Incidence is the only view indexed
-by edge (the vertices of edge i are `edges[i]`), and the frozenset
-`edge_set` is built on first use.
+One private builder, `Hypergraph3._from_canonical`, derives every view
+from edges that are already canonical.  The constructor calls it after
+`_canon_edges` has sorted each raw triple, checked them column by column
+and sorted them by an integer key.  `parse_h3` calls it directly on a
+body that is canonical already (every file `to_h3` writes), after
+decoding each distinct token once (a body holds about n distinct tokens
+among its 3m); so do `remove_vertices` (an order-preserving relabelling
+keeps edges canonical) and the generators of `constructions`.  It makes
+one pass over the edges: edge 8j + k sets bit k of byte j in the packed
+bit row of each of its three vertices, and each row is converted once.
+The rows take n·⌈m/8⌉ bytes until then, and the mask of a vertex about
+(its highest edge index)/8 bytes after, so memory is not linear in
+n + m on sparse inputs over many vertices.  Incidence is the only view
+indexed by edge (the vertices of edge i are `edges[i]`), and the
+frozenset `edge_set` is built on first use.
 
 All objects here are immutable after construction; operations that
 "modify" a hypergraph return a new one.
@@ -36,8 +33,8 @@ import math
 import re
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, partial
-from itertools import combinations, compress, count, repeat
-from operator import add, lt, mul, ne
+from itertools import chain, combinations, count, cycle, repeat
+from operator import add, lt, mul
 from typing import ClassVar
 
 __all__ = [
@@ -57,6 +54,8 @@ __all__ = [
 ]
 
 Edge = tuple[int, int, int]
+
+_BITS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 def _canon_edges(edges: list, n: int) -> tuple[Edge, ...]:
@@ -96,60 +95,33 @@ class Hypergraph3:
         indexed by edge.
 
     The constructor accepts any iterable of triples and canonicalises
-    them.  Edge lists that are canonical already (`remove_vertices`, the
-    generators of `constructions`) skip that step through
-    `_from_canonical`; `parse_h3` on a sorted file skips it through
-    `_from_columns`, which builds `incidence` from the parsed columns.
+    them.  Edge lists that are canonical already (`remove_vertices`,
+    `parse_h3` on a sorted file, the generators of `constructions`) skip
+    that step through `_from_canonical`.
     """
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        n = int(n)  # the range check and the rows both use int(n)
         edges = list(edges)
-        self._set_views(int(n), _canon_edges(edges, n) if edges else ())
+        H = self._from_canonical(n, _canon_edges(edges, n) if edges else ())
+        self.n, self.edges, self.incidence = H.n, H.edges, H.incidence
 
     @classmethod
     def _from_canonical(cls, n: int, edges: tuple[Edge, ...]) -> "Hypergraph3":
         """A hypergraph on canonical edges: sorted in-range triples, strictly increasing."""
         H = cls.__new__(cls)
-        H._set_views(n, edges)
-        return H
-
-    def _set_views(self, n: int, edges: tuple[Edge, ...]) -> None:
-        self.n = n
-        self.edges = edges
-        # one little-endian bit row per vertex: edge i sets bit i of the rows
-        # of its three vertices, and each mask is one linear int.from_bytes
+        H.n = n
+        H.edges = edges
+        # one little-endian bit row per vertex, edge 8j + k is bit k of byte j:
+        # the byte index and the bit come off two iterators in step with the edges
         rows = [bytearray((len(edges) + 7) >> 3) for _ in range(n)]
-        for i, (a, b, c) in enumerate(edges):
-            j, bit = i >> 3, 1 << (i & 7)
+        for (a, b, c), j, bit in zip(edges, chain.from_iterable(map(repeat, count(), repeat(8))), cycle(_BITS)):
             rows[a][j] |= bit
             rows[b][j] |= bit
             rows[c][j] |= bit
-        self.incidence = tuple(int.from_bytes(row, "little") for row in rows)
-
-    @classmethod
-    def _from_columns(cls, n: int, edges: tuple[Edge, ...], A, B, C) -> "Hypergraph3":
-        """`_from_canonical(n, edges)`, built from the columns of edges: edges[i] == (A[i], B[i], C[i])."""
-        H = cls.__new__(cls)
-        H.n = n
-        H.edges = edges
-        m = len(edges)
-        # A is non-decreasing, so the edges that share a first vertex form
-        # one run of indices [s, e), set as one range mask
-        starts = list(compress(count(), map(ne, A, [-1, *A])))
-        runs = [0] * n
-        for s, e in zip(starts, [*starts[1:], m]):
-            runs[A[s]] = ((1 << (e - s)) - 1) << s
-        # B and C go into packed rows as in _set_views, one pass per residue
-        # k of the edge index: edge 8j + k is bit k of byte j
-        rows = [bytearray((m + 7) >> 3) for _ in range(n)]
-        for k in range(8):
-            bit = 1 << k
-            for j, b, c in zip(count(), B[k::8], C[k::8]):
-                rows[b][j] |= bit
-                rows[c][j] |= bit
-        H.incidence = tuple(run | int.from_bytes(row, "little") for run, row in zip(runs, rows))
+        H.incidence = tuple(int.from_bytes(row, "little") for row in rows)
         return H
 
     @cached_property
@@ -437,7 +409,7 @@ def parse_h3(text: str) -> Hypergraph3:
         and max(C) < n
         and all(map(lt, edges, edges[1:]))
     ):
-        return Hypergraph3._from_columns(n, edges, A, B, C)
+        return Hypergraph3._from_canonical(n, edges)
     return Hypergraph3(n, edges)
 
 

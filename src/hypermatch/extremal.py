@@ -120,8 +120,14 @@ def _or_all_but_one(masks: list[int]) -> list[int]:
     return out
 
 
+def _check_partition(H: Hypergraph3, P: Partition) -> None:
+    if P.n != H.n:
+        raise ValueError(f"partition is on {P.n} vertices, the hypergraph on {H.n}")
+
+
 def deficiency(H: Hypergraph3, P: Partition) -> int:
     """Number of model edges over (V, W) absent from H."""
+    _check_partition(H, P)
     or_w, or_v = _class_ors(H, P.W)
     return _model_size(H.n, len(P.W)) - (or_w & or_v).bit_count()
 
@@ -135,6 +141,7 @@ def _check_alpha(alpha: float) -> None:
 def classify_goodness(H: Hypergraph3, P: Partition, alpha: float) -> ClosenessReport:
     """Per-vertex badness and good/bad flags at threshold alpha * n^2."""
     _check_alpha(alpha)
+    _check_partition(H, P)
     W = P.W
     d = len(W)
     nv = H.n - d
@@ -325,6 +332,7 @@ def good_case_matching(H: Hypergraph3, P: Partition, d: int) -> Matching | None:
     """
     if d < 0:
         raise ValueError("d must be non-negative")
+    _check_partition(H, P)
     _, twice_w = _meets(H, P.w_sorted())
     edges = _good_case(H, P, d, 0, (1 << H.m) - 1, twice_w)
     return None if edges is None else Matching(H, sorted(edges))
@@ -421,8 +429,9 @@ def staged_matching(
     """Five-stage d-matching construction tolerating bad vertices.
 
     Returns (matching, log) on success and (None, log) on stall, with
-    the failing stage and obligation named in the log.  A negative d, and
-    like every alpha here a negative or non-finite one, raises ValueError.
+    the failing stage and obligation named in the log.  A negative d, a
+    partition on another vertex count, and like every alpha here a
+    negative or non-finite one, raise ValueError.
     """
     if d < 0:
         raise ValueError("d must be non-negative")

@@ -363,6 +363,7 @@ def naive_hypergraph(n: int, edges) -> SimpleNamespace:
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
+    n = int(n)
     canon = set()
     for edge in edges:
         t = tuple(sorted(int(v) for v in edge))
@@ -379,7 +380,7 @@ def naive_hypergraph(n: int, edges) -> SimpleNamespace:
         inc[b] |= bit
         inc[c] |= bit
     return SimpleNamespace(
-        n=int(n),
+        n=n,
         edges=out,
         edge_set=frozenset(out),
         incidence=tuple(inc),

@@ -169,6 +169,15 @@ class TestAbsorbLeftover:
         with pytest.raises(ValueError):
             absorb_leftover(K12, A, rest + [12])  # not a vertex of the host
 
+    @pytest.mark.parametrize("k", [3, 9])
+    def test_out_of_range_leftover_is_a_value_error_beyond_capacity(self, k):
+        # 9 leftover vertices also exceed the capacity of 6: the range is checked first, not skipped
+        H = random_triples(12, 0.5, 1)
+        A = find_absorbing(H, 0.8)
+        assert A.capacity == 6
+        with pytest.raises(ValueError, match="vertex 100 out of range 0..11"):
+            absorb_leftover(H, A, range(100, 100 + k))
+
     def test_rejects_absorbing_edges_outside_the_host(self):
         # A was built on the complete host; one of its edges is missing here
         K12 = complete(12)

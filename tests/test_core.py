@@ -402,6 +402,13 @@ def test_first_bad_edge_is_named(first, second, as_list):
     assert error_of(Hypergraph3, 6, edges) == want == error_of(naive_hypergraph, 6, [bad1])
 
 
+def test_non_integer_vertex_count_names_the_bad_edge():
+    # the vertices are checked against int(n), the number of rows built
+    edges = [(0, 1, 2), (4, 5, 6)]
+    want = "edge (4, 5, 6) has a vertex outside 0..5"
+    assert error_of(Hypergraph3, 6.5, edges) == error_of(naive_hypergraph, 6.5, edges) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(h3_cases())
 def test_to_h3_matches_original_writer(case):
@@ -500,12 +507,12 @@ def test_many_vertices_few_edges_stay_small():
     assert peak < 64 * 2**20
 
 
-# --- the column loader: canonical bodies against the original reader ------------
+# --- the canonical fast path: canonical bodies against the original reader ------
 
 
 @pytest.fixture
-def columns_only(monkeypatch):
-    """Canonical bodies must load through the column builder, never through _canon_edges."""
+def canonical_only(monkeypatch):
+    """Canonical bodies must load straight through _from_canonical, never through _canon_edges."""
 
     def refuse(edge, n):
         raise AssertionError("canonical input was re-canonicalised")
@@ -533,7 +540,7 @@ def block_union(blocks, seed):
     ],
     ids=["cut-45-15", "random-60-s0", "random-60-s1", "random-60-s2", "union-16-blocks", "disjoint-1000"],
 )
-def test_large_canonical_bodies_match_original_reader(columns_only, n, edges):
+def test_large_canonical_bodies_match_original_reader(canonical_only, n, edges):
     text = h3_text(n, edges)
     assert views(parse_h3, text) == views(naive_parse_h3, text)
     assert parse_h3(text).edges == tuple(edges)
@@ -546,7 +553,7 @@ EDGE_COUNTS = [0, 1, 7, 8, 9, 15, 16, 17]
 
 @pytest.mark.parametrize("m", EDGE_COUNTS)
 @pytest.mark.parametrize("seed", range(4))
-def test_canonical_bodies_at_byte_edges_match_original_reader(columns_only, m, seed):
+def test_canonical_bodies_at_byte_edges_match_original_reader(canonical_only, m, seed):
     edges = sorted(random.Random(seed).sample(list(combinations(range(9), 3)), m))
     text = h3_text(9, edges)
     assert views(parse_h3, text) == views(naive_parse_h3, text)
@@ -554,15 +561,40 @@ def test_canonical_bodies_at_byte_edges_match_original_reader(columns_only, m, s
 
 @pytest.mark.parametrize("m", EDGE_COUNTS[1:])
 @pytest.mark.parametrize("first", [0, 3])
-def test_one_first_vertex_owns_every_edge(columns_only, m, first):
-    # one run of first vertices covering every edge index; B and C columns repeat labels
+def test_one_first_vertex_owns_every_edge(canonical_only, m, first):
+    # one run of first vertices covering every edge index; second and third vertices repeat
     edges = [(first, b, c) for b, c in combinations(range(first + 1, first + 9), 2)][:m]
     text = h3_text(first + 9, edges)
     assert views(parse_h3, text) == views(naive_parse_h3, text)
     assert parse_h3(text).incidence[first] == (1 << m) - 1
 
 
-def test_equal_values_in_distinct_tokens(columns_only):
+def runs_across_bytes(m):
+    """The first m edges of runs of 3, 10 and 4 edges at first vertices 0, 1, 2 on 12 vertices.
+
+    The runs cover edge indices 0-2, 3-12 and 13-16: the second crosses
+    the first byte boundary of the packed rows, the third the second.
+    """
+    return [(a, *pair) for a, k in enumerate((3, 10, 4)) for pair in list(combinations(range(a + 1, 12), 2))[:k]][:m]
+
+
+@pytest.mark.parametrize("m", EDGE_COUNTS)
+def test_every_build_path_at_byte_edges(m):
+    edges = runs_across_bytes(m)
+    want = views_of(naive_hypergraph(12, edges))
+    canon = Hypergraph3._from_canonical(12, tuple(edges))
+    # vertex 0 of the host is removed and the rest shift down by one; its edges start the host's list
+    host = build(13, [(0, 1, 2), (0, 4, 12), *(tuple(v + 1 for v in e) for e in edges)])
+    built = {
+        "constructor": build(12, [e[::-1] for e in random.Random(m).sample(edges, m)]),
+        "parse": parse_h3(to_h3(canon)),
+        "canonical": canon,
+        "remove_vertices": host.remove_vertices([0])[0],
+    }
+    assert {path: views_of(H) for path, H in built.items()} == dict.fromkeys(built, want)
+
+
+def test_equal_values_in_distinct_tokens(canonical_only):
     # "01", "+0" and "1" are distinct tokens, each decoded once, to equal values
     text = "4 2\n0 1 2\n+0 01 3\n"
     assert views(parse_h3, text) == views(naive_parse_h3, text)

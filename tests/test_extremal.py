@@ -198,6 +198,21 @@ class TestGoodCase:
         assert M is not None and M.edges == ((0, 4, 7), (1, 3, 8), (2, 5, 6))
 
 
+def test_partition_on_another_vertex_count_is_a_value_error():
+    # unchecked, deficiency reads 135, classify_goodness flags all 12 vertices and the matchers raise IndexError
+    H, _ = cut_family(12, 3)
+    P = Partition(30, {27, 28, 29}, 3)
+    calls = [
+        lambda: deficiency(H, P),
+        lambda: classify_goodness(H, P, 0.05),
+        lambda: good_case_matching(H, P, 3),
+        lambda: staged_matching(H, P, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="partition is on 30 vertices, the hypergraph on 12"):
+            call()
+
+
 class TestStaged:
     def test_negative_d_is_a_value_error(self):
         # a stall would report "residual target -1 infeasible", which is no answer
