@@ -50,7 +50,8 @@ class AugmentConfig:
     def __post_init__(self):
         if not 1 <= self.k_max:
             raise ValueError("k_max must be at least 1")
-        if min(self.s_cap, self.probe_nodes) <= 0:
+        # "not > 0" also rejects NaN: min(200, nan) is 200
+        if not (self.s_cap > 0 and self.probe_nodes > 0):
             raise ValueError("caps and budgets must be positive")
 
 

@@ -11,9 +11,12 @@ edge, pick the one with minimum remaining degree (lowest index on ties)
 and branch on each of its edges in lexicographic order, with the "leave
 it unmatched" branch explored last.  With a target size and early exit
 this makes the first descent a greedy dive, which produces certificates
-fast on dense instances.  Nodes sit on an explicit stack (the unmatched
-branch pushed first, the edges in reverse order), which visits them in
-that same order without a recursion depth limit.
+fast on dense instances.  Each expanded node keeps one frame on an
+explicit stack, with a mask of the edge children it has not visited yet:
+they are taken lowest index first, then the unmatched child, in that same
+order and without a recursion depth limit.  A child's edge mask is built
+only when it is tested alone (the first edge child, the unmatched child,
+or one whose test must grow the shared cover) or survives the bounds.
 
 Pruning at each node, against the best size found so far:
   * counting bound: |chosen| + floor(#coverable_vertices / 3),
@@ -31,6 +34,21 @@ cover only prunes subtrees that cannot beat the best size: it can lower
 the node count and change nothing else an unbudgeted solve reports.
 Vertices with no available edge are dropped from the counting bound
 (degree-zero elimination).
+
+Siblings in bulk: once best_size exceeds the parent's depth, an edge
+child can change the search only by being expanded, and the slack is
+the same for every sibling until one is.  Every edge child keeps
+|live| - 3 free vertices, so the counting bound prunes all of them or
+none; with the cover C complete, the shared cover prunes exactly the
+edges with at least |C| - slack vertices in C, a bit-sliced count over
+the incidence of C's vertices.  The siblings pruned before the next
+survivor are added to the node count at once.  Each of them is still
+one node: the node limit stops on the same node, and the clock is read
+on every node numbered by a multiple of 256, as if they were taken one
+at a time.  A bulk count never grows the cover: a sibling that needs it
+grown is tested alone, and a lone child with no edges left is pruned
+before its cover test, so the greedy cover makes the same picks as when
+every child had its own frame.
 
 Connected components: a maximum matching is the union of maximum
 matchings of the connected components (Abu-Khzam, TAMC 2009).
@@ -63,9 +81,9 @@ class SolveBudget:
     target: int | None = None
 
     def __post_init__(self):
-        if self.node_limit <= 0:
+        # "not > 0" also rejects NaN, which no node count or elapsed time would ever exceed
+        if not self.node_limit > 0:
             raise ValueError("node_limit must be positive")
-        # "not > 0" also rejects NaN, which no elapsed time would ever exceed
         if self.time_limit_ms is not None and not self.time_limit_ms > 0:
             raise ValueError("time_limit_ms must be positive")
         if self.target is not None and self.target < 0:
@@ -99,7 +117,7 @@ class SolveReport(Report):
 def _search(
     H: Hypergraph3, avail: int, free: int, budget: SolveBudget, t0: float, nodes: int = 0, found: int = 0
 ) -> SolveReport:
-    """Branch and bound from the root frame (avail edges, free vertices).
+    """Branch and bound from the root node (avail edges, free vertices).
 
     nodes and found are what earlier components of the same solve spent
     and matched: the node limit, the clock check every 256 nodes and the
@@ -111,64 +129,107 @@ def _search(
     best_size = 0
     best = None
     optimal, detail = True, None
-    # frame: (available edges, vertices that may still lie on one, depth, chosen chain,
-    #         the parent's greedy cover state, vertices the branch took from the parent)
-    stack = [(avail, free, 0, None, None, 0)]
-    while stack:
-        avail, free, depth, chosen, shared, gone = stack.pop()
-        nodes += 1
-        if nodes > node_limit:
-            optimal, detail = False, "node budget exhausted"
+    depth, chosen, slack = 0, None, 0
+    nodes += 1  # the root
+    if nodes > node_limit or (time_limit is not None and not nodes & 255):
+        nodes, detail = _spend(nodes - 1, 1, node_limit, time_limit, t0)
+        optimal = detail is None
+    # the counting bound cannot exceed |free| // 3: skip the degree pass
+    if not (optimal and avail and free.bit_count() // 3 > slack):
+        free = 0
+    # frame of an expanded node: [available edges, live vertices, their number, depth,
+    #   chosen chain, greedy cover state, pivot, edge children not taken yet]
+    stack = []
+    while True:
+        # free is non-zero iff a node waits to be expanded: the vertices of the edges it has left
+        if free:
+            # live vertices and their degrees; the pivot has minimum degree, lowest index
+            live = []
+            live_mask = 0
+            pivot_deg = None
+            while free:
+                low = free & -free
+                free ^= low
+                v = low.bit_length() - 1
+                deg = (avail & inc[v]).bit_count()
+                if deg:
+                    live.append(v)
+                    live_mask |= low
+                    if pivot_deg is None or deg < pivot_deg:
+                        pivot, pivot_deg = v, deg
+            state = [avail, live, 0, 0]
+            if len(live) // 3 > slack and not _greedy_cover(state, inc, slack):
+                stack.append([avail, live_mask, len(live), depth, chosen, state, pivot, avail & inc[pivot]])
+        if not stack:
             break
-        if time_limit is not None and nodes % 256 == 0 and (time.perf_counter() - t0) * 1000.0 > time_limit:
-            optimal, detail = False, "time budget exhausted"
-            break
-        if depth > best_size:
-            best_size, best = depth, chosen
-            if target is not None and depth >= target:
-                detail = "target reached"
+
+        # take the next child: alone (tested in full below), or after a run of
+        # siblings that the bounds prune, which are only counted
+        frame = stack[-1]
+        avail, live_mask, nlive, depth, chosen, state, pivot, rest = frame
+        if not rest:
+            stack.pop()  # the unmatched child comes last
+            low, k, alone = 0, 1, True
+        else:
+            alone = depth >= best_size  # the first edge child, which sets best_size to depth + 1
+            if not alone:
+                # best_size > depth, so an edge child can raise it only by being expanded
+                slack = best_size - depth - 1
+                if (nlive - 3) // 3 <= slack:  # every edge child keeps nlive - 3 free vertices
+                    pruned = rest
+                elif state[0] and state[3] < slack + 3:
+                    alone = True  # the shared cover must grow, which a child without edges skips
+                else:
+                    pruned = _pruned_by_cover(state, inc, rest, slack)
+            if alone:
+                low, k = rest & -rest, 1
+                frame[7] = rest ^ low
+            else:
+                low = rest & ~pruned
+                low &= -low
+                if low:
+                    k = (rest & (low - 1)).bit_count() + 1
+                    frame[7] = rest & -(low << 1)
+                else:
+                    k = rest.bit_count() + 1  # and the unmatched child
+                    stack.pop()
+                    alone = True
+        nodes += k
+        if nodes > node_limit or (time_limit is not None and nodes >> 8 != (nodes - k) >> 8):
+            nodes, detail = _spend(nodes - k, k, node_limit, time_limit, t0)
+            if detail is not None:
+                optimal = False
                 break
-        slack = best_size - depth
-        # the counting bound cannot exceed |free| // 3: skip the degree pass
-        if not avail or free.bit_count() // 3 <= slack:
-            continue
-        # the parent's cover minus the vertices this branch took covers its edges
-        # (gone holds at most 3 vertices, so only a cover of <= slack + 3 can prune)
-        if shared is not None:
-            if shared[0] and shared[3] < slack + 3:
-                _greedy_cover(shared, inc, slack + 3)
-            if not shared[0] and (shared[2] & ~gone).bit_count() <= slack:
-                continue
 
-        # live vertices and their degrees; the pivot has minimum degree, lowest index
-        live = []
-        live_mask = 0
-        pivot_deg = None
-        while free:
-            low = free & -free
-            free ^= low
-            v = low.bit_length() - 1
-            deg = (avail & inc[v]).bit_count()
-            if deg:
-                live.append(v)
-                live_mask |= low
-                if pivot_deg is None or deg < pivot_deg:
-                    pivot, pivot_deg = v, deg
-        state = [avail, live, 0, 0]
-        if len(live) // 3 <= slack or _greedy_cover(state, inc, slack):
-            continue
-
-        gone = 1 << pivot
-        stack.append((avail & ~inc[pivot], live_mask & ~gone, depth, chosen, state, gone))
-        branch = avail & inc[pivot]
-        while branch:
-            i = branch.bit_length() - 1
-            branch ^= 1 << i
-            a, b, c = edges[i]
+        if low:
+            a, b, c = edge = edges[low.bit_length() - 1]
+            depth += 1
+            chosen = (edge, chosen)
+            if depth > best_size:
+                best_size, best = depth, chosen
+                if target is not None and depth >= target:
+                    detail = "target reached"
+                    break
             gone = 1 << a | 1 << b | 1 << c
-            stack.append(
-                (avail & ~(inc[a] | inc[b] | inc[c]), live_mask & ~gone, depth + 1, (edges[i], chosen), state, gone)
-            )
+            avail &= ~(inc[a] | inc[b] | inc[c])
+            left = nlive - 3
+        else:
+            gone = 1 << pivot
+            avail &= ~inc[pivot]
+            left = nlive - 1
+        if not avail:
+            continue
+        slack = best_size - depth
+        if alone:
+            if left // 3 <= slack:
+                continue
+            # the parent's cover minus the vertices this child took covers its edges
+            # (gone holds at most 3 vertices, so only a cover of <= slack + 3 can prune)
+            if state[0] and state[3] < slack + 3:
+                _greedy_cover(state, inc, slack + 3)
+            if not state[0] and (state[2] & ~gone).bit_count() <= slack:
+                continue
+        free = live_mask & ~gone
 
     chain = []
     while best is not None:
@@ -181,6 +242,47 @@ def _search(
         nodes=nodes,
         detail=detail,
     )
+
+
+def _spend(nodes: int, k: int, node_limit: int, time_limit: float | None, t0: float) -> tuple[int, str | None]:
+    """Count k more nodes: (nodes, None), or the node a budget stopped on and why.
+
+    The k nodes are checked as if taken one at a time: the node limit
+    stops on the first node past it, and the clock is read on each node
+    whose number is a multiple of 256, up to the limit.
+    """
+    if time_limit is not None:
+        for at in range((nodes | 255) + 1, min(nodes + k, node_limit) + 1, 256):
+            if (time.perf_counter() - t0) * 1000.0 > time_limit:
+                return at, "time budget exhausted"
+    if nodes + k > node_limit:
+        return max(nodes, node_limit) + 1, "node budget exhausted"
+    return nodes + k, None
+
+
+def _pruned_by_cover(state: list, inc, rest: int, slack: int) -> int:
+    """The edge children in rest that the parent's cover C prunes at this slack.
+
+    state holds C as far as a slack of slack + 3 needs it.  Once C is
+    complete, a child is pruned iff it has at least |C| - slack vertices in
+    C; a bit-sliced count over the incidence of C's vertices finds those
+    edges.
+    """
+    need = state[3] - slack
+    if state[0] or need > 3:
+        return 0
+    if need <= 0:
+        return rest
+    one = two = three = 0  # edges of rest with at least one, two, three vertices in C
+    cover = state[2]
+    while cover:
+        low = cover & -cover
+        cover ^= low
+        x = inc[low.bit_length() - 1] & rest
+        three |= two & x
+        two |= one & x
+        one |= x
+    return (one, two, three)[need - 1]
 
 
 def _greedy_cover(state: list, inc, limit: int) -> bool:

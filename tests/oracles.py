@@ -10,12 +10,13 @@ original nested loops over triple lookups, the greedy start by its pass
 over every edge, the move search by its original loop over small
 uncovered sets U', the threshold scan by the old down-set walk and by an
 independent-set count over the disjointness graph, pattern relabelings
-bit by bit, and the exact branch and bound by its
-original form, with a fresh greedy cover at every node, the absorbing
-construction by its original form, with fresh absorb masks in every
-round, and the leftover fold by its original enumeration of every
-partition with a public absorbs() test per (edge, triple) pair.  They are
-slow and obviously correct, which is the point.
+bit by bit, the exact branch and bound by its original form, with a
+fresh greedy cover at every node, and by its form with one stack frame
+and one edge mask per child, the absorbing construction by its original
+form, with fresh absorb masks in every round, and the leftover fold by
+its original enumeration of every partition with a public absorbs()
+test per (edge, triple) pair.  They are slow and obviously correct,
+which is the point.
 """
 
 import math
@@ -228,6 +229,107 @@ def _cover_at_most(avail: int, live: list[int], inc, limit: int) -> bool:
         live = keep
         count += 1
     return True
+
+
+def childframe_search(H, avail: int, free: int, budget: SolveBudget, t0: float, nodes: int = 0, found: int = 0):
+    """The exact B&B before siblings were taken from one frame: every child of an
+    expanded node gets its own stack frame and edge mask, and is counted when popped."""
+    inc, edges = H.incidence, H.edges
+    node_limit, time_limit = budget.node_limit, budget.time_limit_ms
+    target = None if budget.target is None else budget.target - found
+    best_size = 0
+    best = None
+    optimal, detail = True, None
+    # frame: (available edges, vertices that may still lie on one, depth, chosen chain,
+    #         the parent's greedy cover state, vertices the branch took from the parent)
+    stack = [(avail, free, 0, None, None, 0)]
+    while stack:
+        avail, free, depth, chosen, shared, gone = stack.pop()
+        nodes += 1
+        if nodes > node_limit:
+            optimal, detail = False, "node budget exhausted"
+            break
+        if time_limit is not None and nodes % 256 == 0 and (time.perf_counter() - t0) * 1000.0 > time_limit:
+            optimal, detail = False, "time budget exhausted"
+            break
+        if depth > best_size:
+            best_size, best = depth, chosen
+            if target is not None and depth >= target:
+                detail = "target reached"
+                break
+        slack = best_size - depth
+        if not avail or free.bit_count() // 3 <= slack:
+            continue
+        if shared is not None:
+            if shared[0] and shared[3] < slack + 3:
+                _resumable_cover(shared, inc, slack + 3)
+            if not shared[0] and (shared[2] & ~gone).bit_count() <= slack:
+                continue
+
+        live = []
+        live_mask = 0
+        pivot_deg = None
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            deg = (avail & inc[v]).bit_count()
+            if deg:
+                live.append(v)
+                live_mask |= low
+                if pivot_deg is None or deg < pivot_deg:
+                    pivot, pivot_deg = v, deg
+        state = [avail, live, 0, 0]
+        if len(live) // 3 <= slack or _resumable_cover(state, inc, slack):
+            continue
+
+        gone = 1 << pivot
+        stack.append((avail & ~inc[pivot], live_mask & ~gone, depth, chosen, state, gone))
+        branch = avail & inc[pivot]
+        while branch:
+            i = branch.bit_length() - 1
+            branch ^= 1 << i
+            a, b, c = edges[i]
+            gone = 1 << a | 1 << b | 1 << c
+            stack.append(
+                (avail & ~(inc[a] | inc[b] | inc[c]), live_mask & ~gone, depth + 1, (edges[i], chosen), state, gone)
+            )
+
+    chain = []
+    while best is not None:
+        edge, best = best
+        chain.append(edge)
+    return SolveReport(
+        size=best_size,
+        edges=tuple(reversed(chain)),
+        optimal=optimal,
+        nodes=nodes,
+        detail=detail,
+    )
+
+
+def _resumable_cover(state: list, inc, limit: int) -> bool:
+    """Extend the greedy cover in state = [uncovered edges, candidates, cover mask, size] up to limit vertices.
+
+    True iff it is complete.  Picks as _cover_at_most does, so a later call
+    with a larger limit resumes the same sequence of picks.
+    """
+    avail, live, mask, count = state
+    while avail and count < limit:
+        best_deg = 0
+        keep = []
+        for v in live:
+            deg = (avail & inc[v]).bit_count()
+            if deg:
+                keep.append(v)
+                if deg > best_deg:
+                    pick, best_deg = v, deg
+        avail &= ~inc[pick]
+        mask |= 1 << pick
+        live = keep
+        count += 1
+    state[:] = avail, live, mask, count
+    return not avail
 
 
 def naive_threshold_scan(n: int, d: int) -> tuple[int, int]:

@@ -286,6 +286,10 @@ def test_config_validation():
         AugmentConfig(k_max=0)
     with pytest.raises(ValueError):
         AugmentConfig(s_cap=0)
+    # min(200, nan) is 200, so a NaN passed a min() check and left every probe unbudgeted
+    for field in ("probe_nodes", "s_cap"):
+        with pytest.raises(ValueError, match="caps and budgets must be positive"):
+            AugmentConfig(**{field: math.nan})
 
 
 

@@ -1,6 +1,8 @@
 """Tests for the branch-and-bound matching oracle."""
 
+import inspect
 import math
+import sys
 import time
 from itertools import combinations
 
@@ -12,7 +14,7 @@ from hypermatch import exact
 from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples, splitmix64_stream
 from hypermatch.core import Matching, build
 from hypermatch.exact import SolveBudget, SolveReport, has_d_matching, max_matching, max_matching_in_subset
-from oracles import naive_has_k_matching, naive_max_matching, pairing_has_pm_n6, percover_search
+from oracles import childframe_search, naive_has_k_matching, naive_max_matching, pairing_has_pm_n6, percover_search
 
 
 def complete(n):
@@ -130,6 +132,9 @@ def test_budget_validation():
     # NaN fails every comparison, so a NaN budget would never stop a solve
     with pytest.raises(ValueError, match="time_limit_ms must be positive"):
         SolveBudget(time_limit_ms=math.nan)
+    # nodes > nan is never true either
+    with pytest.raises(ValueError, match="node_limit must be positive"):
+        SolveBudget(node_limit=math.nan)
     assert SolveBudget(target=0).target == 0
 
 
@@ -488,3 +493,162 @@ def test_components_share_one_clock():
     rep = max_matching(H, SolveBudget(time_limit_ms=1e-6))
     assert (rep.nodes, rep.optimal, rep.detail) == (256, False, "time budget exhausted")
     Matching(H, rep.edges)
+
+
+# --- one frame per expanded node ----------------------------------------------
+#
+# An expanded node keeps one frame and hands out its edge children from a mask,
+# lowest index first, then the unmatched child; the siblings that the bounds
+# prune before the next survivor are counted at once.  The search with one
+# frame and one edge mask per child (oracles.childframe_search) is the
+# reference: every report is equal, node counts and budget stops included.
+
+
+def _as_childframe(solve):
+    """solve() with exact._search replaced by the one-frame-per-child search."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_search", childframe_search)
+        return solve()
+
+
+frame_instances = st.tuples(
+    st.integers(3, 24), st.sampled_from([0.02, 0.05, 0.1, 0.2, 0.35, 0.5, 0.8]), st.integers(0, 2**32)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_instances, st.none() | st.integers(0, 9), st.integers(0, 2**24 - 1), st.data())
+def test_property_search_reports_as_childframe(inst, target, bits, data):
+    H = random_triples(*inst)
+    S = [v for v in range(H.n) if bits >> v & 1]
+    unbudgeted = SolveBudget(target=target)
+    root = (H, (1 << H.m) - 1, (1 << H.n) - 1)
+    most = max(
+        exact._search(*root, unbudgeted, 0.0).nodes,
+        max_matching(H, unbudgeted).nodes,
+        max_matching_in_subset(H, S, unbudgeted).nodes,
+    )
+    budget = SolveBudget(node_limit=data.draw(st.integers(1, most + 1), label="node_limit"), target=target)
+    assert exact._search(*root, budget, 0.0) == childframe_search(*root, budget, 0.0)
+    assert max_matching(H, budget) == _as_childframe(lambda: max_matching(H, budget))
+    assert max_matching_in_subset(H, S, budget) == _as_childframe(lambda: max_matching_in_subset(H, S, budget))
+
+
+@pytest.mark.parametrize("target", [None, 2])
+@pytest.mark.parametrize(
+    "H",
+    [
+        extremal_star(15)[0],
+        extremal_star(24)[0],
+        blocker_family(18, 5)[0],
+        blocker_family(24, 7)[0],
+        random_triples(24, 0.5, 2),
+        random_triples(24, 0.05, 3),
+        # siblings with all three vertices in the parent's cover are pruned, and only they
+        random_triples(15, 0.05, 23),
+        random_triples(12, 0.1, 26),
+        _block_union([(9, 0.35, 1), (9, 0.5, 2), (6, 0.8, 3)], 4),
+    ],
+    ids=[
+        "star-15", "star-24", "blocker-18-5", "blocker-24-7", "random-24-0.5", "random-24-0.05",
+        "random-15-0.05-23", "random-12-0.1-26", "union-3",
+    ],
+)
+def test_every_node_limit_reports_as_childframe(H, target):
+    # a budget can run out anywhere, inside a run of counted siblings too
+    full = max_matching(H, SolveBudget(target=target))
+    assert full == _as_childframe(lambda: max_matching(H, SolveBudget(target=target)))
+    for node_limit in range(1, full.nodes + 2):
+        budget = SolveBudget(node_limit=node_limit, target=target)
+        assert max_matching(H, budget) == _as_childframe(lambda: max_matching(H, budget)), node_limit
+
+
+class _Clock:
+    """perf_counter stand-in: 0 s for its first k reads, 1 s after; counts its reads."""
+
+    def __init__(self, k):
+        self.k, self.reads = k, 0
+
+    def __call__(self):
+        self.reads += 1
+        return 0.0 if self.reads <= self.k else 1.0
+
+
+def test_counted_nodes_read_the_clock_at_each_multiple_of_256(monkeypatch):
+    clock = _Clock(10)
+    monkeypatch.setattr(exact.time, "perf_counter", clock)
+    assert exact._spend(250, 600, 10_000_000, 1.0, 0.0) == (850, None)
+    assert clock.reads == 3  # nodes 256, 512 and 768
+    monkeypatch.setattr(exact.time, "perf_counter", _Clock(1))
+    assert exact._spend(250, 600, 10_000_000, 1.0, 0.0) == (512, "time budget exhausted")
+    clock = _Clock(10)
+    monkeypatch.setattr(exact.time, "perf_counter", clock)
+    assert exact._spend(250, 600, 700, 1.0, 0.0) == (701, "node budget exhausted")
+    assert clock.reads == 2  # node 768 is past the node limit
+    clock = _Clock(0)
+    monkeypatch.setattr(exact.time, "perf_counter", clock)
+    assert exact._spend(256, 255, 10_000_000, 1.0, 0.0) == (511, None)
+    assert clock.reads == 0  # node 256 was counted before
+    assert exact._spend(250, 6, 10_000_000, 1.0, 0.0) == (256, "time budget exhausted")
+
+
+@pytest.mark.parametrize("node_limit", [10_000_000, 700])
+@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize(
+    "H", [extremal_star(36)[0], random_triples(30, 0.5, 1)], ids=["star-36", "random-30-0.5-1"]
+)
+def test_clock_stops_on_the_same_node_as_childframe(monkeypatch, H, k, node_limit):
+    # the clock expires after its k-th read: both searches read it on the same
+    # nodes, so they stop on the same multiple of 256 with the same report
+    budget = SolveBudget(node_limit=node_limit, time_limit_ms=1.0)
+    runs = []
+    for search in (exact._search, childframe_search):
+        clock = _Clock(k)
+        monkeypatch.setattr(exact.time, "perf_counter", clock)
+        runs.append((search(H, (1 << H.m) - 1, (1 << H.n) - 1, budget, 0.0), clock.reads))
+    monkeypatch.undo()
+    assert runs[0] == runs[1]
+    rep, reads = runs[0]
+    if rep.detail == "time budget exhausted":
+        assert (rep.nodes, reads) == (256 * (k + 1), k + 1)
+    else:
+        assert reads == min(rep.nodes, node_limit) // 256
+
+
+def _child_masks(search, H):
+    """(nodes, child edge masks built) of one unbudgeted search over all of H.
+
+    Counts the executions of the lines of search that clear a chosen edge's
+    or the pivot's incidence from the available edges.
+    """
+    lines, first = inspect.getsourcelines(search)
+    clears = ("~(inc[a] | inc[b] | inc[c])", "~inc[pivot]")
+    marks = {first + i for i, text in enumerate(lines) if any(mark in text for mark in clears)}
+    assert len(marks) == 2
+    built = 0
+
+    def count(frame, event, arg):
+        nonlocal built
+        if event == "line" and frame.f_lineno in marks:
+            built += 1
+        return count
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is search.__code__ else None)
+    try:
+        rep = search(H, (1 << H.m) - 1, (1 << H.n) - 1, SolveBudget(), time.perf_counter())
+    finally:
+        sys.settrace(outer)
+    return rep.nodes, built
+
+
+@pytest.mark.parametrize(
+    "H,nodes", [(extremal_star(24)[0], 400), (random_triples(30, 0.5, 1), 709)], ids=["star-24", "random-30-0.5-1"]
+)
+def test_pruned_siblings_build_no_child_mask(H, nodes):
+    # one frame per child builds a mask for every node but the root (399 and
+    # 708); taking children from the parent's frame builds 21 and 20
+    assert _child_masks(childframe_search, H) == (nodes, nodes - 1)
+    found, built = _child_masks(exact._search, H)
+    assert found == nodes
+    assert built <= 25
