@@ -11,17 +11,25 @@ One private builder, `Hypergraph3._from_canonical`, derives every view
 from edges that are already canonical.  The constructor calls it after
 `_canon_edges` has sorted each raw triple, checked them column by column
 and sorted them by an integer key.  `parse_h3` calls it directly on a
-body that is canonical already (every file `to_h3` writes), after
-decoding each distinct token once (a body holds about n distinct tokens
-among its 3m); so do `remove_vertices` (an order-preserving relabelling
-keeps edges canonical) and the generators of `constructions`.  It makes
-one pass over the edges: edge 8j + k sets bit k of byte j in the packed
-bit row of each of its three vertices, and each row is converted once.
-The rows take n·⌈m/8⌉ bytes until then, and the mask of a vertex about
-(its highest edge index)/8 bytes after, so memory is not linear in
-n + m on sparse inputs over many vertices.  Incidence is the only view
-indexed by edge (the vertices of edge i are `edges[i]`), and the
-frozenset `edge_set` is built on first use.
+body that is canonical already (every file `to_h3` writes), handing over
+the decoded labels as one flat list; so do `remove_vertices` (an
+order-preserving relabelling keeps edges canonical) and the generators
+of `constructions`.  The parser decodes tokens through one table seeded
+with str(v) → v, so a label spelled as `to_h3` writes it costs a lookup
+and any other spelling one int() call.
+
+The builder runs no Python step per edge.  It packs the 3m labels into
+bytes, and for each column c of the edges and each bit k of a label it
+parses one bit plane: the mask of the edges whose vertex c has bit k
+set, from a strided byte slice translated to "0"/"1" digits.  Splitting
+the all-edges mask on a column's planes from the top bit down gives each
+vertex its edges in that column, and the three columns are ORed.  That
+is O(m log n) bytes of C-level work plus about 4n big-int operations per
+column.  The mask of a vertex takes about (its highest edge index)/8
+bytes, so memory is not linear in n + m on sparse inputs over many
+vertices.  Incidence is the only view indexed by edge (the vertices of
+edge i are `edges[i]`), and the frozenset `edge_set` is built on first
+use.
 
 All objects here are immutable after construction; operations that
 "modify" a hypergraph return a new one.
@@ -31,10 +39,12 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, partial
-from itertools import chain, combinations, count, cycle, repeat
-from operator import add, lt, mul
+from itertools import chain, combinations, islice, repeat
+from operator import add, and_, lt, mul, or_, xor
 from typing import ClassVar
 
 __all__ = [
@@ -55,7 +65,55 @@ __all__ = [
 
 Edge = tuple[int, int, int]
 
-_BITS = (1, 2, 4, 8, 16, 32, 64, 128)
+# _PLANE[b] translates a byte to b"1" if its bit b is set, else to b"0"
+_PLANE = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
+
+
+def _incidence(n: int, m: int, flat) -> tuple[int, ...]:
+    """Per-vertex edge masks of m canonical edges, given as the flat sequence of their 3m labels.
+
+    Plane k of column c is the mask of the edges whose vertex c has bit k
+    set.  Splitting the all-edges mask on the planes of a column from the
+    top bit down leaves, for each prefix, the edges whose vertex c starts
+    with it; the prefixes of full length are the vertices.  The three
+    columns are split side by side in one list, so each step is a few
+    C-level passes.  The work is O(m log n) bytes of slicing, translating
+    and int() parsing, plus about 4n big-int operations per column; no
+    Python step runs per edge.
+    """
+    if not m:
+        return (0,) * n
+    if n <= 256:
+        # bytearray packs a list of small ints several times faster than array("B")
+        raw, size = bytearray(flat), 1
+    else:
+        # unsigned long long: any label a list of n masks can index fits
+        packed = array("Q", flat)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        raw, size = packed.tobytes(), packed.itemsize
+    top = (n - 1).bit_length()
+    planes = ([], [], [])
+    for k in range(0, top, 8):
+        for c, column in enumerate(planes):
+            # byte k / 8 of each label in column c, the last edge first, so
+            # that int(..., 2) reads edge i as bit i
+            col = raw[(3 * m - 3 + c) * size + (k >> 3) :: -3 * size]
+            column.extend(map(int, map(col.translate, _PLANE[: top - k]), repeat(2)))
+    by_bit = list(zip(*planes))
+    # after bit k: column 0's masks of the prefixes p <= (n - 1) >> k, then column 1's, then column 2's
+    level, width = [(1 << m) - 1] * 3, 1
+    for k in reversed(range(top)):
+        ones = list(map(and_, level, chain.from_iterable(map(repeat, by_bit[k], repeat(width)))))
+        split = [0] * (2 * len(level))
+        split[0::2] = map(xor, level, ones)
+        split[1::2] = ones
+        level, width = split, 2 * width
+        if (n - 1) >> k == width - 2:
+            # the last child in each column starts at n or above
+            del level[width - 1 :: width]
+            width -= 1
+    return tuple(map(or_, map(or_, level[:n], level[n : 2 * n]), level[2 * n :]))
 
 
 def _canon_edges(edges: list, n: int) -> tuple[Edge, ...]:
@@ -92,36 +150,34 @@ class Hypergraph3:
     edge_set : frozenset of the same triples, for O(1) membership; built
         on first use.
     incidence : per-vertex bitmask over edge indices, the only view
-        indexed by edge.
+        indexed by edge; the mask of a vertex takes about (its highest
+        edge index)/8 bytes.
 
     The constructor accepts any iterable of triples and canonicalises
     them.  Edge lists that are canonical already (`remove_vertices`,
     `parse_h3` on a sorted file, the generators of `constructions`) skip
-    that step through `_from_canonical`.
+    that step through `_from_canonical`, which splits the edges on the
+    bit planes of each column's vertex labels.
     """
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        n = int(n)  # the range check and the rows both use int(n)
+        n = int(n)  # the range check and the builder both use int(n)
         edges = list(edges)
         H = self._from_canonical(n, _canon_edges(edges, n) if edges else ())
         self.n, self.edges, self.incidence = H.n, H.edges, H.incidence
 
     @classmethod
-    def _from_canonical(cls, n: int, edges: tuple[Edge, ...]) -> "Hypergraph3":
-        """A hypergraph on canonical edges: sorted in-range triples, strictly increasing."""
+    def _from_canonical(cls, n: int, edges: tuple[Edge, ...], flat=None) -> "Hypergraph3":
+        """A hypergraph on canonical edges: sorted in-range triples, strictly increasing.
+
+        `flat`, if given, lists the 3m vertices of the edges in order.
+        """
         H = cls.__new__(cls)
         H.n = n
         H.edges = edges
-        # one little-endian bit row per vertex, edge 8j + k is bit k of byte j:
-        # the byte index and the bit come off two iterators in step with the edges
-        rows = [bytearray((len(edges) + 7) >> 3) for _ in range(n)]
-        for (a, b, c), j, bit in zip(edges, chain.from_iterable(map(repeat, count(), repeat(8))), cycle(_BITS)):
-            rows[a][j] |= bit
-            rows[b][j] |= bit
-            rows[c][j] |= bit
-        H.incidence = tuple(int.from_bytes(row, "little") for row in rows)
+        H.incidence = _incidence(n, len(edges), chain.from_iterable(edges) if flat is None else flat)
         return H
 
     @cached_property
@@ -379,22 +435,36 @@ def to_h3(H: Hypergraph3) -> str:
     return f"{H.n} {H.m}\n" + "".join(map("%d %d %d\n".__mod__, H.edges))
 
 
+class _Labels(dict):
+    """Token → value, seeded with str(v) → v; any other token is decoded by int() once, on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, token):
+        value = self[token] = int(token)
+        return value
+
+
 def parse_h3(text: str) -> Hypergraph3:
     # a comment runs to the next line boundary that str.splitlines knows;
     # every such boundary is whitespace to str.split
     tokens = _COMMENT.sub("", text).split()
     if len(tokens) < 2:
         raise ValueError("missing 'n m' header")
-    # a body repeats about n distinct tokens 3m times: decode each once, in
-    # order of first appearance, so the first bad token is the one named
-    distinct = dict.fromkeys(tokens)
+    # the table holds str(v) → v for as many labels as there are tokens, so a
+    # label spelled as to_h3 writes it costs one lookup and any other spelling
+    # one int() call; tokens are decoded in file order, so the first bad token
+    # is the one named
     try:
-        value = dict(zip(distinct, map(int, distinct)))
+        n = int(tokens[0])
+        seeded = range(min(n, len(tokens)))
+        value = _Labels(zip(map(str, seeded), seeded)).__getitem__
+        m = value(tokens[1])
+        body = list(map(value, islice(tokens, 2, None)))
     except ValueError as exc:
         raise ValueError(f"non-integer token in .h3 input: {exc}") from None
-    nums = list(map(value.__getitem__, tokens))
-    n, m = nums[0], nums[1]
-    body = nums[2:]
+    if m < 0:
+        raise ValueError(f"negative edge count {m} in .h3 header")
     if len(body) != 3 * m:
         raise ValueError(f"expected {3 * m} vertex tokens for {m} edges, got {len(body)}")
     A, B, C = body[0::3], body[1::3], body[2::3]
@@ -409,7 +479,7 @@ def parse_h3(text: str) -> Hypergraph3:
         and max(C) < n
         and all(map(lt, edges, edges[1:]))
     ):
-        return Hypergraph3._from_canonical(n, edges)
+        return Hypergraph3._from_canonical(n, edges, flat=body)
     return Hypergraph3(n, edges)
 
 

@@ -3,8 +3,9 @@
 These deliberately avoid the package's search code: matchings are found
 by raw combination enumeration, pattern perfect matchings by the 3x3
 permanent, closeness by listing every triple of the cut-family model,
-hypergraph views by the original per-edge constructor, .h3 text by the
-original line-by-line writer, random instances by one splitmix64 step
+hypergraph views by the original per-edge constructor, incidence also
+by the packed-row loop that preceded the bit-plane builder, .h3 text by
+the original line-by-line writer, random instances by one splitmix64 step
 per candidate triple, the good-case and staged matchers by their
 original nested loops over triple lookups, the greedy start by its pass
 over every edge, the move search by its original loop over small
@@ -23,7 +24,7 @@ import math
 import random
 import time
 from collections.abc import Callable
-from itertools import combinations, permutations, tee
+from itertools import chain, combinations, count, cycle, permutations, repeat, tee
 from types import SimpleNamespace
 
 from hypermatch.absorbing import (
@@ -489,6 +490,22 @@ def naive_hypergraph(n: int, edges) -> SimpleNamespace:
     )
 
 
+def packed_row_incidence(n: int, edges) -> tuple[int, ...]:
+    """The incidence of canonical edges by the packed-row loop of the earlier builder.
+
+    Edge 8j + k sets bit k of byte j in a little-endian bit row of each of
+    its three vertices; each row is converted to an int once at the end.
+    """
+    edges = tuple(edges)
+    rows = [bytearray((len(edges) + 7) >> 3) for _ in range(n)]
+    bits = (1, 2, 4, 8, 16, 32, 64, 128)
+    for (a, b, c), j, bit in zip(edges, chain.from_iterable(map(repeat, count(), repeat(8))), cycle(bits)):
+        rows[a][j] |= bit
+        rows[b][j] |= bit
+        rows[c][j] |= bit
+    return tuple(int.from_bytes(row, "little") for row in rows)
+
+
 def naive_to_h3(H) -> str:
     """The original .h3 writer: one f-string per line, joined by newlines."""
     lines = [f"{H.n} {H.m}"]
@@ -519,6 +536,8 @@ def naive_parse_h3(text: str) -> SimpleNamespace:
     except ValueError as exc:
         raise ValueError(f"non-integer token in .h3 input: {exc}") from None
     n, m = nums[0], nums[1]
+    if m < 0:
+        raise ValueError(f"negative edge count {m} in .h3 header")
     body = nums[2:]
     if len(body) != 3 * m:
         raise ValueError(f"expected {3 * m} vertex tokens for {m} edges, got {len(body)}")

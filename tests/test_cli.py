@@ -89,6 +89,12 @@ class TestDegreesCmd:
         assert main(["degrees", str(h3)]) == 2
         assert capsys.readouterr() == ("", "error: degree profile of an empty vertex set is undefined\n")
 
+    def test_negative_edge_count_is_a_usage_error(self, tmp_path, capsys):
+        h3 = tmp_path / "neg.h3"
+        h3.write_text("3 -1\n")
+        assert main(["degrees", str(h3)]) == 2
+        assert capsys.readouterr() == ("", "error: negative edge count -1 in .h3 header\n")
+
     def test_sparse_file_needs_no_pair_table(self, tmp_path):
         # 1000 disjoint edges on 3000 vertices: delta2 is 0 without the
         # C(3000, 2) = 4.5M codegrees that degree_profile would build

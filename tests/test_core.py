@@ -23,7 +23,7 @@ from hypermatch.core import (
 )
 from hypermatch import absorbing, augment, core, exact, extremal
 from hypermatch.constructions import cut_family, extremal_star, random_triples
-from oracles import naive_hypergraph, naive_parse_h3, naive_to_h3
+from oracles import naive_hypergraph, naive_parse_h3, naive_to_h3, packed_row_incidence
 
 
 def complete(n):
@@ -546,8 +546,8 @@ def test_large_canonical_bodies_match_original_reader(canonical_only, n, edges):
     assert parse_h3(text).edges == tuple(edges)
 
 
-# edge counts on both sides of a byte of the packed rows: every residue of
-# the edge index mod 8 is empty, partly filled or full
+# edge counts on both sides of a byte of edge bits: every residue of the
+# edge index mod 8 is empty, partly filled or full
 EDGE_COUNTS = [0, 1, 7, 8, 9, 15, 16, 17]
 
 
@@ -573,7 +573,7 @@ def runs_across_bytes(m):
     """The first m edges of runs of 3, 10 and 4 edges at first vertices 0, 1, 2 on 12 vertices.
 
     The runs cover edge indices 0-2, 3-12 and 13-16: the second crosses
-    the first byte boundary of the packed rows, the third the second.
+    the first byte boundary of the edge bits, the third the second.
     """
     return [(a, *pair) for a, k in enumerate((3, 10, 4)) for pair in list(combinations(range(a + 1, 12), 2))[:k]][:m]
 
@@ -615,6 +615,96 @@ def test_equal_values_in_distinct_tokens(canonical_only):
 def test_first_bad_token_is_named(text, bad):
     message = f"non-integer token in .h3 input: invalid literal for int() with base 10: {bad!r}"
     assert views(parse_h3, text) == views(naive_parse_h3, text) == ("ValueError", message)
+
+
+# --- the bit-plane builder against the packed-row loop (tests/oracles.py) ---------
+
+
+@st.composite
+def lane_edges(draw):
+    """(n, canonical edges) with n at the byte widths of a label: 1 up to n = 256, 2 up to 65,536, then 3."""
+    n = draw(st.one_of(st.integers(3, 300), st.integers(255, 257), st.integers(65_535, 65_537)))
+    # the top labels are drawn often: they set the highest bit planes
+    label = st.one_of(st.integers(0, n - 1), st.integers(max(0, n - 4), n - 1))
+    triples = draw(st.lists(st.sets(label, min_size=3, max_size=3), max_size=300))
+    return n, tuple(sorted({tuple(sorted(t)) for t in triples}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lane_edges())
+def test_bit_planes_match_packed_rows(case):
+    n, edges = case
+    want = packed_row_incidence(n, edges)
+    H = Hypergraph3._from_canonical(n, edges)
+    assert H.incidence == want
+    parsed = parse_h3(to_h3(H))
+    assert (parsed.edges, parsed.incidence) == (edges, want)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "9 1\n007 1 8\n",  # leading zeros
+        "9 1\n+1 2 3\n",  # a sign
+        "12 1\n0 1_0 11\n",  # an underscore
+        "9 1\n\u0660 \u0661 \u0663\n",  # Arabic-Indic digits
+        "\u0669 1\n0 1 2\n",  # in the header's n
+        "4 \u0661\n0 1 2\n",  # in the header's m
+        "1_0 1\n0 1 9\n",
+        "4 +1\n0 1 2\n",
+        "4 1\n-0 1 2\n",  # -0 is 0
+        "4 1\n0 1 4\n",  # a label equal to n
+        "4 1\n0 1 40\n",  # a label above n
+        "300 1\n0 1 300\n",
+        "4 1\n-1 1 2\n",  # a negative label
+        "4 1\n0 -1 2\n",
+        "x 1\n0 1 2\n",  # a bad header
+        "4.0 1\n0 1 2\n",
+        "4 1.5\n0 1 2\n",
+        "4\n",
+        "-4 1\n0 1 2\n",
+        "9 2\n1 2 3\n1 2 3 4\n",  # one token too many
+    ],
+)
+def test_labels_not_spelled_as_str_v(text):
+    assert views(parse_h3, text) == views(naive_parse_h3, text)
+
+
+def test_an_odd_spelling_is_decoded_once(monkeypatch):
+    decoded = []
+
+    def counting_int(x, *base):
+        if isinstance(x, str):  # the builder parses bit planes from bytes
+            decoded.append(x)
+        return int(x, *base)
+
+    # the module's global int shadows the builtin for every call in core
+    monkeypatch.setattr(core, "int", counting_int, raising=False)
+    H = parse_h3("9 3\n1 2 007\n3 4 007\n5 6 007\n")
+    assert H.edges == ((1, 2, 7), (3, 4, 7), (5, 6, 7))
+    # the header's n, then the one spelling that is not str(v); never a seeded label
+    assert decoded == ["9", "007"]
+
+
+def test_negative_edge_count_has_its_own_message():
+    assert views(parse_h3, "3 -1\n") == views(naive_parse_h3, "3 -1\n") == (
+        "ValueError", "negative edge count -1 in .h3 header"
+    )
+    # a token that is not an integer is still named first
+    assert error_of(parse_h3, "3 -1\nx\n").startswith("non-integer token")
+
+
+def test_sparse_parse_peak_below_packed_rows():
+    """10,000 disjoint edges over 30,000 vertices: the packed rows peaked at 63-67 MB (tracemalloc)."""
+    text = to_h3(Hypergraph3._from_canonical(30_000, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(10_000))))
+    tracemalloc.start()
+    try:
+        H = parse_h3(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.m == 10_000 and H.incidence[29_999] == 1 << 9_999
+    assert peak < 56 * 2**20
 
 
 # --- JSON reports ----------------------------------------------------------------
