@@ -1,8 +1,9 @@
 """Command-line surface: gen, degrees, solve, closeness, verify, sweep.
 
-Exit codes: 0 success, 1 assertion failure, 2 usage error, 3 budget
-exhaustion.  Reports are JSON (sorted keys, no timestamps) or CSV with
-fixed columns, so reruns with equal inputs are byte-identical.
+Exit codes: 0 success, 1 assertion failure, 2 usage error (an input too
+large for memory included), 3 budget exhaustion.  Reports are JSON
+(sorted keys, no timestamps) or CSV with fixed columns, so reruns with
+equal inputs are byte-identical.
 
 Each command, `gen` kind, `solve` method and `verify` suite accepts only
 the flags it reads; any other is a usage error (exit 2).  `solve` and
@@ -420,6 +421,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        # an input too large for this machine, such as a header n of 10^15
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -7,16 +7,20 @@ hypergraph keeps one incidence bitmask per vertex (bit i set iff edge i
 contains the vertex), so degree, codegree and link extraction are
 word-level operations at the instance sizes this library targets.
 
-One private builder, `Hypergraph3._from_canonical`, derives every view
+One private builder, `Hypergraph3._from_canonical`, derives incidence
 from edges that are already canonical.  The constructor calls it after
 `_canon_edges` has sorted each raw triple, checked them column by column
-and sorted them by an integer key.  `parse_h3` calls it directly on a
-body that is canonical already (every file `to_h3` writes), handing over
-the decoded labels as one flat list; so do `remove_vertices` (an
+and sorted them by an integer key; `remove_vertices` (an
 order-preserving relabelling keeps edges canonical) and the generators
-of `constructions`.  The parser decodes tokens through one table seeded
-with str(v) → v, so a label spelled as `to_h3` writes it costs a lookup
-and any other spelling one int() call.
+of `constructions` call it directly.  `parse_h3` builds no edge tuple.
+It decodes tokens through one table seeded with str(v) → v, so a label
+spelled as `to_h3` writes it costs a lookup and any other spelling one
+int() call.  It tests the flat list of decoded labels for canonical
+order on the bit planes the builder reads, and a canonical body (every
+file `to_h3` writes) keeps that list, `m` and the incidence built from
+the same planes.  Its `edges` tuple is built on first read, which
+`closeness` never makes, and the flat list is released then.  Any other
+body goes through the constructor.
 
 The builder runs no Python step per edge.  It packs the 3m labels into
 bytes, and for each column c of the edges and each bit k of a label it
@@ -25,11 +29,17 @@ set, from a strided byte slice translated to "0"/"1" digits.  Splitting
 the all-edges mask on a column's planes from the top bit down gives each
 vertex its edges in that column, and the three columns are ORed.  That
 is O(m log n) bytes of C-level work plus about 4n big-int operations per
-column.  The mask of a vertex takes about (its highest edge index)/8
-bytes, so memory is not linear in n + m on sparse inputs over many
-vertices.  Incidence is the only view indexed by edge (the vertices of
-edge i are `edges[i]`), and the frozenset `edge_set` is built on first
-use.
+column.  The canonical test runs a bit-sliced comparator over the same
+planes, top bit first: column 0 against column 1 and column 1 against
+column 2 (a < b < c), and each column against itself shifted by one
+edge, which orders consecutive edges lexicographically.  The range
+check rides along: a label below 0 or too wide fails the packing, one
+at or above 2^top (top the bit length of n - 1) shows in its high
+bytes, and one in n..2^top - 1 lands in a child the split drops.  The
+mask of a vertex takes about (its highest edge index)/8 bytes, so memory
+is not linear in n + m on sparse inputs over many vertices.  Incidence
+is the only view indexed by edge (the vertices of edge i are
+`edges[i]`), and the frozenset `edge_set` is built on first use.
 
 All objects here are immutable after construction; operations that
 "modify" a hypergraph return a new one.
@@ -67,31 +77,33 @@ Edge = tuple[int, int, int]
 
 # _PLANE[b] translates a byte to b"1" if its bit b is set, else to b"0"
 _PLANE = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
+# _LOW[b] lists the bytes below 2^b
+_LOW = tuple(bytes(range(1 << b)) for b in range(8))
 
 
-def _incidence(n: int, m: int, flat) -> tuple[int, ...]:
-    """Per-vertex edge masks of m canonical edges, given as the flat sequence of their 3m labels.
+def _pack(n: int, flat) -> tuple[bytes, int]:
+    """The labels of flat as little-endian bytes, and the bytes per label.
 
-    Plane k of column c is the mask of the edges whose vertex c has bit k
-    set.  Splitting the all-edges mask on the planes of a column from the
-    top bit down leaves, for each prefix, the edges whose vertex c starts
-    with it; the prefixes of full length are the vertices.  The three
-    columns are split side by side in one list, so each step is a few
-    C-level passes.  The work is O(m log n) bytes of slicing, translating
-    and int() parsing, plus about 4n big-int operations per column; no
-    Python step runs per edge.
+    ValueError or OverflowError if a label is negative or too wide.
     """
-    if not m:
-        return (0,) * n
     if n <= 256:
         # bytearray packs a list of small ints several times faster than array("B")
-        raw, size = bytearray(flat), 1
-    else:
-        # unsigned long long: any label a list of n masks can index fits
-        packed = array("Q", flat)
-        if sys.byteorder == "big":
-            packed.byteswap()
-        raw, size = packed.tobytes(), packed.itemsize
+        return bytearray(flat), 1
+    # unsigned long long: any label a list of n masks can index fits
+    packed = array("Q", flat)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed.tobytes(), packed.itemsize
+
+
+def _planes(n: int, m: int, raw: bytes, size: int) -> tuple[list[int], list[int], list[int]]:
+    """The bit planes of each column of m edges, from their 3m labels packed by `_pack`.
+
+    Plane k of column c is the mask of the edges whose vertex c has bit k
+    set; each column lists its planes for k = 0..top-1, top the bit length
+    of n - 1.  Each plane is one strided byte slice, translated to "0"/"1"
+    digits and parsed by int(): O(m log n) bytes of C-level work.
+    """
     top = (n - 1).bit_length()
     planes = ([], [], [])
     for k in range(0, top, 8):
@@ -100,20 +112,86 @@ def _incidence(n: int, m: int, flat) -> tuple[int, ...]:
             # that int(..., 2) reads edge i as bit i
             col = raw[(3 * m - 3 + c) * size + (k >> 3) :: -3 * size]
             column.extend(map(int, map(col.translate, _PLANE[: top - k]), repeat(2)))
+    return planes
+
+
+def _less(xs: list[int], ys: list[int], within: int) -> tuple[int, int]:
+    """(lt, eq): the edges of `within` whose label read from planes xs is below, and equal to, that from ys.
+
+    A bit-sliced comparator: the planes are read from the top bit down,
+    and an edge leaves `eq` at the first bit where its two labels differ.
+    """
+    lt, eq = 0, within
+    for x, y in zip(reversed(xs), reversed(ys)):
+        differ = eq & (x ^ y)
+        lt |= differ & y
+        eq ^= differ
+    return lt, eq
+
+
+def _ordered(m: int, planes) -> bool:
+    """Whether each edge's labels strictly increase along the columns and the edges strictly increase lexicographically."""
+    full = (1 << m) - 1
+    c0, c1, c2 = planes
+    if _less(c0, c1, full)[0] != full or _less(c1, c2, full)[0] != full:
+        return False
+    # plane >> 1 holds at bit i the label of edge i + 1
+    (lt0, eq0), (lt1, eq1), (lt2, _) = (_less(c, [p >> 1 for p in c], full >> 1) for c in planes)
+    return (lt0 | eq0 & (lt1 | eq1 & lt2)) == full >> 1
+
+
+def _split(n: int, m: int, planes) -> tuple[int, ...] | None:
+    """Per-vertex edge masks from the bit planes of the three columns; None if a label lies in n..2^top - 1.
+
+    Splitting the all-edges mask on the planes of a column from the top
+    bit down leaves, for each prefix, the edges whose vertex in that
+    column starts with it; the prefixes of full length are the vertices.
+    The three columns are split side by side in one list, so each step is
+    a few C-level passes, about 4n big-int operations per column in all.
+    """
     by_bit = list(zip(*planes))
     # after bit k: column 0's masks of the prefixes p <= (n - 1) >> k, then column 1's, then column 2's
     level, width = [(1 << m) - 1] * 3, 1
-    for k in reversed(range(top)):
+    for k in reversed(range(len(by_bit))):
         ones = list(map(and_, level, chain.from_iterable(map(repeat, by_bit[k], repeat(width)))))
         split = [0] * (2 * len(level))
         split[0::2] = map(xor, level, ones)
         split[1::2] = ones
         level, width = split, 2 * width
         if (n - 1) >> k == width - 2:
-            # the last child in each column starts at n or above
+            # the last child in each column starts at n or above, so it holds no edge of a valid body
+            if any(level[width - 1 :: width]):
+                return None
             del level[width - 1 :: width]
             width -= 1
     return tuple(map(or_, map(or_, level[:n], level[n : 2 * n]), level[2 * n :]))
+
+
+def _incidence(n: int, m: int, flat) -> tuple[int, ...]:
+    """Per-vertex edge masks of m canonical edges, given as the flat sequence of their 3m labels."""
+    return _split(n, m, _planes(n, m, *_pack(n, flat))) if m else (0,) * n
+
+
+def _canonical_incidence(n: int, m: int, flat: list) -> tuple[int, ...] | None:
+    """The incidence of the m edges listed by the 3m labels of flat if they are canonical, else None.
+
+    Canonical: m >= 1, every label in 0..n-1, each triple strictly
+    increasing and the triples strictly increasing lexicographically.
+    The test runs on the bit planes that the builder reads, so it takes
+    no Python step per edge and builds no edge tuple.
+    """
+    if not m or n < 3:
+        return None
+    try:
+        raw, size = _pack(n, flat)
+    except (ValueError, OverflowError):
+        return None  # a negative label, or one too wide to pack
+    top = (n - 1).bit_length()
+    # bytes j >= top / 8 of a label hold the bits that no plane reads
+    if any(raw[j::size].translate(None, _LOW[max(0, top - 8 * j)]) for j in range(top >> 3, size)):
+        return None
+    planes = _planes(n, m, raw, size)
+    return _split(n, m, planes) if _ordered(m, planes) else None
 
 
 def _canon_edges(edges: list, n: int) -> tuple[Edge, ...]:
@@ -146,7 +224,9 @@ class Hypergraph3:
     Attributes
     ----------
     n : number of vertices (indices 0..n-1; n = 0 is legal and empty).
-    edges : tuple of sorted vertex triples, lexicographically ordered.
+    m : number of edges.
+    edges : tuple of sorted vertex triples, lexicographically ordered;
+        built on first read when `parse_h3` loaded a canonical body.
     edge_set : frozenset of the same triples, for O(1) membership; built
         on first use.
     incidence : per-vertex bitmask over edge indices, the only view
@@ -154,10 +234,11 @@ class Hypergraph3:
         edge index)/8 bytes.
 
     The constructor accepts any iterable of triples and canonicalises
-    them.  Edge lists that are canonical already (`remove_vertices`,
-    `parse_h3` on a sorted file, the generators of `constructions`) skip
-    that step through `_from_canonical`, which splits the edges on the
-    bit planes of each column's vertex labels.
+    them.  Edge lists that are canonical already (`remove_vertices`, the
+    generators of `constructions`) skip that step through
+    `_from_canonical`, which splits the edges on the bit planes of each
+    column's vertex labels.  `parse_h3` checks canonical order on those
+    planes and keeps the flat list of labels in place of `edges`.
     """
 
     def __init__(self, n: int, edges=()):
@@ -166,27 +247,24 @@ class Hypergraph3:
         n = int(n)  # the range check and the builder both use int(n)
         edges = list(edges)
         H = self._from_canonical(n, _canon_edges(edges, n) if edges else ())
-        self.n, self.edges, self.incidence = H.n, H.edges, H.incidence
+        self.n, self.m, self.edges, self.incidence = H.n, H.m, H.edges, H.incidence
 
     @classmethod
-    def _from_canonical(cls, n: int, edges: tuple[Edge, ...], flat=None) -> "Hypergraph3":
-        """A hypergraph on canonical edges: sorted in-range triples, strictly increasing.
-
-        `flat`, if given, lists the 3m vertices of the edges in order.
-        """
-        H = cls.__new__(cls)
-        H.n = n
-        H.edges = edges
-        H.incidence = _incidence(n, len(edges), chain.from_iterable(edges) if flat is None else flat)
+    def _from_canonical(cls, n: int, edges: tuple[Edge, ...]) -> "Hypergraph3":
+        """A hypergraph on canonical edges: sorted in-range triples, strictly increasing."""
+        H, m = cls.__new__(cls), len(edges)
+        H.n, H.m, H.edges, H.incidence = n, m, edges, _incidence(n, m, chain.from_iterable(edges))
         return H
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        # every builder but parse_h3 sets edges; a parsed hypergraph holds its 3m labels until now
+        labels = iter(vars(self).pop("_flat"))
+        return tuple(zip(labels, labels, labels))
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
 
     def has_edge(self, edge) -> bool:
         return tuple(sorted(edge)) in self.edge_set
@@ -467,20 +545,15 @@ def parse_h3(text: str) -> Hypergraph3:
         raise ValueError(f"negative edge count {m} in .h3 header")
     if len(body) != 3 * m:
         raise ValueError(f"expected {3 * m} vertex tokens for {m} edges, got {len(body)}")
-    A, B, C = body[0::3], body[1::3], body[2::3]
-    edges = tuple(zip(A, B, C))
-    # fast path: sorted in-range triples in strictly increasing order are
-    # canonical already, which a file written by to_h3 always is
-    if (
-        edges
-        and all(map(lt, A, B))
-        and all(map(lt, B, C))
-        and min(A) >= 0
-        and max(C) < n
-        and all(map(lt, edges, edges[1:]))
-    ):
-        return Hypergraph3._from_canonical(n, edges, flat=body)
-    return Hypergraph3(n, edges)
+    # fast path: a canonical body, which a file written by to_h3 always is,
+    # keeps its labels and builds edge tuples only when edges is read
+    incidence = _canonical_incidence(n, m, body)
+    if incidence is None:
+        labels = iter(body)
+        return Hypergraph3(n, zip(labels, labels, labels))
+    H = Hypergraph3.__new__(Hypergraph3)
+    H.n, H.m, H.incidence, H._flat = n, m, incidence, body
+    return H
 
 
 def write_h3(H: Hypergraph3, path) -> None:

@@ -3,21 +3,22 @@
 These deliberately avoid the package's search code: matchings are found
 by raw combination enumeration, pattern perfect matchings by the 3x3
 permanent, closeness by listing every triple of the cut-family model,
-hypergraph views by the original per-edge constructor, incidence also
-by the packed-row loop that preceded the bit-plane builder, .h3 text by
-the original line-by-line writer, random instances by one splitmix64 step
-per candidate triple, the good-case and staged matchers by their
-original nested loops over triple lookups, the greedy start by its pass
-over every edge, the move search by its original loop over small
-uncovered sets U', the threshold scan by the old down-set walk and by an
-independent-set count over the disjointness graph, pattern relabelings
-bit by bit, the exact branch and bound by its original form, with a
-fresh greedy cover at every node, and by its form with one stack frame
-and one edge mask per child, the absorbing construction by its original
-form, with fresh absorb masks in every round, and the leftover fold by
-its original enumeration of every partition with a public absorbs()
-test per (edge, triple) pair.  They are slow and obviously correct,
-which is the point.
+hypergraph views by the original per-edge constructor, incidence also by
+the packed-row loop that preceded the bit-plane builder, the
+canonical-body test of the reader by its six conditions on edge tuples,
+.h3 text by the original line-by-line writer, random instances by one
+splitmix64 step per candidate triple, the good-case and staged matchers
+by their original nested loops over triple lookups, the greedy start by
+its pass over every edge, the move search by its original loop over
+small uncovered sets U', the threshold scan by the old down-set walk and
+by an independent-set count over the disjointness graph, pattern
+relabelings bit by bit, the exact branch and bound by its original form,
+with a fresh greedy cover at every node, and by its form with one stack
+frame and one edge mask per child, the absorbing construction by its
+original form, with fresh absorb masks in every round, and the leftover
+fold by its original enumeration of every partition with a public
+absorbs() test per (edge, triple) pair.  They are slow and obviously
+correct, which is the point.
 """
 
 import math
@@ -25,6 +26,7 @@ import random
 import time
 from collections.abc import Callable
 from itertools import chain, combinations, count, cycle, permutations, repeat, tee
+from operator import lt
 from types import SimpleNamespace
 
 from hypermatch.absorbing import (
@@ -542,6 +544,25 @@ def naive_parse_h3(text: str) -> SimpleNamespace:
     if len(body) != 3 * m:
         raise ValueError(f"expected {3 * m} vertex tokens for {m} edges, got {len(body)}")
     return naive_hypergraph(n, [tuple(body[3 * i : 3 * i + 3]) for i in range(m)])
+
+
+def tuple_canonical(n: int, body: list[int]) -> bool:
+    """The earlier canonical-body test of parse_h3: six conditions on columns and edge tuples.
+
+    body lists the 3m labels of a .h3 body in file order; it is canonical
+    when it is non-empty, each triple strictly increases, its labels lie in
+    0..n-1 and the triples strictly increase lexicographically.
+    """
+    A, B, C = body[0::3], body[1::3], body[2::3]
+    edges = tuple(zip(A, B, C))
+    return bool(
+        edges
+        and all(map(lt, A, B))
+        and all(map(lt, B, C))
+        and min(A) >= 0
+        and max(C) < n
+        and all(map(lt, edges, edges[1:]))
+    )
 
 
 # --- good-case and staged matchers -------------------------------------------

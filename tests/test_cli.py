@@ -95,6 +95,13 @@ class TestDegreesCmd:
         assert main(["degrees", str(h3)]) == 2
         assert capsys.readouterr() == ("", "error: negative edge count -1 in .h3 header\n")
 
+    def test_out_of_memory_is_a_usage_error(self, tmp_path, capsys):
+        # 10^15 vertices ask for 8 PB of incidence at once, which fails before anything is allocated
+        h3 = tmp_path / "huge.h3"
+        h3.write_text("1000000000000000 0\n")
+        assert main(["degrees", str(h3)]) == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+
     def test_sparse_file_needs_no_pair_table(self, tmp_path):
         # 1000 disjoint edges on 3000 vertices: delta2 is 0 without the
         # C(3000, 2) = 4.5M codegrees that degree_profile would build
@@ -276,6 +283,16 @@ class TestClosenessCmd:
         assert rc == 0
         assert rep["deficiency"] == 0
         assert rep["W"] == [8, 9, 10, 11]
+
+    def test_builds_no_edge_tuples(self, tmp_path, monkeypatch):
+        # closeness works on incidence alone, so the parsed labels never become tuples
+        h3 = tmp_path / "h.h3"
+        main(["gen", "hnd", "--n", "12", "--d", "4", "--out", str(h3)])
+        parsed = []
+        monkeypatch.setattr(cli, "read_h3", lambda path: parsed.append(read_h3(path)) or parsed[-1])
+        rc, rep = run_json(tmp_path, ["closeness", str(h3), "--d", "4"])
+        assert rc == 0 and rep["W"] == [8, 9, 10, 11]
+        assert len(parsed) == 1 and "edges" not in vars(parsed[0])
 
     @pytest.mark.parametrize(
         "argv",

@@ -7,7 +7,7 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypermatch.core import (
@@ -22,8 +22,8 @@ from hypermatch.core import (
     to_h3,
 )
 from hypermatch import absorbing, augment, core, exact, extremal
-from hypermatch.constructions import cut_family, extremal_star, random_triples
-from oracles import naive_hypergraph, naive_parse_h3, naive_to_h3, packed_row_incidence
+from hypermatch.constructions import cut_family, extremal_star, perturb_remove, random_triples
+from oracles import naive_hypergraph, naive_parse_h3, naive_to_h3, packed_row_incidence, tuple_canonical
 
 
 def complete(n):
@@ -705,6 +705,103 @@ def test_sparse_parse_peak_below_packed_rows():
         tracemalloc.stop()
     assert H.m == 10_000 and H.incidence[29_999] == 1 << 9_999
     assert peak < 56 * 2**20
+
+
+# --- the canonical-body check on the bit planes against the tuple predicate ------
+
+
+def wide_labels(n, v):
+    """Labels outside 0..n-1 to put in place of v: n, n + 1, 2^top, -1, and v plus a bit above every plane."""
+    top = (n - 1).bit_length()
+    return [n, n + 1, 1 << top, -1, v | 1 << top, v | 1 << 16, v | 1 << 40]
+
+
+@st.composite
+def near_canonical_bodies(draw):
+    """(n, labels of a .h3 body): canonical, or changed in up to two ways that can break it."""
+    n = draw(st.one_of(st.integers(3, 12), st.integers(255, 257), st.integers(65_535, 65_537)))
+    label = st.one_of(st.integers(0, n - 1), st.integers(max(0, n - 4), n - 1))
+    size = draw(st.sampled_from([1, 2, 40]))
+    edges = sorted({tuple(sorted(t)) for t in draw(st.lists(st.sets(label, min_size=3, max_size=3), min_size=1, max_size=size))})
+    for change in draw(st.lists(st.sampled_from(["swap", "repeat", "reverse", "label"]), max_size=2)):
+        i = draw(st.integers(0, len(edges) - 1))
+        if change == "swap" and i + 1 < len(edges):  # two neighbours
+            edges[i], edges[i + 1] = edges[i + 1], edges[i]
+        elif change == "repeat":
+            edges.insert(i, edges[i])
+        elif change == "reverse":
+            edges[i] = edges[i][::-1]
+        elif change == "label":
+            c = draw(st.integers(0, 2))
+            wide = st.sampled_from(wide_labels(n, edges[i][c]))
+            edges[i] = edges[i][:c] + (draw(st.one_of(wide, label)),) + edges[i][c + 1 :]
+    return n, [v for e in edges for v in e]
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_canonical_bodies())
+@example((3, [0, 1, 2]))
+@example((12, [0, 1, 2, 0, 1, 2]))
+@example((12, [0, 1, 3, 0, 1, 2]))
+@example((12, [2, 1, 0]))
+@example((12, [0, 1, 12]))
+@example((12, [0, 1, 16]))
+@example((12, [0, 1, 18]))
+@example((300, [0, 1, (1 << 16) | 2]))
+@example((12, [-1, 1, 2]))
+@example((256, [0, 1, 256]))
+@example((257, [0, 1, 512]))
+@example((65_536, [0, 1, 65_536]))
+@example((65_537, [0, 1, 2**64]))
+def test_plane_check_matches_tuple_predicate(case):
+    n, body = case
+    edges = list(zip(body[0::3], body[1::3], body[2::3]))
+    incidence = core._canonical_incidence(n, len(edges), body)
+    assert (incidence is not None) == tuple_canonical(n, body)
+    if incidence is not None:
+        assert incidence == packed_row_incidence(n, edges)
+    # a body that fails the check loads through the constructor, with its errors
+    text = h3_text(n, edges)
+    assert views(parse_h3, text) == views(naive_parse_h3, text)
+
+
+# --- edges of a parsed hypergraph, built on first read ----------------------------
+
+
+def relabelled_cut():
+    """A cut family with 30 edges removed over shuffled labels, as the closeness benchmark writes it."""
+    H = perturb_remove(cut_family(24, 8)[0], 30, 5)
+    perm = random.Random(5).sample(range(24), 24)
+    return build(24, [[perm[v] for v in e] for e in H.edges])
+
+
+def test_parse_keeps_labels_until_edges_are_read():
+    built = relabelled_cut()
+    H = parse_h3(to_h3(built))
+    assert "edges" not in vars(H) and (H.n, H.m, H.incidence) == (built.n, built.m, built.incidence)
+    assert extremal.find_partition(H, 8) == extremal.find_partition(built, 8)
+    assert "edges" not in vars(H)
+    assert H.edges == built.edges and vars(H)["edges"] is H.edges
+    assert "_flat" not in vars(H)  # the labels are released once the tuples exist
+
+
+# each read of a fresh parse, against the same read of the constructor's hypergraph
+FIRST_READS = {
+    "edges": lambda H, built: H.edges,
+    "eq": lambda H, built: (H == built, built == H),
+    "hash": lambda H, built: hash(H),
+    "to_h3": lambda H, built: to_h3(H),
+    "remove_vertices": lambda H, built: [views_of(sub) + (kept,) for sub, kept in [H.remove_vertices([0, 5, 7])]],
+    "matching": lambda H, built: [(M.edges, M.covered, M.uncovered) for M in [Matching(H, augment.greedy_matching(built).edges)]],
+}
+
+
+@pytest.mark.parametrize("read", FIRST_READS)
+def test_parsed_edges_read_as_the_constructors(read):
+    built = relabelled_cut()
+    H = parse_h3(to_h3(built))
+    assert FIRST_READS[read](H, built) == FIRST_READS[read](built, built)
+    assert H.edges == built.edges and "_flat" not in vars(H)
 
 
 # --- JSON reports ----------------------------------------------------------------
