@@ -7,7 +7,7 @@ spending its first stage on the bad vertex.
 """
 
 from hypermatch.constructions import cut_family
-from hypermatch.core import Partition, build
+from hypermatch.core import Hypergraph3, Partition
 from hypermatch.extremal import classify_goodness, find_partition, staged_matching
 
 n, d = 30, 10
@@ -16,7 +16,7 @@ H, P = cut_family(n, d)
 # strip one W-vertex down to two reserve edges
 w = sorted(P.W)[0]
 reserve = [e for e in H.edges if w in e][:2]
-H2 = build(n, [e for e in H.edges if w not in e] + reserve)
+H2 = Hypergraph3(n, [e for e in H.edges if w not in e] + reserve)
 
 rep = find_partition(H2, d, mode="local")
 print(f"recovered W = {rep.W}")

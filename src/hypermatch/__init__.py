@@ -23,7 +23,6 @@ from .core import (
     Hypergraph3,
     Matching,
     Partition,
-    build,
     degree_profile,
     edge_type,
     parse_h3,

@@ -63,7 +63,9 @@ def absorbs(H: Hypergraph3, e, T) -> bool:
     """True iff edge e can fold in the disjoint triple T: e ∪ T has a 2-matching."""
     e = tuple(sorted(e))
     T = tuple(sorted(T))
-    if e not in H.edge_set:
+    inc = H.incidence
+    # three distinct vertices of the host form an edge iff their incidences meet
+    if not (len(e) == 3 and 0 <= e[0] < e[1] < e[2] < H.n and inc[e[0]] & inc[e[1]] & inc[e[2]]):
         raise ValueError(f"{e} is not an edge of the host")
     if len(set(T)) != 3 or any(not 0 <= v < H.n for v in T):
         raise ValueError("T must be a set of 3 distinct vertices of the host")
@@ -137,7 +139,8 @@ def _tracked_triples(outside: list[int], stream) -> list:
 def _pair_links(H: Hypergraph3) -> dict[tuple[int, int], list[int]]:
     """For each pair {x, y} (x < y) that lies in an edge, the third vertices w of its edges."""
     links: dict[tuple[int, int], list[int]] = {}
-    for a, b, c in H.edges:
+    labels = iter(H.labels)
+    for a, b, c in zip(labels, labels, labels):
         links.setdefault((a, b), []).append(c)
         links.setdefault((a, c), []).append(b)
         links.setdefault((b, c), []).append(a)
@@ -153,20 +156,20 @@ def _absorb_masks(H: Hypergraph3, links, triples) -> tuple[list[int], list[int]]
     Rj[x n + y] ORs posj over the third vertices of the pair's edges.
     One pass over the pairs, then 9 ANDs per edge.
     """
-    n = H.n
+    n, inc = H.n, H.incidence
     pos0, pos1, pos2 = [0] * n, [0] * n, [0] * n
     rest0, rest1, rest2 = [0] * (n * n), [0] * (n * n), [0] * (n * n)
     is_edge = 0
-    for k, T in enumerate(triples):
+    for k, (a, b, c) in enumerate(triples):
         bit = 1 << k
-        a, b, c = T
         pos0[a] |= bit
         pos1[b] |= bit
         pos2[c] |= bit
         rest0[b * n + c] |= bit
         rest1[a * n + c] |= bit
         rest2[a * n + b] |= bit
-        if T in H.edge_set:
+        # three distinct vertices form an edge iff their incidences meet
+        if inc[a] & inc[b] & inc[c]:
             is_edge |= bit
     touch = [p0 | p1 | p2 for p0, p1, p2 in zip(pos0, pos1, pos2)]
     Q0, Q1, Q2 = [0] * n, [0] * n, [0] * n
@@ -184,7 +187,8 @@ def _absorb_masks(H: Hypergraph3, links, triples) -> tuple[list[int], list[int]]
             r2 |= pos2[w]
         R0[i], R1[i], R2[i] = r0, r1, r2
     masks = []
-    for a, b, c in H.edges:
+    labels = iter(H.labels)
+    for a, b, c in zip(labels, labels, labels):
         ab, ac, bc = a * n + b, a * n + c, b * n + c
         acc = is_edge | R0[ab] & Q0[c] | R1[ab] & Q1[c] | R2[ab] & Q2[c]
         acc |= R0[ac] & Q0[b] | R1[ac] & Q1[b] | R2[ac] & Q2[b]
@@ -265,18 +269,19 @@ def find_absorbing(
         if best_i is None:
             break
         chosen.append(best_i)
-        a, b, c = H.edges[best_i]
+        a, b, c = H.labels[3 * best_i : 3 * best_i + 3]
         covered |= 1 << a | 1 << b | 1 << c
         free &= ~(H.incidence[a] | H.incidence[b] | H.incidence[c])
 
     min_cvg = sum(1 for level in ge[1:] if not tracked & ~level) if tracked else t
     lacking_n = lacking.bit_count()
+    edges = [H.labels[3 * i : 3 * i + 3] for i in chosen]
     return AbsorbingMatching(
-        edges=tuple(H.edges[i] for i in chosen),
+        edges=tuple(edges),
         gamma=gamma,
         t=t,
         success=lacking_n == 0,  # the loop stops at the cap, so contract mode always keeps it
-        absorb_index={H.edges[i]: tuple(triples[k] for k in _bits(masks[i] & tracked)) for i in chosen},
+        absorb_index={e: tuple(triples[k] for k in _bits(masks[i] & tracked)) for i, e in zip(chosen, edges)},
         verification=verification,
         min_coverage=min_cvg,
         uncovered_triples=lacking_n,

@@ -249,7 +249,8 @@ def _verify_thresholds(args) -> int:
     K = Hypergraph3(n, combinations(range(n), 3))
     inc = K.incidence
     full = (1 << K.m) - 1
-    disjoint = [full & ~(inc[a] | inc[b] | inc[c]) for a, b, c in K.edges]
+    # K is complete, so its edges are the triples in lexicographic order
+    disjoint = [full & ~(inc[a] | inc[b] | inc[c]) for a, b, c in combinations(range(n), 3)]
     root = 0 if d == 1 else full
     memo = {0: 1}
     known = memo.get

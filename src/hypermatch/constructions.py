@@ -6,8 +6,8 @@ it.  The distinguished class W always sits at the top of the index range
 unless the caller supplies one.
 
 Every generator puts its sorted triples in lexicographic order itself,
-so it builds through `Hypergraph3._from_canonical` and skips the
-per-edge canonicalisation of the constructor.
+so it passes their flat labels to `Hypergraph3._from_labels` and skips
+the per-edge canonicalisation of the constructor.
 
 Randomness is a seeded splitmix64 stream (documented below), chosen so
 that any implementation in any language can reproduce the exact same
@@ -118,12 +118,12 @@ def cut_family(n: int, d: int, W=None) -> tuple[Hypergraph3, Partition]:
     Wset = frozenset(W)
     if len(Wset) != d:
         raise ValueError(f"W must have exactly {d} vertices")
-    edges = tuple(
+    edges = (
         (a, b, c)
         for a, b, c in combinations(range(n), 3)
         if 1 <= (a in Wset) + (b in Wset) + (c in Wset) <= 2
     )
-    return Hypergraph3._from_canonical(n, edges), Partition(n, Wset, d)
+    return Hypergraph3._from_labels(n, tuple(chain.from_iterable(edges))), Partition(n, Wset, d)
 
 
 def blocker_family(n: int, d: int) -> tuple[Hypergraph3, Partition]:
@@ -137,8 +137,8 @@ def blocker_family(n: int, d: int) -> tuple[Hypergraph3, Partition]:
         raise ValueError("need 1 <= d <= n/3")
     low = n - (d - 1)
     # W is the top index range, so "meets W" = largest vertex in W
-    edges = tuple(e for e in combinations(range(n), 3) if e[2] >= low)
-    return Hypergraph3._from_canonical(n, edges), Partition(n, range(low, n), d)
+    edges = (e for e in combinations(range(n), 3) if e[2] >= low)
+    return Hypergraph3._from_labels(n, tuple(chain.from_iterable(edges))), Partition(n, range(low, n), d)
 
 
 def random_triples(n: int, p: float, seed: int) -> Hypergraph3:
@@ -155,7 +155,7 @@ def random_triples(n: int, p: float, seed: int) -> Hypergraph3:
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     flags = chain.from_iterable(_keep_flags(seed, int(p * 2**64), comb(n, 3)))
-    return Hypergraph3._from_canonical(n, tuple(compress(combinations(range(n), 3), flags)))
+    return Hypergraph3._from_labels(n, tuple(chain.from_iterable(compress(combinations(range(n), 3), flags))))
 
 
 def perturb_remove(H: Hypergraph3, k: int, seed: int) -> Hypergraph3:
@@ -168,7 +168,8 @@ def perturb_remove(H: Hypergraph3, k: int, seed: int) -> Hypergraph3:
         r = j + next(rng) % (H.m - j)
         idx[j], idx[r] = idx[r], idx[j]
     dropped = set(idx[:k])
-    return Hypergraph3._from_canonical(H.n, tuple(e for i, e in enumerate(H.edges) if i not in dropped))
+    kept = (H.labels[3 * i : 3 * i + 3] for i in range(H.m) if i not in dropped)
+    return Hypergraph3._from_labels(H.n, tuple(chain.from_iterable(kept)))
 
 
 def pad_to_perfect(H: Hypergraph3, d: int) -> Hypergraph3:
@@ -185,8 +186,9 @@ def pad_to_perfect(H: Hypergraph3, d: int) -> Hypergraph3:
     if a == 0:
         return H
     n2 = H.n + a
-    edges = list(H.edges)
+    labels = iter(H.labels)
     # new vertices are the top indices, so "meets a new vertex" = max >= old n:
     # the new triples are canonical and none of them is an old edge
-    edges.extend(e for e in combinations(range(n2), 3) if e[2] >= H.n)
-    return Hypergraph3._from_canonical(n2, tuple(sorted(edges)))
+    new = (e for e in combinations(range(n2), 3) if e[2] >= H.n)
+    edges = sorted(chain(zip(labels, labels, labels), new))
+    return Hypergraph3._from_labels(n2, tuple(chain.from_iterable(edges)))

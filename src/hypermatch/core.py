@@ -2,25 +2,22 @@
 
 Vertices are the indices 0..n-1.  Edges are unordered 3-element subsets,
 stored canonically: each triple sorted ascending, the edge list sorted
-lexicographically, duplicates removed.  Alongside the edge list every
-hypergraph keeps one incidence bitmask per vertex (bit i set iff edge i
-contains the vertex), so degree, codegree and link extraction are
-word-level operations at the instance sizes this library targets.
+lexicographically, duplicates removed.  A hypergraph stores its edges
+once, as the tuple `labels` of their 3m vertex labels, and beside it one
+incidence bitmask per vertex (bit j set iff edge j contains the vertex),
+so degree, codegree and link extraction are word-level operations at the
+instance sizes this library targets.
 
-One private builder, `Hypergraph3._from_canonical`, derives incidence
-from edges that are already canonical.  The constructor calls it after
-`_canon_edges` has sorted each raw triple, checked them column by column
-and sorted them by an integer key; `remove_vertices` (an
-order-preserving relabelling keeps edges canonical) and the generators
-of `constructions` call it directly.  `parse_h3` builds no edge tuple.
-It decodes tokens through one table seeded with str(v) → v, so a label
-spelled as `to_h3` writes it costs a lookup and any other spelling one
-int() call.  It tests the flat list of decoded labels for canonical
-order on the bit planes the builder reads, and a canonical body (every
-file `to_h3` writes) keeps that list, `m` and the incidence built from
-the same planes.  Its `edges` tuple is built on first read, which
-`closeness` never makes, and the flat list is released then.  Any other
-body goes through the constructor.
+Every hypergraph is made by one private builder,
+`Hypergraph3._from_labels`.  The constructor calls it after
+`_canon_labels` has sorted each raw triple, checked them column by
+column and sorted them by an integer key; `remove_vertices` and the
+generators of `constructions` call it directly.  `parse_h3` decodes
+tokens through one table seeded with str(v) → v, so a label spelled as
+`to_h3` writes it costs a lookup and any other spelling one int() call.
+A canonical body (every file `to_h3` writes), tested on the bit planes
+the builder reads, is passed on as the labels with the incidence built
+from the same planes; any other body goes through the constructor.
 
 The builder runs no Python step per edge.  It packs the 3m labels into
 bytes, and for each column c of the edges and each bit k of a label it
@@ -37,9 +34,7 @@ check rides along: a label below 0 or too wide fails the packing, one
 at or above 2^top (top the bit length of n - 1) shows in its high
 bytes, and one in n..2^top - 1 lands in a child the split drops.  The
 mask of a vertex takes about (its highest edge index)/8 bytes, so memory
-is not linear in n + m on sparse inputs over many vertices.  Incidence
-is the only view indexed by edge (the vertices of edge i are
-`edges[i]`), and the frozenset `edge_set` is built on first use.
+is not linear in n + m on sparse inputs over many vertices.
 
 All objects here are immutable after construction; operations that
 "modify" a hypergraph return a new one.
@@ -63,7 +58,6 @@ __all__ = [
     "Matching",
     "DegreeProfile",
     "Report",
-    "build",
     "threshold",
     "edge_type",
     "degree_profile",
@@ -172,7 +166,7 @@ def _incidence(n: int, m: int, flat) -> tuple[int, ...]:
     return _split(n, m, _planes(n, m, *_pack(n, flat))) if m else (0,) * n
 
 
-def _canonical_incidence(n: int, m: int, flat: list) -> tuple[int, ...] | None:
+def _canonical_incidence(n: int, m: int, flat: tuple) -> tuple[int, ...] | None:
     """The incidence of the m edges listed by the 3m labels of flat if they are canonical, else None.
 
     Canonical: m >= 1, every label in 0..n-1, each triple strictly
@@ -194,8 +188,8 @@ def _canonical_incidence(n: int, m: int, flat: list) -> tuple[int, ...] | None:
     return _split(n, m, planes) if _ordered(m, planes) else None
 
 
-def _canon_edges(edges: list, n: int) -> tuple[Edge, ...]:
-    """The canonical edge list of a non-empty list of raw triples; ValueError names the first bad one."""
+def _canon_labels(edges: list, n: int) -> tuple[int, ...]:
+    """The canonical labels of a non-empty list of raw triples; ValueError names the first bad one."""
     canon: list = []
     err = None
     try:
@@ -209,7 +203,7 @@ def _canon_edges(edges: list, n: int) -> tuple[Edge, ...]:
             if min(lo) >= 0 and max(hi) < n and all(map(lt, lo, mid)) and all(map(lt, mid, hi)):
                 # (a·n + b)·n + c orders like (a, b, c)
                 keyed = dict(zip(map(add, map(mul, map(add, map(mul, lo, repeat(n)), mid), repeat(n)), hi), canon))
-                return tuple(map(keyed.__getitem__, sorted(keyed)))
+                return tuple(chain.from_iterable(map(keyed.__getitem__, sorted(keyed))))
     for edge, t in zip(edges, canon):
         if len(t) != 3 or len(set(t)) != 3:
             raise ValueError(f"edge {edge!r} must have exactly 3 distinct vertices")
@@ -225,20 +219,20 @@ class Hypergraph3:
     ----------
     n : number of vertices (indices 0..n-1; n = 0 is legal and empty).
     m : number of edges.
-    edges : tuple of sorted vertex triples, lexicographically ordered;
-        built on first read when `parse_h3` loaded a canonical body.
-    edge_set : frozenset of the same triples, for O(1) membership; built
-        on first use.
-    incidence : per-vertex bitmask over edge indices, the only view
-        indexed by edge; the mask of a vertex takes about (its highest
-        edge index)/8 bytes.
+    labels : tuple of the 3m vertex labels of the edges, the only store of
+        them: edge j is labels[3j] < labels[3j + 1] < labels[3j + 2], and
+        the edges are in strictly increasing lexicographic order.
+    incidence : per-vertex bitmask over edge indices; the mask of a vertex
+        takes about (its highest edge index)/8 bytes.
+
+    `edges` (the tuple of sorted triples) and `edge_set` (a frozenset of
+    them) are views derived from `labels` on first read.
 
     The constructor accepts any iterable of triples and canonicalises
-    them.  Edge lists that are canonical already (`remove_vertices`, the
-    generators of `constructions`) skip that step through
-    `_from_canonical`, which splits the edges on the bit planes of each
-    column's vertex labels.  `parse_h3` checks canonical order on those
-    planes and keeps the flat list of labels in place of `edges`.
+    them.  Every builder ends in `_from_labels`, which splits the edges
+    on the bit planes of each column's vertex labels unless the caller
+    (`parse_h3`, which checks canonical order on those planes) passes the
+    incidence it already has.
     """
 
     def __init__(self, n: int, edges=()):
@@ -246,28 +240,25 @@ class Hypergraph3:
             raise ValueError("vertex count must be non-negative")
         n = int(n)  # the range check and the builder both use int(n)
         edges = list(edges)
-        H = self._from_canonical(n, _canon_edges(edges, n) if edges else ())
-        self.n, self.m, self.edges, self.incidence = H.n, H.m, H.edges, H.incidence
+        H = self._from_labels(n, _canon_labels(edges, n) if edges else ())
+        self.n, self.m, self.labels, self.incidence = H.n, H.m, H.labels, H.incidence
 
     @classmethod
-    def _from_canonical(cls, n: int, edges: tuple[Edge, ...]) -> "Hypergraph3":
-        """A hypergraph on canonical edges: sorted in-range triples, strictly increasing."""
-        H, m = cls.__new__(cls), len(edges)
-        H.n, H.m, H.edges, H.incidence = n, m, edges, _incidence(n, m, chain.from_iterable(edges))
+    def _from_labels(cls, n: int, labels: tuple[int, ...], incidence=None) -> "Hypergraph3":
+        """A hypergraph on the canonical edges whose 3m labels are given; its incidence unless given."""
+        H, m = cls.__new__(cls), len(labels) // 3
+        H.n, H.m, H.labels = n, m, labels
+        H.incidence = _incidence(n, m, labels) if incidence is None else incidence
         return H
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        # every builder but parse_h3 sets edges; a parsed hypergraph holds its 3m labels until now
-        labels = iter(vars(self).pop("_flat"))
+        labels = iter(self.labels)
         return tuple(zip(labels, labels, labels))
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
-
-    def has_edge(self, edge) -> bool:
-        return tuple(sorted(edge)) in self.edge_set
 
     def _check_vertex(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -317,31 +308,27 @@ class Hypergraph3:
             return self, tuple(range(self.n))
         kept = tuple(v for v in range(self.n) if v not in gone)
         old_to_new = {v: i for i, v in enumerate(kept)}
-        sub_edges = tuple(
+        labels = iter(self.labels)
+        sub = chain.from_iterable(
             (old_to_new[a], old_to_new[b], old_to_new[c])
-            for a, b, c in self.edges
+            for a, b, c in zip(labels, labels, labels)
             if a not in gone and b not in gone and c not in gone
         )
         # the relabelling preserves order, so the edges stay canonical
-        return Hypergraph3._from_canonical(len(kept), sub_edges), kept
+        return Hypergraph3._from_labels(len(kept), tuple(sub)), kept
 
     def __eq__(self, other):
         return (
             isinstance(other, Hypergraph3)
             and self.n == other.n
-            and self.edges == other.edges
+            and self.labels == other.labels
         )
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.labels))
 
     def __repr__(self):
         return f"Hypergraph3(n={self.n}, m={self.m})"
-
-
-def build(n: int, edges) -> Hypergraph3:
-    """Build a hypergraph from raw triples (validated, deduplicated, sorted)."""
-    return Hypergraph3(n, edges)
 
 
 def threshold(n: int, d: int) -> int:
@@ -510,7 +497,7 @@ _COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 def to_h3(H: Hypergraph3) -> str:
-    return f"{H.n} {H.m}\n" + "".join(map("%d %d %d\n".__mod__, H.edges))
+    return f"{H.n} {H.m}\n" + ("%d %d %d\n" * H.m) % H.labels
 
 
 class _Labels(dict):
@@ -538,7 +525,7 @@ def parse_h3(text: str) -> Hypergraph3:
         seeded = range(min(n, len(tokens)))
         value = _Labels(zip(map(str, seeded), seeded)).__getitem__
         m = value(tokens[1])
-        body = list(map(value, islice(tokens, 2, None)))
+        body = tuple(map(value, islice(tokens, 2, None)))
     except ValueError as exc:
         raise ValueError(f"non-integer token in .h3 input: {exc}") from None
     if m < 0:
@@ -546,14 +533,12 @@ def parse_h3(text: str) -> Hypergraph3:
     if len(body) != 3 * m:
         raise ValueError(f"expected {3 * m} vertex tokens for {m} edges, got {len(body)}")
     # fast path: a canonical body, which a file written by to_h3 always is,
-    # keeps its labels and builds edge tuples only when edges is read
+    # becomes the labels as it stands, with the incidence its check built
     incidence = _canonical_incidence(n, m, body)
     if incidence is None:
         labels = iter(body)
         return Hypergraph3(n, zip(labels, labels, labels))
-    H = Hypergraph3.__new__(Hypergraph3)
-    H.n, H.m, H.incidence, H._flat = n, m, incidence, body
-    return H
+    return Hypergraph3._from_labels(n, body, incidence)
 
 
 def write_h3(H: Hypergraph3, path) -> None:

@@ -123,7 +123,7 @@ def _search(
     and matched: the node limit, the clock check every 256 nodes and the
     target apply to the whole solve, and the report's nodes include them.
     """
-    inc, edges = H.incidence, H.edges
+    inc, labels = H.incidence, H.labels
     node_limit, time_limit = budget.node_limit, budget.time_limit_ms
     target = None if budget.target is None else budget.target - found
     best_size = 0
@@ -138,7 +138,7 @@ def _search(
     if not (optimal and avail and free.bit_count() // 3 > slack):
         free = 0
     # frame of an expanded node: [available edges, live vertices, their number, depth,
-    #   chosen chain, greedy cover state, pivot, edge children not taken yet]
+    #   chosen chain of label offsets, greedy cover state, pivot, edge children not taken yet]
     stack = []
     while True:
         # free is non-zero iff a node waits to be expanded: the vertices of the edges it has left
@@ -202,9 +202,10 @@ def _search(
                 break
 
         if low:
-            a, b, c = edge = edges[low.bit_length() - 1]
+            j = 3 * low.bit_length() - 3  # the offset of the edge's labels
+            a, b, c = labels[j], labels[j + 1], labels[j + 2]
             depth += 1
-            chosen = (edge, chosen)
+            chosen = (j, chosen)
             if depth > best_size:
                 best_size, best = depth, chosen
                 if target is not None and depth >= target:
@@ -233,8 +234,8 @@ def _search(
 
     chain = []
     while best is not None:
-        edge, best = best
-        chain.append(edge)
+        j, best = best
+        chain.append(labels[j : j + 3])
     return SolveReport(
         size=best_size,
         edges=tuple(reversed(chain)),
@@ -316,13 +317,13 @@ def _components(H: Hypergraph3) -> list[tuple[int, int]]:
 
     Stops after one component when it holds every edge.  A component grows
     in rounds: the vertices of its new edges come from OR-ing their vertex
-    bits (read from H.edges), or, once the new edges outnumber the
+    bits (read from H.labels), or, once the new edges outnumber the
     vertices, from one incidence test per vertex.  So a sparse component
     costs work in proportion to its own edges, and a dense input a few
     passes over n (walking the new edges one by one is quadratic in m:
     each step rewrites an m-bit mask).
     """
-    inc, edges, n = H.incidence, H.edges, H.n
+    inc, labels, n = H.incidence, H.labels, H.n
     left = (1 << H.m) - 1  # edges of components not found yet
     comps = []
     for s in range(n):
@@ -342,8 +343,8 @@ def _components(H: Hypergraph3) -> list[tuple[int, int]]:
                 while new:
                     low = new & -new
                     new ^= low
-                    a, b, c = edges[low.bit_length() - 1]
-                    grown |= 1 << a | 1 << b | 1 << c
+                    j = 3 * low.bit_length() - 3
+                    grown |= 1 << labels[j] | 1 << labels[j + 1] | 1 << labels[j + 2]
             grown &= ~comp_vertices
             comp_vertices |= grown
             while grown:

@@ -352,7 +352,7 @@ def _good_case(H: Hypergraph3, P: Partition, d: int, cov: int, live: int, twice_
         # direct edge on uncovered vertices
         j = _first_edge(H, W, avail)
         if j is not None:
-            new = [H.edges[j]]
+            new = [H.labels[3 * j : 3 * j + 3]]
         else:
             # good-pair swap: trade e1, e2 for three VVW edges
             swap = _good_pair_swap(H, P, edges, cov)
@@ -413,7 +413,7 @@ def _cover_each_with_own_edge(H: Hypergraph3, targets, allowed: int) -> list[int
             i, untried, cov, live, _ = stack.pop()
         j = (untried & -untried).bit_length() - 1
         stack.append((i, untried & (untried - 1), cov, live, j))
-        for x in H.edges[j]:
+        for x in H.labels[3 * j : 3 * j + 3]:
             cov |= 1 << x
             live &= ~inc[x]
         i += 1
@@ -448,8 +448,9 @@ def staged_matching(
 
     def take(j, stage):
         nonlocal cov, live
-        stage.append(H.edges[j])
-        for x in H.edges[j]:
+        edge = H.labels[3 * j : 3 * j + 3]
+        stage.append(edge)
+        for x in edge:
             cov |= 1 << x
             live &= ~inc[x]
 

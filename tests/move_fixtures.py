@@ -1,6 +1,6 @@
 """Hand-built instances on which a specific swap move is the only way up."""
 
-from hypermatch.core import Matching, build
+from hypermatch.core import Hypergraph3, Matching
 
 
 def one_for_two_fixture():
@@ -10,7 +10,7 @@ def one_for_two_fixture():
     uncovered vertices, so removing the single matched edge frees a
     2-matching: a 1-for-2 trade using k+3 = 4 uncovered vertices.
     """
-    H = build(7, [(0, 1, 2), (0, 3, 5), (1, 4, 6)])
+    H = Hypergraph3(7, [(0, 1, 2), (0, 3, 5), (1, 4, 6)])
     M = Matching(H, [(0, 1, 2)])
     return H, M
 
@@ -27,7 +27,7 @@ def two_for_three_fixture():
     edges = [E, F]
     for x in (6, 7, 8):
         edges += [(x, 0, 3), (x, 1, 4), (x, 2, 5)]
-    H = build(9, edges)
+    H = Hypergraph3(9, edges)
     M = Matching(H, [E, F])
     return H, M
 
@@ -45,6 +45,6 @@ def five_for_six_fixture():
     edges = list(base)
     for v in range(15, 21):
         edges += [(v, a, b) for a, b in pairs]
-    H = build(21, edges)
+    H = Hypergraph3(21, edges)
     M = Matching(H, base)
     return H, M

@@ -523,7 +523,7 @@ def naive_random_triples(n: int, p: float, seed: int) -> Hypergraph3:
         raise ValueError("p must be in [0, 1]")
     cut = int(p * 2**64)
     rng = splitmix64_stream(seed)
-    return Hypergraph3._from_canonical(n, tuple(e for e in combinations(range(n), 3) if next(rng) < cut))
+    return Hypergraph3(n, [e for e in combinations(range(n), 3) if next(rng) < cut])
 
 
 def naive_parse_h3(text: str) -> SimpleNamespace:
@@ -579,7 +579,7 @@ def _naive_good_pair_rematch(H, e1, e2, v1, v2, w, Wset):
         need.extend((x, w1, c) for c in (a2, b2))
         need.extend((x, c, w2) for c in (a1, b1))
     need.extend((w, c1, c2) for c1 in (a1, b1) for c2 in (a2, b2))
-    if all(H.has_edge(t) for t in need):
+    if all(tuple(sorted(t)) in H.edge_set for t in need):
         return [
             tuple(sorted((v1, a1, w2))),
             tuple(sorted((v2, w1, a2))),
@@ -717,7 +717,7 @@ def naive_staged_matching(H, P, d: int, alpha: float = 0.05, theta: float = 0.01
             for vp in v2
             if vp != v and vp not in covered
             for w in w1
-            if w not in covered and H.has_edge((v, vp, w))
+            if w not in covered and tuple(sorted((v, vp, w))) in H.edge_set
         )
         placed = False
         if pairs >= thr:

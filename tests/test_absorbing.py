@@ -20,13 +20,13 @@ from hypermatch.absorbing import (
     perfect_via_absorbing,
 )
 from hypermatch.constructions import cut_family, extremal_star, random_triples, splitmix64_stream
-from hypermatch.core import Matching, build
+from hypermatch.core import Hypergraph3, Matching
 from hypermatch.exact import max_matching, max_matching_in_subset
 from oracles import naive_absorb_leftover, perround_find_absorbing
 
 
 def complete(n):
-    return build(n, combinations(range(n), 3))
+    return Hypergraph3(n, combinations(range(n), 3))
 
 
 class TestAbsorbs:
@@ -46,7 +46,7 @@ class TestAbsorbs:
             absorbs(complete(9), (0, 1, 2), (2, 3, 4))
 
     def test_rejects_non_edge(self):
-        H = build(9, [(0, 1, 2)])
+        H = Hypergraph3(9, [(0, 1, 2)])
         with pytest.raises(ValueError):
             absorbs(H, (3, 4, 5), (0, 1, 2))
 
@@ -182,7 +182,7 @@ class TestAbsorbLeftover:
         # A was built on the complete host; one of its edges is missing here
         K12 = complete(12)
         A = find_absorbing(K12, gamma=0.9, t=2)
-        H = build(12, [e for e in K12.edges if e != A.edges[0]])
+        H = Hypergraph3(12, [e for e in K12.edges if e != A.edges[0]])
         left = [v for v in range(12) if all(v not in e for e in A.edges)][:3]
         with pytest.raises(ValueError, match="not an edge"):
             absorb_leftover(H, A, left)
@@ -346,7 +346,7 @@ def _planted(n, p, seed):
         r = j + next(rng) % (n - j)
         perm[j], perm[r] = perm[r], perm[j]
     H = random_triples(n, p, next(rng))
-    return build(n, list(H.edges) + [perm[3 * i : 3 * i + 3] for i in range(n // 3)])
+    return Hypergraph3(n, list(H.edges) + [perm[3 * i : 3 * i + 3] for i in range(n // 3)])
 
 
 def _search_absorbing(seed, n):

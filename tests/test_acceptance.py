@@ -31,7 +31,7 @@ from hypermatch.constructions import (
     random_triples,
     splitmix64_stream,
 )
-from hypermatch.core import Matching, build, threshold
+from hypermatch.core import Matching, threshold
 from hypermatch.exact import has_d_matching, max_matching, max_matching_in_subset
 from hypermatch.extremal import good_case_matching
 from hypermatch.links import PatternKind, base_edge, classify, verify_fact1

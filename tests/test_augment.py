@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import hypermatch.augment
 from hypermatch.augment import AugmentConfig, augment_once, greedy_matching, replay, solve
 from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples
-from hypermatch.core import Matching, build
+from hypermatch.core import Hypergraph3, Matching
 from hypermatch.exact import max_matching
 from oracles import naive_augment_once, naive_greedy_matching, naive_max_matching
 
@@ -18,19 +18,19 @@ from move_fixtures import five_for_six_fixture, one_for_two_fixture, two_for_thr
 
 
 def complete(n):
-    return build(n, combinations(range(n), 3))
+    return Hypergraph3(n, combinations(range(n), 3))
 
 
 class TestGreedy:
     def test_empty(self):
-        assert greedy_matching(build(6, [])).size == 0
+        assert greedy_matching(Hypergraph3(6, [])).size == 0
 
     def test_complete_k9(self):
         assert greedy_matching(complete(9)).size == 3
 
     def test_lexicographic_stall(self):
         # greedy takes (0,1,2) first and stalls at 1; the optimum is 2
-        H = build(6, [(0, 1, 2), (0, 3, 4), (1, 2, 5)])
+        H = Hypergraph3(6, [(0, 1, 2), (0, 3, 4), (1, 2, 5)])
         M = greedy_matching(H)
         assert M.edges == ((0, 1, 2),)
         assert naive_max_matching(H) == 2
@@ -61,7 +61,7 @@ def test_property_greedy_matches_the_edge_pass(n, p, host_seed, seed):
 
 class TestAugmentOnce:
     def test_finds_simple_move(self):
-        H = build(6, [(0, 1, 2), (0, 3, 4), (1, 2, 5)])
+        H = Hypergraph3(6, [(0, 1, 2), (0, 3, 4), (1, 2, 5)])
         M = Matching(H, [(0, 1, 2)])
         got = augment_once(H, M)
         assert got is not None
@@ -217,7 +217,7 @@ class TestUnionProbe:
         assert stats["probes"] == stats["union_skips"] + 1
 
     def test_fewer_than_three_uncovered_probes_nothing(self):
-        H = build(8, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7)])
+        H = Hypergraph3(8, [(0, 1, 2), (3, 4, 5), (0, 3, 6), (1, 4, 7)])
         M = Matching(H, [(0, 1, 2), (3, 4, 5)])
         stats = {}
         assert augment_once(H, M, AugmentConfig(), stats) is None

@@ -22,7 +22,7 @@ import hypermatch
 from hypermatch import absorbing, augment, cli, exact, extremal
 from hypermatch.cli import _build_parser, main
 from hypermatch.constructions import cut_family, random_triples
-from hypermatch.core import build, degree_profile, read_h3, threshold, write_h3
+from hypermatch.core import Hypergraph3, degree_profile, read_h3, threshold, write_h3
 from oracles import intersecting_family_count, naive_threshold_scan, walk_threshold_scan
 
 
@@ -106,7 +106,7 @@ class TestDegreesCmd:
         # 1000 disjoint edges on 3000 vertices: delta2 is 0 without the
         # C(3000, 2) = 4.5M codegrees that degree_profile would build
         h3, out = tmp_path / "d.h3", tmp_path / "d.json"
-        write_h3(build(3000, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)]), h3)
+        write_h3(Hypergraph3(3000, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)]), h3)
         tracemalloc.start()
         try:
             assert main(["degrees", str(h3), "--out", str(out)]) == 0
@@ -177,7 +177,7 @@ class TestSolveCmd:
         H, P = cut_family(9, 3)
         drop = {tuple(sorted((u, x, w))) for u in (0, 1) for x in range(2, 6) for w in P.W} - {(1, 2, 7)}
         h3 = tmp_path / "m2.h3"
-        write_h3(build(9, [e for e in H.edges if e not in drop]), h3)
+        write_h3(Hypergraph3(9, [e for e in H.edges if e not in drop]), h3)
         (tmp_path / "m2.json").write_text(json.dumps({"partition": {"W": [6, 7, 8], "d": 3}}))
         rc, rep = run_json(tmp_path, ["solve", "--extremal", str(h3), "--d", "3", "--alpha", "0.1"])
         assert rc == 0
@@ -188,7 +188,7 @@ class TestSolveCmd:
         # 1100 disjoint edges, every W-vertex bad: M1 covers them all
         k = 1100
         h3 = tmp_path / "disjoint.h3"
-        write_h3(build(3 * k, [(2 * i, 2 * i + 1, 2 * k + i) for i in range(k)]), h3)
+        write_h3(Hypergraph3(3 * k, [(2 * i, 2 * i + 1, 2 * k + i) for i in range(k)]), h3)
         (tmp_path / "disjoint.json").write_text(json.dumps({"partition": {"W": list(range(2 * k, 3 * k)), "d": k}}))
         rc, rep = run_json(tmp_path, ["solve", "--extremal", str(h3), "--d", str(k)])
         assert rc == 0 and capsys.readouterr().err == ""
@@ -388,7 +388,7 @@ class TestVerifyCmd:
         assert rep["total_hypergraphs"] == 2**56
         assert (rep["without_d_matching"], rep["max_delta1_without_d_matching"]) == (32_095_507, 6)
         # the star at vertex 0 is intersecting and reaches delta1 = 6 = threshold(8, 2)
-        star = build(8, [t for t in combinations(range(8), 3) if 0 in t])
+        star = Hypergraph3(8, [t for t in combinations(range(8), 3) if 0 in t])
         assert star.min_degree(1) == rep["threshold_formula"] == 6
 
     @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from hypermatch.constructions import (
     random_triples,
     splitmix64_stream,
 )
-from hypermatch.core import Hypergraph3, Matching, build, threshold, to_h3
+from hypermatch.core import Hypergraph3, Matching, threshold, to_h3
 from hypermatch.exact import has_d_matching
 from oracles import naive_has_k_matching, naive_hypergraph, naive_max_matching, naive_random_triples
 
@@ -117,7 +117,7 @@ class TestBlockerFamily:
 
 
 def _d_matching_after_adding(H, d, edge):
-    H2 = build(H.n, H.edges + (edge,))
+    H2 = Hypergraph3(H.n, H.edges + (edge,))
     status, rep = has_d_matching(H2, d)
     assert status == "yes", (H.n, d, edge)
     assert Matching(H2, rep.edges).size == d

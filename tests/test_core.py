@@ -4,7 +4,7 @@ import math
 import random
 import re
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +14,6 @@ from hypermatch.core import (
     Hypergraph3,
     Matching,
     Partition,
-    build,
     degree_profile,
     edge_type,
     parse_h3,
@@ -22,12 +21,19 @@ from hypermatch.core import (
     to_h3,
 )
 from hypermatch import absorbing, augment, core, exact, extremal
-from hypermatch.constructions import cut_family, extremal_star, perturb_remove, random_triples
+from hypermatch.constructions import (
+    blocker_family,
+    cut_family,
+    extremal_star,
+    pad_to_perfect,
+    perturb_remove,
+    random_triples,
+)
 from oracles import naive_hypergraph, naive_parse_h3, naive_to_h3, packed_row_incidence, tuple_canonical
 
 
 def complete(n):
-    return build(n, combinations(range(n), 3))
+    return Hypergraph3(n, combinations(range(n), 3))
 
 
 # deterministic random-ish edge lists for hypothesis
@@ -45,28 +51,28 @@ def edge_lists(max_n=9):
 
 class TestBuild:
     def test_single_edge(self):
-        H = build(3, [[0, 1, 2]])
+        H = Hypergraph3(3, [[0, 1, 2]])
         assert H.edges == ((0, 1, 2),)
 
     def test_complete_k6(self):
         assert complete(6).m == 20
 
     def test_dedup(self):
-        H = build(6, [[0, 1, 2], [0, 1, 2], [2, 1, 0]])
+        H = Hypergraph3(6, [[0, 1, 2], [0, 1, 2], [2, 1, 0]])
         assert H.m == 1
 
     def test_rejects_repeated_vertex(self):
         with pytest.raises(ValueError):
-            build(5, [[0, 0, 1]])
+            Hypergraph3(5, [[0, 0, 1]])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            build(4, [[1, 2, 4]])
+            Hypergraph3(4, [[1, 2, 4]])
         with pytest.raises(ValueError):
-            build(4, [[-1, 2, 3]])
+            Hypergraph3(4, [[-1, 2, 3]])
 
     def test_empty_hypergraph_legal(self):
-        assert build(0, []).m == 0
+        assert Hypergraph3(0, []).m == 0
 
     def test_edge_cap(self):
         H = complete(7)
@@ -75,7 +81,7 @@ class TestBuild:
 
 class TestDegrees:
     def test_degree_empty(self):
-        H = build(5, [])
+        H = Hypergraph3(5, [])
         assert all(H.degree(v) == 0 for v in range(5))
 
     def test_star6_degrees(self):
@@ -89,7 +95,7 @@ class TestDegrees:
         assert H.degree(w) == 10
 
     def test_codegree_empty(self):
-        assert build(4, []).codegree(0, 1) == 0
+        assert Hypergraph3(4, []).codegree(0, 1) == 0
 
     def test_codegree_cut_family(self):
         H, P = cut_family(9, 3)
@@ -115,9 +121,9 @@ class TestDegrees:
 
     def test_min_degree_errors(self):
         with pytest.raises(ValueError):
-            build(0, []).min_degree(1)
+            Hypergraph3(0, []).min_degree(1)
         with pytest.raises(ValueError):
-            build(1, []).min_degree(2)
+            Hypergraph3(1, []).min_degree(2)
         with pytest.raises(ValueError):
             complete(4).min_degree(3)
 
@@ -199,7 +205,7 @@ class TestMatching:
             Matching(complete(9), [(0, 1, 2), (2, 3, 4)])
 
     def test_rejects_non_edge(self):
-        H = build(6, [(0, 1, 2)])
+        H = Hypergraph3(6, [(0, 1, 2)])
         with pytest.raises(ValueError):
             Matching(H, [(3, 4, 5)])
 
@@ -217,7 +223,7 @@ class TestMatching:
         ],
     )
     def test_non_edge_messages(self, edge, shown):
-        H = build(6, [(0, 1, 2), (3, 4, 5)])
+        H = Hypergraph3(6, [(0, 1, 2), (3, 4, 5)])
         with pytest.raises(ValueError, match=f"^{re.escape(shown)} is not an edge of the host hypergraph$"):
             Matching(H, [(3, 4, 5), edge])
 
@@ -243,7 +249,7 @@ class TestPartition:
 @given(edge_lists())
 def test_handshake(data):
     n, edges = data
-    H = build(n, edges)
+    H = Hypergraph3(n, edges)
     assert sum(H.degree(v) for v in range(n)) == 3 * H.m
     assert sum(H.codegree(u, v) for u, v in combinations(range(n), 2)) == 3 * H.m
 
@@ -252,7 +258,7 @@ def test_handshake(data):
 @given(edge_lists())
 def test_h3_roundtrip(data):
     n, edges = data
-    H = build(n, edges)
+    H = Hypergraph3(n, edges)
     text = to_h3(H)
     H2 = parse_h3(text)
     assert H2 == H
@@ -277,18 +283,18 @@ def test_degree_profile():
     assert prof.delta2 == H.min_degree(2) == 3
     assert prof.degrees[0] == H.degree(0)
     with pytest.raises(ValueError):
-        degree_profile(build(0, []))
+        degree_profile(Hypergraph3(0, []))
 
 
 def test_min_codegree_at_the_shortcut_boundary():
     # the Fano plane: every vertex on 3 = (n - 1) / 2 edges and every pair on
     # one, so no vertex proves a codegree of 0; without one line, three do
     fano = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (0, 4, 5), (1, 5, 6), (0, 2, 6)]
-    assert build(7, fano).min_degree(2) == degree_profile(build(7, fano)).delta2 == 1
-    assert build(7, fano[1:]).min_degree(2) == 0
-    assert build(2, []).min_degree(2) == 0
+    assert Hypergraph3(7, fano).min_degree(2) == degree_profile(Hypergraph3(7, fano)).delta2 == 1
+    assert Hypergraph3(7, fano[1:]).min_degree(2) == 0
+    assert Hypergraph3(2, []).min_degree(2) == 0
     with pytest.raises(ValueError):
-        build(1, []).min_degree(2)
+        Hypergraph3(1, []).min_degree(2)
 
 
 # --- fast paths against the original constructor (tests/oracles.py) ---------
@@ -419,7 +425,7 @@ def test_to_h3_matches_original_writer(case):
         except ValueError:
             continue
         assert to_h3(H) == naive_to_h3(H)
-    assert to_h3(build(0, [])) == naive_to_h3(build(0, [])) == "0 0\n"
+    assert to_h3(Hypergraph3(0, [])) == naive_to_h3(Hypergraph3(0, [])) == "0 0\n"
 
 
 @pytest.mark.parametrize(
@@ -450,7 +456,7 @@ def test_parse_near_canonical_bodies(text):
 @given(edge_lists(max_n=15), st.randoms(use_true_random=False))
 def test_remove_vertices_matches_original_constructor(data, rnd):
     n, edges = data
-    H = build(n, edges)
+    H = Hypergraph3(n, edges)
     gone = set(rnd.sample(range(n), rnd.randint(0, n)))
     sub, kept = H.remove_vertices(gone)
     assert kept == tuple(v for v in range(n) if v not in gone)
@@ -460,7 +466,7 @@ def test_remove_vertices_matches_original_constructor(data, rnd):
 
 
 def test_parse_fast_path_skips_canonicalisation(monkeypatch):
-    """A canonical body never reaches _canon_edges; any other body still does."""
+    """A canonical body never reaches _canon_labels; any other body still does."""
     H, _ = cut_family(12, 4)
     text = to_h3(H)
     sub_edges = H.remove_vertices([0, 5])[0].edges
@@ -468,7 +474,7 @@ def test_parse_fast_path_skips_canonicalisation(monkeypatch):
     def refuse(edge, n):
         raise AssertionError("canonical input was re-canonicalised")
 
-    monkeypatch.setattr(core, "_canon_edges", refuse)
+    monkeypatch.setattr(core, "_canon_labels", refuse)
     assert parse_h3(text) == H
     assert parse_h3(text.replace("\n", "\r\n")) == H
     assert H.remove_vertices([0, 5])[0].edges == sub_edges
@@ -480,17 +486,18 @@ def test_parse_fast_path_skips_canonicalisation(monkeypatch):
 def test_edge_set_built_on_first_use():
     H = parse_h3("5 2\n0 1 2\n2 3 4\n")
     assert "edge_set" not in vars(H)
-    assert H.has_edge((2, 1, 0)) and not H.has_edge((1, 2, 3))
+    assert tuple(sorted((2, 1, 0))) in H.edge_set and tuple(sorted((1, 2, 3))) not in H.edge_set
     assert vars(H)["edge_set"] == frozenset({(0, 1, 2), (2, 3, 4)})
-    # incidence is the only view indexed by edge
+    # the labels and the incidence are the only stores
     assert not hasattr(H, "edge_masks") and H.incidence == (0b01, 0b01, 0b11, 0b10, 0b10)
+    assert H.labels == (0, 1, 2, 2, 3, 4)
 
 
 def test_incidence_of_large_sparse_instance():
     rng = random.Random(3)
     n = 300
     edges = [tuple(rng.sample(range(n), 3)) for _ in range(2000)]
-    assert views_of(build(n, edges)) == views_of(naive_hypergraph(n, edges))
+    assert views_of(Hypergraph3(n, edges)) == views_of(naive_hypergraph(n, edges))
 
 
 def test_many_vertices_few_edges_stay_small():
@@ -512,12 +519,12 @@ def test_many_vertices_few_edges_stay_small():
 
 @pytest.fixture
 def canonical_only(monkeypatch):
-    """Canonical bodies must load straight through _from_canonical, never through _canon_edges."""
+    """Canonical bodies must load straight through _from_labels, never through _canon_labels."""
 
     def refuse(edge, n):
         raise AssertionError("canonical input was re-canonicalised")
 
-    monkeypatch.setattr(core, "_canon_edges", refuse)
+    monkeypatch.setattr(core, "_canon_labels", refuse)
 
 
 def h3_text(n, edges):
@@ -582,11 +589,11 @@ def runs_across_bytes(m):
 def test_every_build_path_at_byte_edges(m):
     edges = runs_across_bytes(m)
     want = views_of(naive_hypergraph(12, edges))
-    canon = Hypergraph3._from_canonical(12, tuple(edges))
+    canon = Hypergraph3._from_labels(12, tuple(chain.from_iterable(edges)))
     # vertex 0 of the host is removed and the rest shift down by one; its edges start the host's list
-    host = build(13, [(0, 1, 2), (0, 4, 12), *(tuple(v + 1 for v in e) for e in edges)])
+    host = Hypergraph3(13, [(0, 1, 2), (0, 4, 12), *(tuple(v + 1 for v in e) for e in edges)])
     built = {
-        "constructor": build(12, [e[::-1] for e in random.Random(m).sample(edges, m)]),
+        "constructor": Hypergraph3(12, [e[::-1] for e in random.Random(m).sample(edges, m)]),
         "parse": parse_h3(to_h3(canon)),
         "canonical": canon,
         "remove_vertices": host.remove_vertices([0])[0],
@@ -635,7 +642,7 @@ def lane_edges(draw):
 def test_bit_planes_match_packed_rows(case):
     n, edges = case
     want = packed_row_incidence(n, edges)
-    H = Hypergraph3._from_canonical(n, edges)
+    H = Hypergraph3._from_labels(n, tuple(chain.from_iterable(edges)))
     assert H.incidence == want
     parsed = parse_h3(to_h3(H))
     assert (parsed.edges, parsed.incidence) == (edges, want)
@@ -696,7 +703,7 @@ def test_negative_edge_count_has_its_own_message():
 
 def test_sparse_parse_peak_below_packed_rows():
     """10,000 disjoint edges over 30,000 vertices: the packed rows peaked at 63-67 MB (tracemalloc)."""
-    text = to_h3(Hypergraph3._from_canonical(30_000, tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(10_000))))
+    text = to_h3(Hypergraph3._from_labels(30_000, tuple(range(30_000))))
     tracemalloc.start()
     try:
         H = parse_h3(text)
@@ -765,14 +772,14 @@ def test_plane_check_matches_tuple_predicate(case):
     assert views(parse_h3, text) == views(naive_parse_h3, text)
 
 
-# --- edges of a parsed hypergraph, built on first read ----------------------------
+# --- one edge store: every builder sets the same fields ------------------------------
 
 
 def relabelled_cut():
     """A cut family with 30 edges removed over shuffled labels, as the closeness benchmark writes it."""
     H = perturb_remove(cut_family(24, 8)[0], 30, 5)
     perm = random.Random(5).sample(range(24), 24)
-    return build(24, [[perm[v] for v in e] for e in H.edges])
+    return Hypergraph3(24, [[perm[v] for v in e] for e in H.edges])
 
 
 def test_parse_keeps_labels_until_edges_are_read():
@@ -782,7 +789,60 @@ def test_parse_keeps_labels_until_edges_are_read():
     assert extremal.find_partition(H, 8) == extremal.find_partition(built, 8)
     assert "edges" not in vars(H)
     assert H.edges == built.edges and vars(H)["edges"] is H.edges
-    assert "_flat" not in vars(H)  # the labels are released once the tuples exist
+
+
+def every_builder(n, edges, seed):
+    """One hypergraph from each builder: the constructor, each generator, the derived ones and both parse paths."""
+    H = Hypergraph3(n, edges)
+    text = to_h3(H)
+    header, *body = text.splitlines()
+    # reversed triples in shuffled lines, so no body of an edge is canonical
+    lines = random.Random(seed).sample(body, len(body))
+    shuffled = "\n".join([header, *(" ".join(line.split()[::-1]) for line in lines)])
+    return {
+        "constructor": H,
+        "extremal_star": extremal_star(6)[0],
+        "cut_family": cut_family(n, 1)[0],
+        "blocker_family": blocker_family(n, 1)[0],
+        "random_triples": random_triples(n, 0.5, seed),
+        "remove_vertices": H.remove_vertices([0])[0],
+        "perturb_remove": perturb_remove(H, H.m // 2, seed),
+        "pad_to_perfect": pad_to_perfect(Hypergraph3(n + 2, edges), 1),
+        "parse": parse_h3(text),
+        "parse_shuffled": parse_h3(shuffled),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_lists(), st.integers(0, 2**32))
+def test_every_builder_sets_one_store(data, seed):
+    n, edges = data
+    for name, G in every_builder(n, edges, seed).items():
+        assert vars(G).keys() == {"n", "m", "labels", "incidence"}, name
+        assert type(G.labels) is tuple and {type(x) for x in G.labels} <= {int}, name
+        assert len(G.labels) == 3 * G.m and G == Hypergraph3(G.n, G.edges), name
+    H = Hypergraph3(n, edges)
+    assert parse_h3(to_h3(H)).labels == H.labels
+
+
+def test_layers_read_no_edge_tuples():
+    built = relabelled_cut()
+    H = parse_h3(to_h3(built))
+    P = extremal.find_partition(H, 8)
+    assert P == extremal.find_partition(built, 8)
+    part = Partition(24, P.W, 8)
+    assert exact.max_matching(H) == exact.max_matching(built)
+    assert augment.solve(H, 8) == augment.solve(built, 8)
+    assert extremal.staged_matching(H, part, 8)[1] == extremal.staged_matching(built, part, 8)[1]
+    assert absorbing.perfect_via_absorbing(H) == absorbing.perfect_via_absorbing(built)
+    assert views_of(H.remove_vertices([0, 5])[0]) == views_of(built.remove_vertices([0, 5])[0])
+    assert to_h3(H) == to_h3(built) and H == built and hash(H) == hash(built)
+    # five bad W-vertices, so the staged matcher's first stages take edges too
+    built = random_triples(15, 0.7, 19)
+    G = parse_h3(to_h3(built))
+    part = Partition(15, extremal.find_partition(G, 5).W, 5)
+    assert extremal.staged_matching(G, part, 5) == extremal.staged_matching(built, part, 5)
+    assert not {"edges", "edge_set"} & (vars(H).keys() | vars(G).keys())
 
 
 # each read of a fresh parse, against the same read of the constructor's hypergraph
@@ -801,7 +861,7 @@ def test_parsed_edges_read_as_the_constructors(read):
     built = relabelled_cut()
     H = parse_h3(to_h3(built))
     assert FIRST_READS[read](H, built) == FIRST_READS[read](built, built)
-    assert H.edges == built.edges and "_flat" not in vars(H)
+    assert H.edges == built.edges
 
 
 # --- JSON reports ----------------------------------------------------------------

@@ -12,19 +12,19 @@ from hypothesis import strategies as st
 
 from hypermatch import exact
 from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples, splitmix64_stream
-from hypermatch.core import Matching, build
+from hypermatch.core import Hypergraph3, Matching
 from hypermatch.exact import SolveBudget, SolveReport, has_d_matching, max_matching, max_matching_in_subset
 from oracles import childframe_search, naive_has_k_matching, naive_max_matching, pairing_has_pm_n6, percover_search
 
 
 def complete(n):
-    return build(n, combinations(range(n), 3))
+    return Hypergraph3(n, combinations(range(n), 3))
 
 
 class TestMaxMatching:
     def test_empty(self):
         # no component: one search of one node, as before the split
-        assert max_matching(build(7, [])) == SolveReport(size=0, edges=(), optimal=True, nodes=1)
+        assert max_matching(Hypergraph3(7, [])) == SolveReport(size=0, edges=(), optimal=True, nodes=1)
 
     def test_complete_k9(self):
         rep = max_matching(complete(9))
@@ -65,7 +65,7 @@ class TestMaxMatching:
     def test_monotone_under_edge_addition(self):
         for seed in range(12):
             H_small = random_triples(12, 0.2, seed)
-            H_big = build(12, H_small.edges + random_triples(12, 0.2, seed + 100).edges)
+            H_big = Hypergraph3(12, H_small.edges + random_triples(12, 0.2, seed + 100).edges)
             assert max_matching(H_small).size <= max_matching(H_big).size
 
     def test_perfect_matching_n6_vs_pairings(self):
@@ -89,7 +89,7 @@ class TestHasDMatching:
         assert status == "no" and rep.optimal
 
     def test_d_zero(self):
-        status, _ = has_d_matching(build(4, []), 0)
+        status, _ = has_d_matching(Hypergraph3(4, []), 0)
         assert status == "yes"
 
     def test_unknown_on_tiny_budget(self):
@@ -257,7 +257,7 @@ def test_pinned_reports(spec, stats, edges):
 def test_deep_disjoint_edges():
     # 1100 components of one edge each: root, edge child, pruned "unmatched" sibling
     k = 1100
-    rep = max_matching(build(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)]))
+    rep = max_matching(Hypergraph3(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)]))
     assert (rep.size, rep.nodes, rep.optimal) == (k, 3 * k, True)
     assert rep.edges == tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(k))
 
@@ -268,7 +268,7 @@ def test_deep_connected_chain():
     # siblings cut by the counting bound
     k = 1100
     links = [(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(k - 1)]
-    H = build(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)] + links)
+    H = Hypergraph3(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)] + links)
     assert len(exact._components(H)) == 1
     rep = max_matching(H)
     assert (rep.size, rep.nodes, rep.optimal) == (k, 2 * k + 1, True)
@@ -390,7 +390,7 @@ def _block_union(blocks, seed):
     for j in range(n - 1):
         r = j + next(rng) % (n - j)
         perm[j], perm[r] = perm[r], perm[j]
-    return build(n, [tuple(perm[v] for v in e) for e in edges])
+    return Hypergraph3(n, [tuple(perm[v] for v in e) for e in edges])
 
 
 def _component_of(H):
@@ -478,7 +478,7 @@ def test_unplanted_blocks_solve_component_by_component():
     # 17,182 nodes and 8 blocks over a million; split, 16 blocks take 107
     rng = splitmix64_stream(5)
     blocks = [random_triples(9, 0.12, next(rng)) for _ in range(16)]
-    H = build(9 * 16, [tuple(9 * b + v for v in e) for b, B in enumerate(blocks) for e in B.edges])
+    H = Hypergraph3(9 * 16, [tuple(9 * b + v for v in e) for b, B in enumerate(blocks) for e in B.edges])
     rep = max_matching(H)
     assert rep.optimal and rep.size == sum(naive_max_matching(B) for B in blocks) == 36
     assert rep.nodes <= 150
@@ -489,7 +489,7 @@ def test_components_share_one_clock():
     # every component is 3 nodes, so only a clock check on the solve's own
     # node count (every 256 nodes) can stop it
     k = 1100
-    H = build(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)])
+    H = Hypergraph3(3 * k, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(k)])
     rep = max_matching(H, SolveBudget(time_limit_ms=1e-6))
     assert (rep.nodes, rep.optimal, rep.detail) == (256, False, "time budget exhausted")
     Matching(H, rep.edges)

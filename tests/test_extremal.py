@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypermatch.constructions import cut_family, extremal_star, perturb_remove, random_triples, splitmix64_stream
-from hypermatch.core import Matching, Partition, build, edge_type
+from hypermatch.core import Hypergraph3, Matching, Partition, edge_type
 from hypermatch.exact import has_d_matching, max_matching
 from hypermatch.extremal import (
     classify_goodness,
@@ -21,12 +21,12 @@ from oracles import model_badness, model_deficiency, naive_good_case_matching, n
 
 
 def complete(n):
-    return build(n, combinations(range(n), 3))
+    return Hypergraph3(n, combinations(range(n), 3))
 
 
 def disjoint_w_edges(k):
     """k disjoint edges (2i, 2i+1, 2k+i) on 3k vertices, with W = 2k..3k-1."""
-    return build(3 * k, [(2 * i, 2 * i + 1, 2 * k + i) for i in range(k)]), Partition(3 * k, range(2 * k, 3 * k), k)
+    return Hypergraph3(3 * k, [(2 * i, 2 * i + 1, 2 * k + i) for i in range(k)]), Partition(3 * k, range(2 * k, 3 * k), k)
 
 
 def m2_double_cover_case():
@@ -36,7 +36,7 @@ def m2_double_cover_case():
     """
     H, P = cut_family(9, 3)
     drop = {tuple(sorted((u, x, w))) for u in (0, 1) for x in range(2, 6) for w in P.W} - {(1, 2, 7)}
-    return build(9, [e for e in H.edges if e not in drop]), P
+    return Hypergraph3(9, [e for e in H.edges if e not in drop]), P
 
 
 class TestDeficiency:
@@ -77,7 +77,7 @@ class TestGoodness:
         w = sorted(P.W)[0]
         # delete the 15 model edges where w is the only W-endpoint
         kept = [e for e in H.edges if not (w in e and sum(v in P.W for v in e) == 1)]
-        H2 = build(9, kept)
+        H2 = Hypergraph3(9, kept)
         rep = classify_goodness(H2, P, alpha=0.1)
         assert rep.badness[w] == 15
         assert w in rep.bad_vertices  # 0.1 * 81 < 15
@@ -95,7 +95,7 @@ class TestGoodness:
             staged_matching(H, P, 3, alpha=alpha)
 
     def test_alpha_one_never_flags(self):
-        H = build(9, [])
+        H = Hypergraph3(9, [])
         P = Partition(9, {6, 7, 8}, 3)
         rep = classify_goodness(H, P, alpha=1.0)
         assert rep.bad_vertices == ()
@@ -114,7 +114,7 @@ class TestFindPartition:
     def test_exhaustive_recovers_scramble(self):
         H, _ = cut_family(9, 3)
         perm = [4, 7, 0, 2, 8, 1, 5, 3, 6]
-        Hs = build(9, [tuple(perm[v] for v in e) for e in H.edges])
+        Hs = Hypergraph3(9, [tuple(perm[v] for v in e) for e in H.edges])
         rep = find_partition(Hs, 3, mode="exhaustive")
         assert rep.deficiency == 0
         assert sorted(rep.W) == sorted(perm[v] for v in (6, 7, 8))
@@ -122,7 +122,7 @@ class TestFindPartition:
     def test_local_recovers_scramble(self):
         H, _ = cut_family(12, 4)
         perm = [5, 9, 0, 11, 3, 1, 7, 2, 10, 4, 8, 6]
-        Hs = build(12, [tuple(perm[v] for v in e) for e in H.edges])
+        Hs = Hypergraph3(12, [tuple(perm[v] for v in e) for e in H.edges])
         rep = find_partition(Hs, 4, mode="local")
         assert rep.deficiency == 0
 
@@ -138,7 +138,7 @@ class TestFindPartition:
         assert rep.deficiency == 0
 
     def test_exhaustive_cap(self):
-        H = build(40, [])
+        H = Hypergraph3(40, [])
         with pytest.raises(ValueError):
             find_partition(H, 13, mode="exhaustive")
 
@@ -193,7 +193,7 @@ class TestGoodCase:
         # without (4, 5, 8) the direct edges stop at (0, 1, 6), (2, 3, 7);
         # only the good-pair swap of those two for (4, 5, 8) can finish
         H, P = cut_family(9, 3)
-        H2 = build(9, [e for e in H.edges if e != (4, 5, 8)])
+        H2 = Hypergraph3(9, [e for e in H.edges if e != (4, 5, 8)])
         M = good_case_matching(H2, P, 3)
         assert M is not None and M.edges == ((0, 4, 7), (1, 3, 8), (2, 5, 6))
 
@@ -234,7 +234,7 @@ class TestStaged:
         w = sorted(P.W)[0]
         reserve = [e for e in H.edges if w in e][:2]
         kept = [e for e in H.edges if w not in e] + reserve
-        H2 = build(30, kept)
+        H2 = Hypergraph3(30, kept)
         rep = classify_goodness(H2, P, alpha=0.05)
         assert rep.bad_vertices == (w,)
         M, log = staged_matching(H2, P, 10, alpha=0.05)
@@ -279,7 +279,7 @@ class TestStaged:
     def test_m1_backtracks(self):
         # 6 first takes (0, 1, 6), which leaves 7 no edge; M1 backs up and
         # gives 6 its next edge (3, 4, 6)
-        H = build(9, [(0, 1, 6), (3, 4, 6), (0, 2, 7), (1, 5, 8)])
+        H = Hypergraph3(9, [(0, 1, 6), (3, 4, 6), (0, 2, 7), (1, 5, 8)])
         P = Partition(9, {6, 7, 8}, 3)
         M, log = staged_matching(H, P, 3, alpha=0)
         assert log.stages["M1"] == [(3, 4, 6), (0, 2, 7), (1, 5, 8)]
@@ -319,7 +319,7 @@ def _scrambled(H, seed):
     for j in range(H.n - 1):
         r = j + next(rng) % (H.n - j)
         perm[j], perm[r] = perm[r], perm[j]
-    return build(H.n, [tuple(perm[v] for v in e) for e in H.edges])
+    return Hypergraph3(H.n, [tuple(perm[v] for v in e) for e in H.edges])
 
 
 def _instance(spec):
@@ -335,12 +335,12 @@ def _instance(spec):
         H, P = cut_family(n, d)
         w = min(P.W)
         reserve = [e for e in H.edges if w in e][:2]
-        return _scrambled(build(n, [e for e in H.edges if w not in e] + reserve), seed)
+        return _scrambled(Hypergraph3(n, [e for e in H.edges if w not in e] + reserve), seed)
     if kind == "random":
         return random_triples(*spec[1:])
     if kind == "star":
         return extremal_star(spec[1])[0]
-    return build(spec[1], [])
+    return Hypergraph3(spec[1], [])
 
 
 PINNED_PARTITIONS = [

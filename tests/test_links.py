@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from hypermatch.constructions import cut_family, random_triples
-from hypermatch.core import build
+from hypermatch.core import Hypergraph3
 from hypermatch.augment import greedy_matching
 from hypermatch.links import (
     PatternKind,
@@ -35,7 +35,7 @@ B113_REF = mask_of([(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)])
 
 
 def complete(n):
-    return build(n, combinations(range(n), 3))
+    return Hypergraph3(n, combinations(range(n), 3))
 
 
 class TestClassify:
@@ -134,7 +134,7 @@ class TestVerifyFact1:
 
 class TestLinkGraphs:
     def test_empty_host(self):
-        H = build(9, [])
+        H = Hypergraph3(9, [])
         assert link_bipartite(H, 0, [1, 2, 3], [4, 5, 6]).edge_count == 0
 
     def test_cut_family_k33(self):
@@ -175,7 +175,7 @@ class TestLinkGraphs:
         assert lg.edge_count == 10
 
     def test_link_within_empty_host(self):
-        assert link_within(build(5, []), 0, [1, 2, 3]).edge_count == 0
+        assert link_within(Hypergraph3(5, []), 0, [1, 2, 3]).edge_count == 0
 
     def test_maximal_matching_leaves_uncovered_link_empty(self):
         # no host edge lies inside the uncovered set of a maximal matching
@@ -199,7 +199,7 @@ class TestLinkGraphs:
         assert not lg.has(0, 2)
 
     def test_chain_empty_host(self):
-        assert link_chain(build(8, []), 0, [[1], [2], [3], [4], [5]]).edge_count == 0
+        assert link_chain(Hypergraph3(8, []), 0, [[1], [2], [3], [4], [5]]).edge_count == 0
 
     def test_chain_arity(self):
         H = complete(8)
