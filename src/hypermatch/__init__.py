@@ -1,10 +1,10 @@
 """Toolkit for matchings in 3-uniform hypergraphs.
 
-Construction of extremal and random instances, link-graph analysis with
-the exhaustive 3x3 bipartite pattern classification, an exact
-branch-and-bound matching oracle, a swap-based local-search solver, the
-two-class closeness machinery with the staged matcher, and an absorbing
-pipeline for perfect matchings.
+Construction of extremal and random instances, the link pattern of a
+vertex between two edges with the exhaustive 3x3 bipartite pattern
+classification, an exact branch-and-bound matching oracle, a swap-based
+local-search solver, the two-class closeness machinery with the staged
+matcher, and an absorbing pipeline for perfect matchings.
 """
 
 from .absorbing import AbsorbingMatching, absorb_leftover, absorbs, find_absorbing, perfect_via_absorbing
@@ -42,15 +42,12 @@ from .extremal import (
     staged_matching,
 )
 from .links import (
-    LinkGraph,
     PatternClass,
     PatternKind,
     base_edge,
     canonical_form,
     classify,
-    link_bipartite,
-    link_chain,
-    link_within,
+    link_pattern,
     verify_fact1,
 )
 

@@ -20,7 +20,7 @@ import sys
 from itertools import combinations
 
 from . import absorbing, augment, constructions, exact, extremal
-from .core import Hypergraph3, Partition, read_h3, threshold, write_h3
+from .core import Hypergraph3, Partition, degree_profile, read_h3, threshold, write_h3
 from .links import verify_fact1
 
 EXIT_OK = 0
@@ -76,15 +76,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_degrees(args) -> int:
-    H = read_h3(args.input)
-    if H.n == 0:
-        raise ValueError("degree profile of an empty vertex set is undefined")
-    degrees = [x.bit_count() for x in H.incidence]
-    delta2 = H.min_degree(2) if H.n > 1 else None
-    _emit(
-        {"schema": "hypermatch.degrees/1", "n": H.n, "m": H.m, "delta1": min(degrees), "delta2": delta2, "degrees": degrees},
-        args.out,
-    )
+    _emit(degree_profile(read_h3(args.input)).to_json_dict(), args.out)
     return EXIT_OK
 
 

@@ -258,7 +258,8 @@ class Hypergraph3:
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
+        labels = iter(self.labels)
+        return frozenset(zip(labels, labels, labels))
 
     def _check_vertex(self, v: int) -> int:
         if not 0 <= v < self.n:
@@ -429,16 +430,6 @@ class Matching:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-vertex degrees, per-pair codegrees and their minima."""
-
-    degrees: tuple[int, ...]
-    codegrees: dict[tuple[int, int], int]
-    delta1: int
-    delta2: int | None
-
-
 class Report:
     """A JSON report: `to_json_dict` is {"schema": SCHEMA} plus every field.
 
@@ -470,20 +461,25 @@ def _json_value(x):
     return x
 
 
+@dataclass(frozen=True)
+class DegreeProfile(Report):
+    """Per-vertex degrees, the minimum degree and the minimum codegree (None when n = 1)."""
+
+    SCHEMA = "hypermatch.degrees/1"
+
+    n: int
+    m: int
+    delta1: int
+    delta2: int | None
+    degrees: tuple[int, ...]
+
+
 def degree_profile(H: Hypergraph3) -> DegreeProfile:
+    """The degree report of H; no pair table, the codegree of a pair is `H.codegree(u, v)`."""
     if H.n == 0:
         raise ValueError("degree profile of an empty vertex set is undefined")
-    degs = tuple(H.incidence[v].bit_count() for v in range(H.n))
-    cods = {
-        (u, v): (H.incidence[u] & H.incidence[v]).bit_count()
-        for u, v in combinations(range(H.n), 2)
-    }
-    return DegreeProfile(
-        degrees=degs,
-        codegrees=cods,
-        delta1=min(degs),
-        delta2=min(cods.values()) if cods else None,
-    )
+    degrees = tuple(x.bit_count() for x in H.incidence)
+    return DegreeProfile(H.n, H.m, min(degrees), H.min_degree(2) if H.n > 1 else None, degrees)
 
 
 # --- .h3 text format -------------------------------------------------------

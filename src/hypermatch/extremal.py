@@ -62,7 +62,7 @@ from itertools import combinations
 
 from .augment import AugmentConfig, solve as _augment_solve
 from .core import Edge, Hypergraph3, Matching, Partition, Report
-from .links import PatternKind, classify, link_bipartite
+from .links import PatternKind, classify, link_pattern
 
 __all__ = [
     "ClosenessReport",
@@ -182,7 +182,7 @@ def _bottom_votes(H: Hypergraph3) -> list[int]:
             if i == j:
                 continue
             for v in uncovered:
-                cls = classify(link_bipartite(H, v, E, F).pattern())
+                cls = classify(link_pattern(H, v, E, F))
                 if cls.kind is PatternKind.B113:
                     base_row = cls.base[0]
                     x = tuple(sorted(E))[base_row]

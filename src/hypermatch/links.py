@@ -1,4 +1,4 @@
-"""Link graphs and the exhaustive classification of 3x3 bipartite patterns.
+"""Link patterns and the exhaustive classification of 3x3 bipartite patterns.
 
 A labeled balanced bipartite graph on classes X = {x0,x1,x2} and
 Y = {y0,y1,y2} is encoded in 9 bits, row-major: bit 3*i + j set iff
@@ -17,6 +17,10 @@ The class table is derived, not assumed: `_derive_classification`
 enumerates all 512 masks, groups the perfect-matching-free ones with
 5 or 6 edges by isomorphism, and checks that exactly the classes above
 appear.  `verify_fact1` re-runs the derivation and reports the counts.
+
+`link_pattern` reads the pattern of a vertex v between two disjoint
+edges E and F straight from the incidence bitsets: x_i = E[i] and
+y_j = F[j] are joined iff {v, x_i, y_j} is an edge.
 """
 
 from __future__ import annotations
@@ -25,23 +29,19 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .core import Hypergraph3
 
 __all__ = [
     "PatternKind",
     "PatternClass",
-    "LinkGraph",
     "pattern_has_pm",
     "canonical_form",
     "classify",
     "base_edge",
     "verify_fact1",
-    "link_bipartite",
-    "link_within",
-    "link_chain",
-    "edge_through",
+    "link_pattern",
 ]
 
 _PERMS = tuple(permutations(range(3)))
@@ -218,89 +218,23 @@ def verify_fact1() -> dict:
     }
 
 
-# --- link graphs ------------------------------------------------------------
+# --- link patterns ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinkGraph:
-    """Pairs completing an edge with a fixed center vertex.
+def link_pattern(H: Hypergraph3, v: int, E, F) -> int:
+    """The 9-bit link of v between the triples E and F.
 
-    parts are the vertex sets the link was taken against (each sorted);
-    edges are unordered pairs {a, b} with {center, a, b} an edge of the
-    host.  For two parts of size 3, `pattern()` gives the 9-bit encoding
-    with rows indexed by the sorted first part and columns by the second.
+    Bit 3i + j is set iff {v, E[i], F[j]} is an edge of H, with E and F
+    taken sorted.  v, E and F must be seven distinct vertices of H.
     """
-
-    center: int
-    parts: tuple[tuple[int, ...], ...]
-    edges: frozenset[frozenset[int]]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def has(self, a: int, b: int) -> bool:
-        return frozenset((a, b)) in self.edges
-
-    def pattern(self) -> int:
-        if len(self.parts) != 2 or any(len(p) != 3 for p in self.parts):
-            raise ValueError("pattern encoding needs exactly two parts of size 3")
-        A, B = self.parts
-        mask = 0
-        for i in range(3):
-            for j in range(3):
-                if self.has(A[i], B[j]):
-                    mask |= 1 << (3 * i + j)
-        return mask
-
-
-def _check_disjoint_sets(H: Hypergraph3, v: int, sets) -> list[tuple[int, ...]]:
-    H._check_vertex(v)
-    seen: set[int] = set()
-    out = []
-    for s in sets:
-        t = tuple(sorted(H._check_vertex(x) for x in s))
-        if v in t:
-            raise ValueError("center vertex lies inside a link set")
-        if seen & set(t):
-            raise ValueError("link sets must be pairwise disjoint")
-        seen.update(t)
-        out.append(t)
-    return out
-
-
-def link_bipartite(H: Hypergraph3, v: int, A, B) -> LinkGraph:
-    """Bipartite link of v: a in A joined to b in B iff {v,a,b} is an edge."""
-    pa, pb = _check_disjoint_sets(H, v, (A, B))
+    E, F = sorted(map(H._check_vertex, E)), sorted(map(H._check_vertex, F))
+    if len(E) != 3 or len(F) != 3 or len({H._check_vertex(v), *E, *F}) != 7:
+        raise ValueError("a link pattern needs a center and two disjoint triples: seven distinct vertices")
     inc = H.incidence
-    edges = frozenset(
-        frozenset((a, b)) for a in pa for b in pb if inc[v] & inc[a] & inc[b]
-    )
-    return LinkGraph(center=v, parts=(pa, pb), edges=edges)
-
-
-def link_within(H: Hypergraph3, v: int, A) -> LinkGraph:
-    """Link of v inside a single set: a, a' joined iff {v,a,a'} is an edge."""
-    (pa,) = _check_disjoint_sets(H, v, (A,))
-    inc = H.incidence
-    edges = frozenset(
-        frozenset((a, b)) for a, b in combinations(pa, 2) if inc[v] & inc[a] & inc[b]
-    )
-    return LinkGraph(center=v, parts=(pa,), edges=edges)
-
-
-def link_chain(H: Hypergraph3, v: int, sets) -> LinkGraph:
-    """Union of the bipartite links along consecutive pairs of 2..5 sets."""
-    parts = _check_disjoint_sets(H, v, sets)
-    if not 2 <= len(parts) <= 5:
-        raise ValueError("chain takes between 2 and 5 sets")
-    edges: set[frozenset[int]] = set()
-    for left, right in zip(parts, parts[1:]):
-        edges |= link_bipartite(H, v, left, right).edges
-    return LinkGraph(center=v, parts=tuple(parts), edges=frozenset(edges))
-
-
-def edge_through(v: int, pair) -> tuple[int, int, int]:
-    """Reconstruct the host edge from a center vertex and one of its link pairs."""
-    a, b = tuple(pair)
-    return tuple(sorted((v, a, b)))
+    mask = 0
+    for i, a in enumerate(E):
+        va = inc[v] & inc[a]
+        for j, b in enumerate(F):
+            if va & inc[b]:
+                mask |= 1 << 3 * i + j
+    return mask

@@ -6,8 +6,9 @@ permanent, closeness by listing every triple of the cut-family model,
 hypergraph views by the original per-edge constructor, incidence also by
 the packed-row loop that preceded the bit-plane builder, the
 canonical-body test of the reader by its six conditions on edge tuples,
-.h3 text by the original line-by-line writer, random instances by one
-splitmix64 step per candidate triple, the good-case and staged matchers
+degree profiles by the table of every pair's codegree, .h3 text by the
+original line-by-line writer, random instances by one splitmix64 step
+per candidate triple, the good-case and staged matchers
 by their original nested loops over triple lookups, the greedy start by
 its pass over every edge, the move search by its original loop over
 small uncovered sets U', the threshold scan by the old down-set walk and
@@ -506,6 +507,27 @@ def packed_row_incidence(n: int, edges) -> tuple[int, ...]:
         rows[b][j] |= bit
         rows[c][j] |= bit
     return tuple(int.from_bytes(row, "little") for row in rows)
+
+
+def pairtable_degree_profile(H) -> SimpleNamespace:
+    """Degrees and the codegree of each of the C(n, 2) pairs, counted edge by edge, with their minima.
+
+    The pair table the degree profile was once built from: delta2 is the
+    minimum over all of it, with no shortcut, and None when n = 1.
+    """
+    degrees = [0] * H.n
+    codegrees = dict.fromkeys(combinations(range(H.n), 2), 0)
+    for e in H.edges:
+        for v in e:
+            degrees[v] += 1
+        for pair in combinations(e, 2):
+            codegrees[pair] += 1
+    return SimpleNamespace(
+        degrees=tuple(degrees),
+        codegrees=codegrees,
+        delta1=min(degrees),
+        delta2=min(codegrees.values()) if codegrees else None,
+    )
 
 
 def naive_to_h3(H) -> str:

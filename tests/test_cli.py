@@ -23,7 +23,7 @@ from hypermatch import absorbing, augment, cli, exact, extremal
 from hypermatch.cli import _build_parser, main
 from hypermatch.constructions import cut_family, random_triples
 from hypermatch.core import Hypergraph3, degree_profile, read_h3, threshold, write_h3
-from oracles import intersecting_family_count, naive_threshold_scan, walk_threshold_scan
+from oracles import intersecting_family_count, naive_threshold_scan, pairtable_degree_profile, walk_threshold_scan
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -104,7 +104,7 @@ class TestDegreesCmd:
 
     def test_sparse_file_needs_no_pair_table(self, tmp_path):
         # 1000 disjoint edges on 3000 vertices: delta2 is 0 without the
-        # C(3000, 2) = 4.5M codegrees that degree_profile would build
+        # C(3000, 2) = 4.5M codegrees of the pair table
         h3, out = tmp_path / "d.h3", tmp_path / "d.json"
         write_h3(Hypergraph3(3000, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)]), h3)
         tracemalloc.start()
@@ -123,15 +123,18 @@ class TestDegreesCmd:
 @given(st.integers(1, 15), st.sampled_from([0.0, 0.03, 0.1, 0.2, 0.5, 0.9, 1.0]), st.integers(0, 2**32))
 def test_property_degrees_match_the_profile(n, p, seed):
     # the minimum codegree's shortcut (some vertex on fewer than (n - 1) / 2
-    # edges) and the full pair pass both agree with the pair table
+    # edges) and the full pair pass both agree with the pair table, in the
+    # degrees command and in degree_profile alike
     H = random_triples(n, p, seed)
+    want = pairtable_degree_profile(H)
     prof = degree_profile(H)
     with tempfile.TemporaryDirectory() as tmp:
         path, out = os.path.join(tmp, "x.h3"), os.path.join(tmp, "x.json")
         write_h3(H, path)
         assert main(["degrees", path, "--out", out]) == 0
         rep = json.loads(Path(out).read_text())
-    assert (rep["degrees"], rep["delta1"], rep["delta2"]) == (list(prof.degrees), prof.delta1, prof.delta2)
+    assert (prof.degrees, prof.delta1, prof.delta2) == (want.degrees, want.delta1, want.delta2)
+    assert rep == prof.to_json_dict() and (rep["n"], rep["m"]) == (H.n, H.m)
 
 
 class TestSolveCmd:

@@ -1,5 +1,6 @@
 """Tests for the core hypergraph types and the .h3 format."""
 
+import json
 import math
 import random
 import re
@@ -19,6 +20,7 @@ from hypermatch.core import (
     parse_h3,
     threshold,
     to_h3,
+    write_h3,
 )
 from hypermatch import absorbing, augment, core, exact, extremal
 from hypermatch.constructions import (
@@ -29,7 +31,15 @@ from hypermatch.constructions import (
     perturb_remove,
     random_triples,
 )
-from oracles import naive_hypergraph, naive_parse_h3, naive_to_h3, packed_row_incidence, tuple_canonical
+from hypermatch.cli import main
+from oracles import (
+    naive_hypergraph,
+    naive_parse_h3,
+    naive_to_h3,
+    packed_row_incidence,
+    pairtable_degree_profile,
+    tuple_canonical,
+)
 
 
 def complete(n):
@@ -279,20 +289,44 @@ def test_h3_comments_and_errors():
 def test_degree_profile():
     H, _ = cut_family(9, 3)
     prof = degree_profile(H)
+    assert (prof.n, prof.m) == (H.n, H.m)
     assert prof.delta1 == H.min_degree(1) == 18
     assert prof.delta2 == H.min_degree(2) == 3
     assert prof.degrees[0] == H.degree(0)
+    assert prof.to_json_dict() == {
+        "schema": "hypermatch.degrees/1", "n": 9, "m": H.m, "delta1": 18, "delta2": 3, "degrees": list(prof.degrees)
+    }
+    assert degree_profile(Hypergraph3(1, [])).delta2 is None
     with pytest.raises(ValueError):
         degree_profile(Hypergraph3(0, []))
 
 
-def test_min_codegree_at_the_shortcut_boundary():
+def test_degree_profile_needs_no_pair_table():
+    # 1000 disjoint edges on 3000 vertices: delta2 is 0 without the
+    # C(3000, 2) = 4.5M codegrees of the pair table (about 420 MB)
+    H = Hypergraph3(3000, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)])
+    tracemalloc.start()
+    try:
+        prof = degree_profile(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (prof.delta1, prof.delta2, prof.degrees) == (1, 0, (1,) * 3000)
+    assert peak < 6 * 2**20
+
+
+def test_min_codegree_at_the_shortcut_boundary(tmp_path):
     # the Fano plane: every vertex on 3 = (n - 1) / 2 edges and every pair on
-    # one, so no vertex proves a codegree of 0; without one line, three do
+    # one, so no vertex proves a codegree of 0; without one line, three do.
+    # min_degree(2), degree_profile and the degrees command all agree with
+    # the pair table
     fano = [(0, 1, 3), (1, 2, 4), (2, 3, 5), (3, 4, 6), (0, 4, 5), (1, 5, 6), (0, 2, 6)]
-    assert Hypergraph3(7, fano).min_degree(2) == degree_profile(Hypergraph3(7, fano)).delta2 == 1
-    assert Hypergraph3(7, fano[1:]).min_degree(2) == 0
-    assert Hypergraph3(2, []).min_degree(2) == 0
+    path, out = tmp_path / "x.h3", tmp_path / "x.json"
+    for H, delta2 in ((Hypergraph3(7, fano), 1), (Hypergraph3(7, fano[1:]), 0), (Hypergraph3(2, []), 0)):
+        write_h3(H, path)
+        assert main(["degrees", str(path), "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert H.min_degree(2) == degree_profile(H).delta2 == rep["delta2"] == pairtable_degree_profile(H).delta2 == delta2
     with pytest.raises(ValueError):
         Hypergraph3(1, []).min_degree(2)
 
@@ -488,6 +522,8 @@ def test_edge_set_built_on_first_use():
     assert "edge_set" not in vars(H)
     assert tuple(sorted((2, 1, 0))) in H.edge_set and tuple(sorted((1, 2, 3))) not in H.edge_set
     assert vars(H)["edge_set"] == frozenset({(0, 1, 2), (2, 3, 4)})
+    # the set is made from the labels: reading it caches no `edges` beside it
+    assert "edges" not in vars(H)
     # the labels and the incidence are the only stores
     assert not hasattr(H, "edge_masks") and H.incidence == (0b01, 0b01, 0b11, 0b10, 0b10)
     assert H.labels == (0, 1, 2, 2, 3, 4)

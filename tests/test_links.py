@@ -1,5 +1,6 @@
-"""Tests for link graphs and the 3x3 pattern classification."""
+"""Tests for link patterns and the 3x3 pattern classification."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -12,10 +13,7 @@ from hypermatch.links import (
     base_edge,
     canonical_form,
     classify,
-    edge_through,
-    link_bipartite,
-    link_chain,
-    link_within,
+    link_pattern,
     pattern_has_pm,
     verify_fact1,
 )
@@ -135,82 +133,69 @@ class TestVerifyFact1:
 class TestLinkGraphs:
     def test_empty_host(self):
         H = Hypergraph3(9, [])
-        assert link_bipartite(H, 0, [1, 2, 3], [4, 5, 6]).edge_count == 0
+        assert link_pattern(H, 0, [1, 2, 3], [4, 5, 6]) == 0
 
     def test_cut_family_k33(self):
         H, P = cut_family(12, 3)
         v = P.V[0]
         A = list(P.V[1:4])
         B = sorted(P.W)
-        lg = link_bipartite(H, v, A, B)
-        assert lg.edge_count == 9
-        assert lg.pattern() == 0b111111111
+        assert link_pattern(H, v, A, B) == 0b111111111
 
     def test_within_v_empty(self):
         H, P = cut_family(12, 3)
         v = P.V[0]
-        lg = link_bipartite(H, v, list(P.V[1:4]), list(P.V[4:7]))
-        assert lg.pattern() == 0
+        assert link_pattern(H, v, list(P.V[1:4]), list(P.V[4:7])) == 0
 
-    def test_link_identity(self):
-        H = random_triples(9, 0.4, 5)
-        for v, a, b in H.edges[:10]:
-            lg = link_bipartite(H, v, [a], [b])
-            assert lg.has(a, b)
-            assert edge_through(v, (a, b)) == (v, a, b)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_link_pattern_matches_edge_membership(self, seed):
+        # on random hosts, bit 3i + j is set iff {v, E[i], F[j]} is in edge_set
+        rng = random.Random(seed)
+        n = rng.randint(7, 12)
+        H = random_triples(n, rng.choice([0.1, 0.3, 0.6, 1.0]), seed)
+        for _ in range(20):
+            v, *rest = rng.sample(range(n), 7)
+            E, F = rest[:3], rest[3:]
+            want = 0
+            for i, a in enumerate(sorted(E)):
+                for j, b in enumerate(sorted(F)):
+                    if tuple(sorted((v, a, b))) in H.edge_set:
+                        want |= 1 << 3 * i + j
+            assert link_pattern(H, v, E, F) == want
 
     def test_errors(self):
         H = complete(8)
         with pytest.raises(ValueError):
-            link_bipartite(H, 0, [0, 1], [2, 3])
+            link_pattern(H, 0, [0, 1, 2], [3, 4, 5])
         with pytest.raises(ValueError):
-            link_bipartite(H, 7, [0, 1], [1, 2])
+            link_pattern(H, 7, [0, 1, 2], [2, 3, 4])
         with pytest.raises(ValueError):
-            link_bipartite(H, 0, [1, 2], [3, 8])
+            link_pattern(H, 0, [1, 2, 3], [4, 5, 8])
         with pytest.raises(ValueError):
-            link_within(H, -1, [1, 2])
+            link_pattern(H, -1, [1, 2, 3], [4, 5, 6])
+        with pytest.raises(ValueError):
+            link_pattern(H, 0, [1, 2], [3, 4, 5])
 
-    def test_link_within_complete(self):
-        lg = link_within(complete(6), 5, [0, 1, 2, 3, 4])
-        assert lg.edge_count == 10
-
-    def test_link_within_empty_host(self):
-        assert link_within(Hypergraph3(5, []), 0, [1, 2, 3]).edge_count == 0
+    def test_repeated_vertex_in_a_part(self):
+        # [1, 1, 2] is no triple: v, E and F must be seven distinct vertices
+        H = complete(8)
+        with pytest.raises(ValueError):
+            link_pattern(H, 0, [1, 1, 2], [3, 4, 5])
+        with pytest.raises(ValueError):
+            link_pattern(H, 0, [1, 2, 3], [4, 5, 5])
 
     def test_maximal_matching_leaves_uncovered_link_empty(self):
         # no host edge lies inside the uncovered set of a maximal matching
         for seed in range(8):
             H = random_triples(10, 0.3, seed)
-            M = greedy_matching(H)
-            unc = M.uncovered
-            for v in unc:
-                rest = [u for u in unc if u != v]
-                assert link_within(H, v, rest).edge_count == 0
-
-    def test_chain_two_sets_is_bipartite(self):
-        H = random_triples(10, 0.5, 9)
-        A, B = [0, 1, 2], [3, 4, 5]
-        assert link_chain(H, 9, [A, B]).edges == link_bipartite(H, 9, A, B).edges
-
-    def test_chain_path_on_singletons(self):
-        lg = link_chain(complete(6), 5, [[0], [1], [2], [3]])
-        assert lg.edge_count == 3
-        assert lg.has(0, 1) and lg.has(1, 2) and lg.has(2, 3)
-        assert not lg.has(0, 2)
-
-    def test_chain_empty_host(self):
-        assert link_chain(Hypergraph3(8, []), 0, [[1], [2], [3], [4], [5]]).edge_count == 0
-
-    def test_chain_arity(self):
-        H = complete(8)
-        with pytest.raises(ValueError):
-            link_chain(H, 0, [[1, 2]])
+            inc = H.incidence
+            for a, b, c in combinations(greedy_matching(H).uncovered, 3):
+                assert not inc[a] & inc[b] & inc[c]
 
     def test_link_bipartite_pair_pattern(self):
         H, P = cut_family(9, 3)
         E = tuple(P.V[0:2]) + (sorted(P.W)[0],)
         F = tuple(P.V[2:4]) + (sorted(P.W)[1],)
         v = P.V[5]
-        lg = link_bipartite(H, v, E, F)
         # v in V: pairs with exactly one W endpoint across E and F are edges
-        assert classify(lg.pattern()).kind is PatternKind.B113
+        assert classify(link_pattern(H, v, E, F)).kind is PatternKind.B113
