@@ -4,7 +4,8 @@ Construction of extremal and random instances, the link pattern of a
 vertex between two edges with the exhaustive 3x3 bipartite pattern
 classification, an exact branch-and-bound matching oracle, a swap-based
 local-search solver, the two-class closeness machinery with the staged
-matcher, and an absorbing pipeline for perfect matchings.
+matcher, an absorbing pipeline for perfect matchings, and the threshold
+census of small hypergraphs without a d-matching.
 """
 
 from .absorbing import AbsorbingMatching, absorb_leftover, absorbs, find_absorbing, perfect_via_absorbing
@@ -50,5 +51,6 @@ from .links import (
     link_pattern,
     verify_fact1,
 )
+from .thresholds import ThresholdCensus, census
 
 __version__ = "0.1.0"

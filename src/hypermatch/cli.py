@@ -17,11 +17,11 @@ import functools
 import json
 import os
 import sys
-from itertools import combinations
 
 from . import absorbing, augment, constructions, exact, extremal
-from .core import Hypergraph3, Partition, degree_profile, read_h3, threshold, write_h3
+from .core import Partition, degree_profile, read_h3, threshold, write_h3
 from .links import verify_fact1
+from .thresholds import census
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -208,29 +208,6 @@ def _verify_tightness(args) -> int:
 
 
 def _verify_thresholds(args) -> int:
-    """Count the hypergraphs on n <= 8 vertices without a d-matching, and their largest delta1.
-
-    These hypergraphs form a down-set, searched on a decision tree over the
-    C(n,3) triples in lexicographic order; n <= 8 means d <= 2.  For d = 2
-    they are the intersecting families.  A node is (chosen, open): `open`
-    holds the triples not yet decided that meet every chosen triple.  The
-    node's lowest open triple j is either left out (open - j) or taken
-    (open - j - disjoint[j]).  For d = 1 the root has no open triple,
-    which leaves the empty hypergraph.
-
-    The families below a node are `chosen` plus an intersecting subset of
-    `open`, each reached once.  Every open triple already meets every
-    chosen one, so their number depends on `open` alone, and `count` is
-    memoised on that one mask: the many nodes that share it are counted
-    once.
-
-    delta1 only grows as triples are added, so the minimum over v of
-    |(chosen | open) & inc[v]| bounds delta1 of every family below a node.
-    The depth-first search cuts a node only when that bound is at most the
-    best delta1 found so far, which no family below it can beat; so the
-    maximum it returns is exact.  The memo and the best value live in one
-    call: a repeated call does all the work again.
-    """
     n, d = args.n, args.d
     if n > 8:
         print("the down-set count is limited to n <= 8", file=sys.stderr)
@@ -238,50 +215,7 @@ def _verify_thresholds(args) -> int:
     if not 1 <= d <= n // 3:
         print("need 1 <= d <= n/3", file=sys.stderr)
         return EXIT_USAGE
-    K = Hypergraph3(n, combinations(range(n), 3))
-    inc = K.incidence
-    full = (1 << K.m) - 1
-    # K is complete, so its edges are the triples in lexicographic order
-    disjoint = [full & ~(inc[a] | inc[b] | inc[c]) for a, b, c in combinations(range(n), 3)]
-    root = 0 if d == 1 else full
-    memo = {0: 1}
-    known = memo.get
-
-    def count(open_: int) -> int:
-        # every count is at least 1, so `known(x) or count(x)` recurses only on a miss
-        low = open_ & -open_
-        rest = open_ ^ low
-        take = rest & ~disjoint[low.bit_length() - 1]
-        memo[open_] = got = (known(rest) or count(rest)) + (known(take) or count(take))
-        return got
-
-    best = -1
-
-    def grow(chosen: int, open_: int) -> None:
-        nonlocal best
-        bound = min(((chosen | open_) & mask).bit_count() for mask in inc)
-        if bound <= best:
-            return
-        if not open_:
-            best = bound
-            return
-        low = open_ & -open_
-        rest = open_ ^ low
-        grow(chosen | low, rest & ~disjoint[low.bit_length() - 1])
-        grow(chosen, rest)
-
-    grow(0, root)
-    report = {
-        "schema": "hypermatch.thresholds/1",
-        "n": n,
-        "d": d,
-        "total_hypergraphs": 1 << K.m,
-        "without_d_matching": known(root) or count(root),
-        "max_delta1_without_d_matching": best,
-        "empirical_forcing_min_degree": best + 1,
-        "threshold_formula": threshold(n, d),
-    }
-    _emit(report, args.out)
+    _emit(census(n, d).to_json_dict(), args.out)
     return EXIT_OK
 
 

@@ -71,8 +71,15 @@ _COLS = tuple(
 _SHIFTS = tuple((3 * p0, 3 * p1, 3 * p2) for p0, p1, p2 in _PERMS)
 
 
+def _check_mask(mask: int) -> int:
+    if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < 512:
+        raise ValueError("pattern mask must be a 9-bit integer")
+    return mask
+
+
 def pattern_has_pm(mask: int) -> bool:
     """True iff some system of 3 disjoint edges exists (6 permutations)."""
+    _check_mask(mask)
     return any(mask & pm == pm for pm in _PM_MASKS)
 
 
@@ -85,19 +92,19 @@ def _transpose(mask: int) -> int:
     return out
 
 
-def canonical_form(mask: int) -> int:
-    """Lexicographic minimum over the 36 class-preserving relabelings.
+def _relabelings(mask: int) -> list[int]:
+    """The 36 class-preserving relabelings of a mask, repeats included.
 
     Each column permutation relabels the three 3-bit rows through one
     8-entry table; each row permutation then shifts them into place.
     """
     rows = [(col[mask & 7], col[mask >> 3 & 7], col[mask >> 6]) for col in _COLS]
-    return min(r0 << s0 | r1 << s1 | r2 << s2 for r0, r1, r2 in rows for s0, s1, s2 in _SHIFTS)
+    return [r0 << s0 | r1 << s1 | r2 << s2 for r0, r1, r2 in rows for s0, s1, s2 in _SHIFTS]
 
 
-def _canon_iso(mask: int) -> int:
-    # full isomorphism, classes allowed to swap
-    return min(canonical_form(mask), canonical_form(_transpose(mask)))
+def canonical_form(mask: int) -> int:
+    """Lexicographic minimum over the 36 class-preserving relabelings."""
+    return min(_relabelings(_check_mask(mask)))
 
 
 def _row_degrees(mask: int) -> tuple[int, ...]:
@@ -111,40 +118,50 @@ def _col_degrees(mask: int) -> tuple[int, ...]:
 def _derive_classification() -> dict[int, PatternClass]:
     """Enumerate all 512 masks and derive the class of each one.
 
-    Raises if the pattern-free structure differs from the expected three
-    classes; that cannot happen, but the check is what makes the table
-    derived rather than hard-coded.
+    The masks with a perfect matching are the supersets of the six PM
+    masks.  Each PM-free mask of 5 or 6 edges not yet grouped brings its
+    isomorphism class, classes allowed to swap: the 72 relabelings of the
+    mask and of its transpose.  Raises if the pattern-free structure
+    differs from the expected three classes; that cannot happen, but the
+    check is what makes the table derived rather than hard-coded.
     """
+    pm_masks = set(_PM_MASKS)
+    for pm in _PM_MASKS:
+        free = sub = 511 ^ pm
+        while sub:
+            pm_masks.add(pm | sub)
+            sub = (sub - 1) & free
     table: dict[int, PatternClass] = {}
     has_pm, deficient = PatternClass(PatternKind.HAS_PM), PatternClass(PatternKind.DEFICIENT)
-    groups5: dict[int, list[int]] = {}
-    groups6: dict[int, list[int]] = {}
+    groups5: list[list[int]] = []
+    groups6: list[list[int]] = []
+    grouped: set[int] = set()
     for mask in range(512):
-        if pattern_has_pm(mask):
+        if mask in pm_masks:
             table[mask] = has_pm
             continue
         e = mask.bit_count()
         if e >= 7:
             raise AssertionError(f"mask {mask:09b} has 7+ edges but no perfect matching")
-        if e == 6:
-            groups6.setdefault(_canon_iso(mask), []).append(mask)
-        elif e == 5:
-            groups5.setdefault(_canon_iso(mask), []).append(mask)
-        else:
+        if e < 5:
             table[mask] = deficient
+        elif mask not in grouped:
+            orbit = {*_relabelings(mask), *_relabelings(_transpose(mask))}
+            grouped |= orbit
+            (groups6 if e == 6 else groups5).append(sorted(orbit))
 
     if len(groups6) != 1:
         raise AssertionError(f"expected one 6-edge PM-free class, found {len(groups6)}")
     if len(groups5) != 2:
         raise AssertionError(f"expected two 5-edge PM-free classes, found {len(groups5)}")
 
-    for mask in next(iter(groups6.values())):
+    for mask in groups6[0]:
         degs = {tuple(sorted(_row_degrees(mask))), tuple(sorted(_col_degrees(mask)))}
         if (0, 3, 3) not in degs:
             raise AssertionError("6-edge PM-free mask without a (0,3,3) side")
         table[mask] = PatternClass(PatternKind.B033)
 
-    for masks in groups5.values():
+    for masks in groups5:
         rd = tuple(sorted(_row_degrees(masks[0])))
         cd = tuple(sorted(_col_degrees(masks[0])))
         if rd == (1, 1, 3) and cd == (1, 1, 3):
@@ -176,9 +193,7 @@ def _table() -> dict[int, PatternClass]:
 
 def classify(mask: int) -> PatternClass:
     """Classify a 9-bit pattern: perfect matching, b033, b023, b113 or deficient."""
-    if not 0 <= mask < 512:
-        raise ValueError("pattern mask must be a 9-bit integer")
-    return _table()[mask]
+    return _table()[_check_mask(mask)]
 
 
 def base_edge(mask: int) -> tuple[int, int]:

@@ -11,9 +11,10 @@ original line-by-line writer, random instances by one splitmix64 step
 per candidate triple, the good-case and staged matchers
 by their original nested loops over triple lookups, the greedy start by
 its pass over every edge, the move search by its original loop over
-small uncovered sets U', the threshold scan by the old down-set walk and
-by an independent-set count over the disjointness graph, pattern
-relabelings bit by bit, the exact branch and bound by its original form,
+small uncovered sets U', the threshold scan by the old down-set walk,
+by an independent-set count over the disjointness graph and by the
+count in lexicographic order, pattern relabelings bit by bit, the Fact 1
+classes grouped by canonical form, the exact branch and bound by its original form,
 with a fresh greedy cover at every node, and by its form with one stack
 frame and one edge mask per child, the absorbing construction by its
 original form, with fresh absorb masks in every round, and the leftover
@@ -42,9 +43,10 @@ from hypermatch.absorbing import (
 )
 from hypermatch.augment import AugmentConfig, Move, _subsets
 from hypermatch.constructions import splitmix64_stream
-from hypermatch.core import Hypergraph3, Matching, Partition
+from hypermatch.core import Hypergraph3, Matching, Partition, threshold
 from hypermatch.exact import SolveBudget, SolveReport, max_matching_in_subset
 from hypermatch.extremal import StageLog, classify_goodness
+from hypermatch.links import PatternClass, PatternKind, _col_degrees, _find_base, _row_degrees
 
 
 def _edge_masks(H) -> list[int]:
@@ -394,6 +396,55 @@ def walk_threshold_scan(n: int, d: int) -> tuple[int, int]:
     return none_count, max_without
 
 
+def lexorder_census(n: int, d: int) -> dict:
+    """The `verify thresholds` report as the count in lexicographic order made it.
+
+    The decision tree of `hypermatch.thresholds`, with `count` branching on
+    the lowest open triple in lexicographic order, as `grow` still does.
+    """
+    K = Hypergraph3(n, combinations(range(n), 3))
+    inc = K.incidence
+    full = (1 << K.m) - 1
+    disjoint = [full & ~(inc[a] | inc[b] | inc[c]) for a, b, c in combinations(range(n), 3)]
+    root = 0 if d == 1 else full
+    memo = {0: 1}
+    known = memo.get
+
+    def count(open_: int) -> int:
+        low = open_ & -open_
+        rest = open_ ^ low
+        take = rest & ~disjoint[low.bit_length() - 1]
+        memo[open_] = got = (known(rest) or count(rest)) + (known(take) or count(take))
+        return got
+
+    best = -1
+
+    def grow(chosen: int, open_: int) -> None:
+        nonlocal best
+        bound = min(((chosen | open_) & mask).bit_count() for mask in inc)
+        if bound <= best:
+            return
+        if not open_:
+            best = bound
+            return
+        low = open_ & -open_
+        rest = open_ ^ low
+        grow(chosen | low, rest & ~disjoint[low.bit_length() - 1])
+        grow(chosen, rest)
+
+    grow(0, root)
+    return {
+        "schema": "hypermatch.thresholds/1",
+        "n": n,
+        "d": d,
+        "total_hypergraphs": 1 << K.m,
+        "without_d_matching": known(root) or count(root),
+        "max_delta1_without_d_matching": best,
+        "empirical_forcing_min_degree": best + 1,
+        "threshold_formula": threshold(n, d),
+    }
+
+
 def intersecting_family_count(n: int, seed: int = 0) -> int:
     """Families of triples on n vertices with no two disjoint, as independent sets.
 
@@ -459,6 +510,43 @@ def _relabel(mask: int, rows, cols) -> int:
 def naive_canonical_form(mask: int) -> int:
     """The original `links.canonical_form`: relabel bit by bit 36 times, take the minimum."""
     return min(_relabel(mask, r, c) for r in _PERMS for c in _PERMS)
+
+
+def canonform_classification() -> dict:
+    """The `links` class table as grouping by canonical form made it, keys in its order.
+
+    Masks go through 0..511: a perfect matching (bit-by-bit test) or fewer
+    than 5 edges is classified at once; a PM-free mask of 5 or 6 edges joins
+    the group of its isomorphism-class canonical form, the smaller of the
+    canonical forms of the mask and of its transpose.  Then b033, then each
+    5-edge group in order of its first mask.
+    """
+    def canon_iso(mask):
+        transpose = 0
+        for i in range(3):
+            for j in range(3):
+                if mask >> (3 * i + j) & 1:
+                    transpose |= 1 << (3 * j + i)
+        return min(naive_canonical_form(mask), naive_canonical_form(transpose))
+
+    table = {}
+    groups = {5: {}, 6: {}}
+    for mask in range(512):
+        e = mask.bit_count()
+        if naive_pattern_has_pm(mask):
+            table[mask] = PatternClass(PatternKind.HAS_PM)
+        elif e >= 5:
+            groups[e].setdefault(canon_iso(mask), []).append(mask)
+        else:
+            table[mask] = PatternClass(PatternKind.DEFICIENT)
+    (b033,) = groups[6].values()
+    for mask in b033:
+        table[mask] = PatternClass(PatternKind.B033)
+    for masks in groups[5].values():
+        b113 = sorted(_row_degrees(masks[0])) == sorted(_col_degrees(masks[0])) == [1, 1, 3]
+        for mask in masks:
+            table[mask] = PatternClass(PatternKind.B113, _find_base(mask)) if b113 else PatternClass(PatternKind.B023)
+    return table
 
 
 def naive_hypergraph(n: int, edges) -> SimpleNamespace:

@@ -18,7 +18,7 @@ from hypermatch.links import (
     verify_fact1,
 )
 from hypermatch import links
-from oracles import naive_canonical_form, naive_pattern_has_pm, permanent3
+from oracles import canonform_classification, naive_canonical_form, naive_pattern_has_pm, permanent3
 
 
 def mask_of(pairs):
@@ -94,6 +94,14 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(512)
 
+    @pytest.mark.parametrize("fn", [pattern_has_pm, canonical_form, classify, base_edge])
+    @pytest.mark.parametrize("mask", [-1, 512, 1000, 3.0, True, False, "7", None])
+    def test_every_entry_point_rejects_non_masks(self, fn, mask):
+        # canonical_form(1000) once raised IndexError and canonical_form(-1)
+        # returned 511; pattern_has_pm(-1) was True; classify took 3.0 and True
+        with pytest.raises(ValueError, match="pattern mask must be a 9-bit integer"):
+            fn(mask)
+
 
 class TestVerifyFact1:
     def test_report(self):
@@ -120,6 +128,11 @@ class TestVerifyFact1:
         monkeypatch.setattr(links, "_derive_classification", counted)
         assert verify_fact1() == verify_fact1()
         assert len(calls) == 2
+
+    def test_orbits_give_the_canonical_form_table(self):
+        # the classes by orbit equal the classes by canonical form, key order included
+        table, want = links._derive_classification(), canonform_classification()
+        assert list(table.items()) == list(want.items())
 
     def test_pm_free_counts_by_edges(self):
         rep = verify_fact1()
