@@ -355,32 +355,21 @@ def perfect_via_absorbing(
     H: Hypergraph3,
     gamma: float = 0.8,
     cfg: AugmentConfig | None = None,
-    t: int = 2,
     seed: int = 0,
 ) -> SolveReport:
     """Absorb, match the rest, fold the leftover: a perfect matching or the failing phase.
 
-    Phases: find_absorbing on H; the augmenting solver on H - V(M*);
-    absorb_leftover on whatever stayed uncovered.  An M* that falls short
-    of redundancy t is used all the same: the fold is exact, so the
-    pipeline fails only in the augment or leftover phase that cannot go
-    on.  The report's detail names the phase that failed, if any, and its
-    nodes are the B&B nodes of the augment phase's probes.
+    Phases: find_absorbing on H (redundancy t = 2); the augmenting solver
+    on H - V(M*); absorb_leftover on whatever stayed uncovered.  An M*
+    that falls short of its redundancy is used all the same: the fold is
+    exact, so the pipeline fails only in the augment or leftover phase
+    that cannot go on.  The report's detail names the phase that failed,
+    if any, and its nodes are the B&B nodes of the augment phase's probes.
     """
     n = H.n
-
-    def report(edges, optimal, detail, nodes=0):
-        return SolveReport(
-            size=len(edges),
-            edges=tuple(sorted(edges)),
-            optimal=optimal,
-            nodes=nodes,
-            detail=detail,
-        )
-
     if n % 3 != 0:
-        return report((), False, "phase absorbing: n not divisible by 3")
-    A = find_absorbing(H, gamma, t=t, seed=seed)
+        return SolveReport(0, (), False, 0, "phase absorbing: n not divisible by 3")
+    A = find_absorbing(H, gamma, seed=seed)
     star_vertices = sorted(v for e in A.edges for v in e)
     sub, new_to_old = H.remove_vertices(star_vertices)
     rep, _ = _augment_solve(sub, sub.n // 3, cfg or AugmentConfig())
@@ -388,26 +377,13 @@ def perfect_via_absorbing(
     covered = {v for e in outer for v in e} | set(star_vertices)
     leftover = [v for v in range(n) if v not in covered]
     if len(leftover) > A.capacity:
-        return report(
-            tuple(sorted(outer + list(A.edges))),
-            False,
-            f"phase augment: leftover {len(leftover)} exceeds capacity {A.capacity}",
-            rep.nodes,
-        )
-    folded = absorb_leftover(H, A, leftover)
-    if folded is None:
-        return report(
-            tuple(sorted(outer + list(A.edges))),
-            False,
-            "phase leftover: no assignment of leftover triples to absorbing edges",
-            rep.nodes,
-        )
-    total = sorted(outer + list(folded.edges))
-    matching = Matching(H, total)
-    perfect = len(matching.covered) == n
-    return report(
-        matching.edges,
-        perfect,
-        "perfect matching" if perfect else "phase leftover: cover incomplete",
-        rep.nodes,
-    )
+        failed = f"phase augment: leftover {len(leftover)} exceeds capacity {A.capacity}"
+    elif (folded := absorb_leftover(H, A, leftover)) is None:
+        failed = "phase leftover: no assignment of leftover triples to absorbing edges"
+    else:
+        matching = Matching(H, sorted(outer + list(folded.edges)))
+        perfect = len(matching.covered) == n
+        detail = "perfect matching" if perfect else "phase leftover: cover incomplete"
+        return SolveReport(matching.size, matching.edges, perfect, rep.nodes, detail)
+    edges = tuple(sorted(outer + list(A.edges)))
+    return SolveReport(len(edges), edges, False, rep.nodes, failed)

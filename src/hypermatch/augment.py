@@ -82,30 +82,17 @@ def replay(H: Hypergraph3, trace: MoveTrace) -> Matching:
     return Matching(H, sorted(edges))
 
 
-def greedy_matching(H: Hypergraph3, seed: int | None = None) -> Matching:
-    """Maximal matching: scan edges (lexicographic, or shuffled by seed) greedily."""
+def greedy_matching(H: Hypergraph3) -> Matching:
+    """Maximal matching: scan edges in lexicographic order greedily."""
     labels, picked = H.labels, []
-    if seed is None:
-        # pick the lowest available edge, then drop its vertices' edges: n/3 steps, not m
-        free, inc = (1 << H.m) - 1, H.incidence
-        while free:
-            j = 3 * (free & -free).bit_length() - 3
-            a, b, c = e = labels[j : j + 3]
-            picked.append(e)
-            free &= ~(inc[a] | inc[b] | inc[c])
-        return Matching(H, picked)
-    order = list(range(0, 3 * H.m, 3))  # the offsets of the edges' labels
-    rng = splitmix64_stream(seed)
-    for j in range(len(order) - 1):
-        r = j + next(rng) % (len(order) - j)
-        order[j], order[r] = order[r], order[j]
-    covered = 0
-    for j in order:
-        a, b, c = labels[j : j + 3]
-        if not (mask := 1 << a | 1 << b | 1 << c) & covered:
-            covered |= mask
-            picked.append((a, b, c))
-    return Matching(H, sorted(picked))
+    # pick the lowest available edge, then drop its vertices' edges: n/3 steps, not m
+    free, inc = (1 << H.m) - 1, H.incidence
+    while free:
+        j = 3 * (free & -free).bit_length() - 3
+        a, b, c = e = labels[j : j + 3]
+        picked.append(e)
+        free &= ~(inc[a] | inc[b] | inc[c])
+    return Matching(H, picked)
 
 
 def _subsets(pool: tuple, size: int, cap: int, rng) -> list[tuple]:

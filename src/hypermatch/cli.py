@@ -50,8 +50,7 @@ def _cmd_gen(args) -> int:
     out = args.out or f"{kind}{args.n}.h3"
     side = os.path.splitext(out)[0] + ".json"
     if side == out:
-        print(f"--out {out} is also the path of its .json sidecar", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--out {out} is also the path of its .json sidecar")
     # the kind's own flags are the keyword arguments of its constructor
     params = {k: v for k, v in vars(args).items() if k not in ("command", "kind", "out", "func", "build")}
     H, partition = args.build(**params)
@@ -87,7 +86,10 @@ def _load_partition(args, H) -> Partition | None:
     side = os.path.splitext(args.input)[0] + ".json"
     if os.path.exists(side):
         with open(side) as fh:
-            meta = json.load(fh)
+            try:
+                meta = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{side}: sidecar nests too deeply to read") from None
         if not isinstance(meta, dict):
             raise ValueError(f"{side}: sidecar must be a JSON object")
         part = meta.get("partition")
@@ -208,14 +210,7 @@ def _verify_tightness(args) -> int:
 
 
 def _verify_thresholds(args) -> int:
-    n, d = args.n, args.d
-    if n > 8:
-        print("the down-set count is limited to n <= 8", file=sys.stderr)
-        return EXIT_USAGE
-    if not 1 <= d <= n // 3:
-        print("need 1 <= d <= n/3", file=sys.stderr)
-        return EXIT_USAGE
-    _emit(census(n, d).to_json_dict(), args.out)
+    _emit(census(args.n, args.d).to_json_dict(), args.out)
     return EXIT_OK
 
 
@@ -226,8 +221,7 @@ def _cmd_sweep(args) -> int:
     try:
         pgrid = [float(x) for x in args.p_grid.split(",") if x.strip()]
     except ValueError:
-        print("bad --p-grid; expected comma-separated floats", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("bad --p-grid; expected comma-separated floats") from None
     thr = threshold(args.n, args.d)  # raises ValueError (exit 2) unless 1 <= d <= n/3
     if args.trials < 0:
         raise ValueError("--trials must be non-negative")

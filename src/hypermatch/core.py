@@ -212,6 +212,15 @@ def _canon_labels(edges: list, n: int) -> tuple[int, ...]:
     raise err
 
 
+def _vertex_count(n) -> int:
+    """int(n), or ValueError unless 0 <= n <= sys.maxsize: the incidence is a tuple of n masks."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
+    if n > sys.maxsize:
+        raise ValueError(f"vertex count {n} exceeds sys.maxsize ({sys.maxsize})")
+    return int(n)
+
+
 class Hypergraph3:
     """A 3-uniform hypergraph with canonical edge storage.
 
@@ -236,9 +245,7 @@ class Hypergraph3:
     """
 
     def __init__(self, n: int, edges=()):
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
-        n = int(n)  # the range check and the builder both use int(n)
+        n = _vertex_count(n)
         edges = list(edges)
         H = self._from_labels(n, _canon_labels(edges, n) if edges else ())
         self.n, self.m, self.labels, self.incidence = H.n, H.m, H.labels, H.incidence
@@ -530,7 +537,7 @@ def parse_h3(text: str) -> Hypergraph3:
         raise ValueError(f"expected {3 * m} vertex tokens for {m} edges, got {len(body)}")
     # fast path: a canonical body, which a file written by to_h3 always is,
     # becomes the labels as it stands, with the incidence its check built
-    incidence = _canonical_incidence(n, m, body)
+    incidence = _canonical_incidence(_vertex_count(n), m, body)
     if incidence is None:
         labels = iter(body)
         return Hypergraph3(n, zip(labels, labels, labels))

@@ -173,7 +173,7 @@ _VOTERS = 10  # uncovered vertices whose link patterns vote in _bottom_votes
 
 def _bottom_votes(H: Hypergraph3) -> list[int]:
     """Vote for each matching edge's degree-3 link vertex; see find_partition."""
-    rep, _ = _augment_solve(H, H.n // 3 if H.n >= 3 else 0, AugmentConfig(k_max=2))
+    rep, _ = _augment_solve(H, H.n // 3, AugmentConfig(k_max=2))
     M = rep.edges
     uncovered = [v for v in range(H.n) if all(v not in e for e in M)][:_VOTERS]
     votes: dict[int, int] = {}
@@ -184,8 +184,7 @@ def _bottom_votes(H: Hypergraph3) -> list[int]:
             for v in uncovered:
                 cls = classify(link_pattern(H, v, E, F))
                 if cls.kind is PatternKind.B113:
-                    base_row = cls.base[0]
-                    x = tuple(sorted(E))[base_row]
+                    x = E[cls.base[0]]  # matching edges are sorted triples
                     votes[x] = votes.get(x, 0) + 1
     return sorted(votes, key=lambda v: (-votes[v], v))
 
@@ -229,7 +228,8 @@ def find_partition(
     by_degree = sorted(range(H.n), key=lambda v: (-H.degree(v), v))
     if seed == "bottom":
         cand = _bottom_votes(H)
-        cand.extend(v for v in by_degree if v not in set(cand))
+        voted = set(cand)
+        cand.extend(v for v in by_degree if v not in voted)
         W = set(cand[:d])
     elif seed == "degree":
         W = set(by_degree[:d])
@@ -484,8 +484,8 @@ def staged_matching(
     m2 = log.stages["M2"] = []
     leftover_bad = []
     one_w = meets_w & ~twice_w
-    for v in [v for v in V if v in bad and not cov >> v & 1]:
-        if cov >> v & 1:
+    for v in V:
+        if v not in bad or cov >> v & 1:
             continue
         vvw = inc[v] & one_w & live
         if vvw and vvw.bit_count() >= thr:

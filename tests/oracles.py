@@ -929,7 +929,11 @@ def naive_staged_matching(H, P, d: int, alpha: float = 0.05, theta: float = 0.01
 
 
 def naive_greedy_matching(H: Hypergraph3, seed: int | None = None) -> Matching:
-    """The original greedy start: one pass over every edge (lexicographic, or shuffled by seed)."""
+    """The original greedy start: one pass over every edge (lexicographic, or shuffled by seed).
+
+    The shuffled pass lives only here: tests that want a maximal matching
+    other than the lexicographic one take it from this oracle.
+    """
     order = list(range(H.m))
     if seed is not None:
         rng = splitmix64_stream(seed)

@@ -36,11 +36,12 @@ class TestGreedy:
         assert naive_max_matching(H) == 2
 
     def test_maximal(self):
+        # the lexicographic start, and the shuffled starts the oracle makes for the move tests
         for seed in range(10):
             H = random_triples(10, 0.3, seed)
-            M = greedy_matching(H, seed=seed)
-            unc = set(M.uncovered)
-            assert not any(set(e) <= unc for e in H.edges)
+            for M in (greedy_matching(H), naive_greedy_matching(H, seed=seed)):
+                unc = set(M.uncovered)
+                assert not any(set(e) <= unc for e in H.edges)
 
 
 @settings(max_examples=400, deadline=None)
@@ -48,15 +49,12 @@ class TestGreedy:
     st.integers(0, 21),
     st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.7, 1.0]),
     st.integers(0, 2**32),
-    st.one_of(st.none(), st.integers(0, 2**64 - 1)),
 )
-@example(n=12, p=0.0, host_seed=0, seed=None)
-@example(n=12, p=0.0, host_seed=0, seed=7)
-def test_property_greedy_matches_the_edge_pass(n, p, host_seed, seed):
-    # the lowest-bit walk (seed None) and the seeded pass pick the same
-    # edges as one pass over every edge in the same order
+@example(n=12, p=0.0, host_seed=0)
+def test_property_greedy_matches_the_edge_pass(n, p, host_seed):
+    # the lowest-bit walk picks the same edges as one lexicographic pass over every edge
     H = random_triples(n, p, host_seed)
-    assert greedy_matching(H, seed).edges == naive_greedy_matching(H, seed).edges
+    assert greedy_matching(H).edges == naive_greedy_matching(H).edges
 
 
 class TestAugmentOnce:
@@ -202,7 +200,7 @@ class TestUnionProbe:
         # the probe through the first edge stops at 3 nodes without an
         # answer: S is neither a move nor a skip, and the next S moves
         H = random_triples(15, 0.1, 313612)
-        M = greedy_matching(H, seed=313612)
+        M = naive_greedy_matching(H, seed=313612)
         stats = {}
         got = augment_once(H, M, AugmentConfig(k_max=1, probe_nodes=3), stats)
         assert got is not None
@@ -226,7 +224,7 @@ class TestUnionProbe:
 
 def _random_matching(H, seed, drop):
     """A greedy matching with every drop-th edge taken out (not maximal, so moves exist)."""
-    M = greedy_matching(H, seed=seed)
+    M = naive_greedy_matching(H, seed=seed)
     return Matching(H, [e for i, e in enumerate(M.edges) if drop == 0 or i % drop])
 
 

@@ -71,7 +71,7 @@ class TestGen:
         out = tmp_path / "inst.json"
         assert main(["gen", "star", "--n", "9", "--out", str(out)]) == 2
         assert list(tmp_path.iterdir()) == []
-        assert "sidecar" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: --out {out} is also the path of its .json sidecar\n")
 
 
 class TestDegreesCmd:
@@ -101,6 +101,34 @@ class TestDegreesCmd:
         h3.write_text("1000000000000000 0\n")
         assert main(["degrees", str(h3)]) == 2
         assert capsys.readouterr() == ("", "error: out of memory\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["degrees", "{h3}"], ["closeness", "{h3}", "--d", "1"], ["solve", "--exact", "{h3}"],
+         ["solve", "--augment", "{h3}"], ["solve", "--extremal", "{h3}", "--d", "1"], ["solve", "--absorbing", "{h3}"]],
+        ids=["degrees", "closeness", "exact", "augment", "extremal", "absorbing"],
+    )
+    def test_vertex_count_above_maxsize_is_a_usage_error(self, tmp_path, capsys, argv):
+        # no tuple holds 10^20 incidence masks: the count is refused before anything is allocated
+        h3 = tmp_path / "huge.h3"
+        h3.write_text(f"{10**20} 0\n")
+        assert main([arg.format(h3=h3) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: vertex count {10**20} exceeds sys.maxsize ({sys.maxsize})\n")
+
+    def test_vertex_count_above_maxsize_with_an_edge_allocates_nothing(self, tmp_path):
+        # the canonical check would split the edge over O(n) vertices, so run under a 1 GiB address-space cap
+        h3 = tmp_path / "huge1.h3"
+        h3.write_text(f"{10**20} 1\n0 1 2\n")
+        capped = (
+            "import sys; from resource import RLIMIT_AS, getrlimit, setrlimit;"
+            " setrlimit(RLIMIT_AS, (1 << 30, getrlimit(RLIMIT_AS)[1]));"
+            " from hypermatch.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(hypermatch.__file__).parents[1]))
+        argv = [sys.executable, "-c", capped, "degrees", str(h3)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: vertex count {10**20} exceeds sys.maxsize ({sys.maxsize})\n"
 
     def test_sparse_file_needs_no_pair_table(self, tmp_path):
         # 1000 disjoint edges on 3000 vertices: delta2 is 0 without the
@@ -198,17 +226,22 @@ class TestSolveCmd:
         assert rep["size"] == k and rep["stage_log"]["stalled_stage"] is None
 
     @pytest.mark.parametrize(
-        "partition",
-        [{"W": [10, 11]}, {"d": 4}, {"W": 3, "d": 4},
-         {"W": [10, "x"], "d": 4}, {"W": [10, 11], "d": "4"}, [10, 11]],
-        ids=["no-d", "no-W", "W-not-list", "W-not-ints", "d-not-int", "partition-not-object"],
+        "sidecar",
+        [*(json.dumps({"partition": partition}) for partition in (
+            {"W": [10, 11]}, {"d": 4}, {"W": 3, "d": 4},
+            {"W": [10, "x"], "d": 4}, {"W": [10, 11], "d": "4"}, [10, 11])),
+         # 10 KB that json.load cannot read without running out of recursion depth
+         '{"partition": ' + "[" * 5000 + "]" * 5000 + "}"],
+        ids=["no-d", "no-W", "W-not-list", "W-not-ints", "d-not-int", "partition-not-object", "nested-5000-deep"],
     )
-    def test_extremal_bad_sidecar_is_usage_error(self, tmp_path, capsys, partition):
+    def test_extremal_bad_sidecar_is_usage_error(self, tmp_path, capsys, sidecar):
         h3 = tmp_path / "hnd12.h3"
         main(["gen", "hnd", "--n", "12", "--d", "4", "--out", str(h3)])
-        (tmp_path / "hnd12.json").write_text(json.dumps({"partition": partition}))
+        capsys.readouterr()
+        (tmp_path / "hnd12.json").write_text(sidecar)
         assert main(["solve", "--extremal", str(h3), "--d", "4"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'hnd12.json'}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("method", ["--exact", "--augment", "--extremal", "--absorbing"])
     def test_every_method_prints_the_solve_keys(self, tmp_path, method):
@@ -346,11 +379,14 @@ class TestVerifyCmd:
         assert rep["without_d_matching"] == 1
         assert rep["max_delta1_without_d_matching"] == 0
 
-    def test_thresholds_rejects_large_n(self):
+    def test_thresholds_rejects_large_n(self, capsys):
+        # the census's own check, printed once by main like every usage error
         assert main(["verify", "thresholds", "--n", "9", "--d", "2"]) == 2
+        assert capsys.readouterr() == ("", "error: the down-set count is limited to n <= 8\n")
 
-    def test_thresholds_rejects_d_above_n_over_3(self):
+    def test_thresholds_rejects_d_above_n_over_3(self, capsys):
         assert main(["verify", "thresholds", "--n", "7", "--d", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: need 1 <= d <= n/3\n")
 
     @pytest.mark.parametrize("n,d", [(n, d) for n in range(3, 7) for d in range(1, n // 3 + 1)])
     def test_thresholds_match_full_mask_scan(self, tmp_path, n, d):
@@ -478,8 +514,9 @@ class TestSweepCmd:
             assert fields[0] == "9" and fields[1] == "3"
             assert fields[8] == "1"
 
-    def test_bad_grid(self, tmp_path):
+    def test_bad_grid(self, tmp_path, capsys):
         assert main(["sweep", "--n", "9", "--d", "3", "--p-grid", "x"]) == 2
+        assert capsys.readouterr() == ("", "error: bad --p-grid; expected comma-separated floats\n")
 
     @pytest.mark.parametrize("rows", [["--trials", "0"], ["--p-grid", ""]])
     def test_d_above_n_over_3_is_a_usage_error_without_rows(self, tmp_path, rows):

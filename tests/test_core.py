@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+import sys
 import tracemalloc
 from itertools import chain, combinations
 
@@ -735,6 +736,13 @@ def test_negative_edge_count_has_its_own_message():
     )
     # a token that is not an integer is still named first
     assert error_of(parse_h3, "3 -1\nx\n").startswith("non-integer token")
+
+
+def test_vertex_count_above_maxsize_has_its_own_message():
+    # no tuple holds 10^20 incidence masks: both builders name the count before allocating
+    want = f"vertex count {10**20} exceeds sys.maxsize ({sys.maxsize})"
+    assert error_of(Hypergraph3, 10**20) == error_of(parse_h3, f"{10**20} 0\n") == want
+    assert error_of(Hypergraph3, -1) == error_of(parse_h3, "-1 0\n") == "vertex count must be non-negative"
 
 
 def test_sparse_parse_peak_below_packed_rows():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypermatch.constructions import cut_family, extremal_star, perturb_remove, random_triples, splitmix64_stream
+from hypermatch.constructions import blocker_family, cut_family, extremal_star, perturb_remove, random_triples, splitmix64_stream
 from hypermatch.core import Hypergraph3, Matching, Partition, edge_type
 from hypermatch.exact import has_d_matching, max_matching
 from hypermatch.extremal import (
+    _bottom_votes,
     classify_goodness,
     deficiency,
     find_partition,
@@ -152,6 +153,14 @@ class TestFindPartition:
         rep = find_partition(H, 4, mode="local", seed="bottom")
         assert rep.deficiency == 0
         assert sorted(rep.W) == sorted(P.W)
+
+    def test_bottom_seed_pins_its_w(self):
+        # a blocker family on 24 vertices: the six vertices of the blocked part win the vote,
+        # the fill-up by degree adds 0 and 1, and no single-vertex swap lowers the deficiency
+        H, _ = blocker_family(24, 7)
+        assert _bottom_votes(H) == [18, 19, 20, 21, 22, 23]
+        rep = find_partition(H, 8, mode="local", seed="bottom")
+        assert (rep.W, rep.deficiency) == ((0, 1, 18, 19, 20, 21, 22, 23), 256)
 
     def test_bad_arguments(self):
         H = complete(9)
