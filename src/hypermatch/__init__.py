@@ -15,7 +15,6 @@ from .constructions import (
     cut_family,
     extremal_star,
     pad_to_perfect,
-    perturb_remove,
     random_triples,
     splitmix64_stream,
 )
@@ -25,7 +24,6 @@ from .core import (
     Matching,
     Partition,
     degree_profile,
-    edge_type,
     parse_h3,
     read_h3,
     threshold,
@@ -46,7 +44,6 @@ from .links import (
     PatternClass,
     PatternKind,
     base_edge,
-    canonical_form,
     classify,
     link_pattern,
     verify_fact1,

@@ -84,21 +84,24 @@ def _cmd_degrees(args) -> int:
 
 def _load_partition(args, H) -> Partition | None:
     side = os.path.splitext(args.input)[0] + ".json"
-    if os.path.exists(side):
+    if not os.path.exists(side):
+        return None
+    try:
         with open(side) as fh:
-            try:
-                meta = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"{side}: sidecar nests too deeply to read") from None
+            meta = json.load(fh)
         if not isinstance(meta, dict):
-            raise ValueError(f"{side}: sidecar must be a JSON object")
+            raise ValueError("sidecar must be a JSON object")
         part = meta.get("partition")
-        if part:
-            W, d = (part.get("W"), part.get("d")) if isinstance(part, dict) else (None, None)
-            if not (isinstance(W, list) and all(_is_int(v) for v in W) and _is_int(d)):
-                raise ValueError(f"{side}: partition needs an integer list \"W\" and an integer \"d\"")
-            return Partition(H.n, W, d)
-    return None
+        if not part:
+            return None
+        W, d = (part.get("W"), part.get("d")) if isinstance(part, dict) else (None, None)
+        if not (isinstance(W, list) and all(_is_int(v) for v in W) and _is_int(d)):
+            raise ValueError('partition needs an integer list "W" and an integer "d"')
+        return Partition(H.n, W, d)
+    except RecursionError:
+        raise ValueError(f"{side}: sidecar nests too deeply to read") from None
+    except ValueError as exc:
+        raise ValueError(f"{side}: {exc}") from None
 
 
 def _is_int(x) -> bool:

@@ -2,8 +2,7 @@
 
 All generators that come with a natural two-class structure return the
 Partition along with the hypergraph, so callers never have to re-infer
-it.  The distinguished class W always sits at the top of the index range
-unless the caller supplies one.
+it.  The distinguished class W always sits at the top of the index range.
 
 Every generator puts its sorted triples in lexicographic order itself,
 so it passes their flat labels to `Hypergraph3._from_labels` and skips
@@ -29,7 +28,6 @@ __all__ = [
     "cut_family",
     "blocker_family",
     "random_triples",
-    "perturb_remove",
     "pad_to_perfect",
     "splitmix64_stream",
 ]
@@ -104,8 +102,8 @@ def extremal_star(n: int) -> tuple[Hypergraph3, Partition]:
     return blocker_family(n, n // 3)
 
 
-def cut_family(n: int, d: int, W=None) -> tuple[Hypergraph3, Partition]:
-    """All triples with exactly one or two endpoints in a class W of size d.
+def cut_family(n: int, d: int) -> tuple[Hypergraph3, Partition]:
+    """All triples with exactly one or two endpoints in the class W of the top d vertices.
 
     The densest hypergraph in which no edge lies inside V or inside W.
     It has a d-matching (pair up W with V two at a time) and minimum
@@ -113,17 +111,10 @@ def cut_family(n: int, d: int, W=None) -> tuple[Hypergraph3, Partition]:
     """
     if d < 0 or 3 * d > n:
         raise ValueError("need 0 <= d <= n/3")
-    if W is None:
-        W = range(n - d, n)
-    Wset = frozenset(W)
-    if len(Wset) != d:
-        raise ValueError(f"W must have exactly {d} vertices")
-    edges = (
-        (a, b, c)
-        for a, b, c in combinations(range(n), 3)
-        if 1 <= (a in Wset) + (b in Wset) + (c in Wset) <= 2
-    )
-    return Hypergraph3._from_labels(n, tuple(chain.from_iterable(edges))), Partition(n, Wset, d)
+    low = n - d
+    # W is the top index range: the smallest vertex in V, the largest in W
+    edges = (e for e in combinations(range(n), 3) if e[0] < low <= e[2])
+    return Hypergraph3._from_labels(n, tuple(chain.from_iterable(edges))), Partition(n, range(low, n), d)
 
 
 def blocker_family(n: int, d: int) -> tuple[Hypergraph3, Partition]:
@@ -156,20 +147,6 @@ def random_triples(n: int, p: float, seed: int) -> Hypergraph3:
         raise ValueError("p must be in [0, 1]")
     flags = chain.from_iterable(_keep_flags(seed, int(p * 2**64), comb(n, 3)))
     return Hypergraph3._from_labels(n, tuple(chain.from_iterable(compress(combinations(range(n), 3), flags))))
-
-
-def perturb_remove(H: Hypergraph3, k: int, seed: int) -> Hypergraph3:
-    """Remove k uniformly chosen edges (partial Fisher-Yates on the edge list)."""
-    if not 0 <= k <= H.m:
-        raise ValueError(f"k must be in 0..{H.m}")
-    idx = list(range(H.m))
-    rng = splitmix64_stream(seed)
-    for j in range(k):
-        r = j + next(rng) % (H.m - j)
-        idx[j], idx[r] = idx[r], idx[j]
-    dropped = set(idx[:k])
-    kept = (H.labels[3 * i : 3 * i + 3] for i in range(H.m) if i not in dropped)
-    return Hypergraph3._from_labels(H.n, tuple(chain.from_iterable(kept)))
 
 
 def pad_to_perfect(H: Hypergraph3, d: int) -> Hypergraph3:

@@ -59,7 +59,6 @@ __all__ = [
     "DegreeProfile",
     "Report",
     "threshold",
-    "edge_type",
     "degree_profile",
     "to_h3",
     "parse_h3",
@@ -385,12 +384,6 @@ class Partition:
         return tuple(sorted(self.W))
 
 
-def edge_type(edge, partition: Partition) -> str:
-    """Type tag of a triple against a partition: VVV, VVW, VWW or WWW."""
-    k = sum(1 for v in edge if v in partition.W)
-    return ("VVV", "VVW", "VWW", "WWW")[k]
-
-
 @dataclass
 class Matching:
     """A set of pairwise-disjoint edges of a host hypergraph.
@@ -550,5 +543,9 @@ def write_h3(H: Hypergraph3, path) -> None:
 
 
 def read_h3(path) -> Hypergraph3:
-    with open(path) as fh:
-        return parse_h3(fh.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return parse_h3(text)

@@ -36,8 +36,6 @@ from .core import Hypergraph3
 __all__ = [
     "PatternKind",
     "PatternClass",
-    "pattern_has_pm",
-    "canonical_form",
     "classify",
     "base_edge",
     "verify_fact1",
@@ -77,12 +75,6 @@ def _check_mask(mask: int) -> int:
     return mask
 
 
-def pattern_has_pm(mask: int) -> bool:
-    """True iff some system of 3 disjoint edges exists (6 permutations)."""
-    _check_mask(mask)
-    return any(mask & pm == pm for pm in _PM_MASKS)
-
-
 def _transpose(mask: int) -> int:
     out = 0
     for i in range(3):
@@ -100,11 +92,6 @@ def _relabelings(mask: int) -> list[int]:
     """
     rows = [(col[mask & 7], col[mask >> 3 & 7], col[mask >> 6]) for col in _COLS]
     return [r0 << s0 | r1 << s1 | r2 << s2 for r0, r1, r2 in rows for s0, s1, s2 in _SHIFTS]
-
-
-def canonical_form(mask: int) -> int:
-    """Lexicographic minimum over the 36 class-preserving relabelings."""
-    return min(_relabelings(_check_mask(mask)))
 
 
 def _row_degrees(mask: int) -> tuple[int, ...]:

@@ -8,7 +8,8 @@ the packed-row loop that preceded the bit-plane builder, the
 canonical-body test of the reader by its six conditions on edge tuples,
 degree profiles by the table of every pair's codegree, .h3 text by the
 original line-by-line writer, random instances by one splitmix64 step
-per candidate triple, the good-case and staged matchers
+per candidate triple, perturbed instances by a partial Fisher-Yates over
+the edge list, edge types by counting W-endpoints, the good-case and staged matchers
 by their original nested loops over triple lookups, the greedy start by
 its pass over every edge, the move search by its original loop over
 small uncovered sets U', the threshold scan by the old down-set walk,
@@ -634,6 +635,26 @@ def naive_random_triples(n: int, p: float, seed: int) -> Hypergraph3:
     cut = int(p * 2**64)
     rng = splitmix64_stream(seed)
     return Hypergraph3(n, [e for e in combinations(range(n), 3) if next(rng) < cut])
+
+
+def perturb_remove(H: Hypergraph3, k: int, seed: int) -> Hypergraph3:
+    """Remove k uniformly chosen edges (partial Fisher-Yates on the edge list)."""
+    if not 0 <= k <= H.m:
+        raise ValueError(f"k must be in 0..{H.m}")
+    idx = list(range(H.m))
+    rng = splitmix64_stream(seed)
+    for j in range(k):
+        r = j + next(rng) % (H.m - j)
+        idx[j], idx[r] = idx[r], idx[j]
+    dropped = set(idx[:k])
+    kept = (H.labels[3 * i : 3 * i + 3] for i in range(H.m) if i not in dropped)
+    return Hypergraph3._from_labels(H.n, tuple(chain.from_iterable(kept)))
+
+
+def edge_type(edge, partition: Partition) -> str:
+    """Type tag of a triple against a partition: VVV, VVW, VWW or WWW."""
+    k = sum(1 for v in edge if v in partition.W)
+    return ("VVV", "VVW", "VWW", "WWW")[k]
 
 
 def naive_parse_h3(text: str) -> SimpleNamespace:

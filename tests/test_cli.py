@@ -95,6 +95,13 @@ class TestDegreesCmd:
         assert main(["degrees", str(h3)]) == 2
         assert capsys.readouterr() == ("", "error: negative edge count -1 in .h3 header\n")
 
+    def test_non_utf8_input_names_its_file(self, tmp_path, capsys):
+        h3 = tmp_path / "bin.h3"
+        h3.write_bytes(b"3 1\n0 1 \xff\n")
+        assert main(["degrees", str(h3)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {h3}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+
     def test_out_of_memory_is_a_usage_error(self, tmp_path, capsys):
         # 10^15 vertices ask for 8 PB of incidence at once, which fails before anything is allocated
         h3 = tmp_path / "huge.h3"
@@ -229,16 +236,19 @@ class TestSolveCmd:
         "sidecar",
         [*(json.dumps({"partition": partition}) for partition in (
             {"W": [10, 11]}, {"d": 4}, {"W": 3, "d": 4},
-            {"W": [10, "x"], "d": 4}, {"W": [10, 11], "d": "4"}, [10, 11])),
+            {"W": [10, "x"], "d": 4}, {"W": [10, 11], "d": "4"}, [10, 11],
+            {"W": [10, 11, 99], "d": 4}, {"W": [8, 9, 10, 11], "d": 9})),
          # 10 KB that json.load cannot read without running out of recursion depth
-         '{"partition": ' + "[" * 5000 + "]" * 5000 + "}"],
-        ids=["no-d", "no-W", "W-not-list", "W-not-ints", "d-not-int", "partition-not-object", "nested-5000-deep"],
+         '{"partition": ' + "[" * 5000 + "]" * 5000 + "}",
+         '{"partition": }', b'{"partition": "\xff"}'],
+        ids=["no-d", "no-W", "W-not-list", "W-not-ints", "d-not-int", "partition-not-object",
+             "W-out-of-range", "d-out-of-range", "nested-5000-deep", "not-json", "not-utf8"],
     )
     def test_extremal_bad_sidecar_is_usage_error(self, tmp_path, capsys, sidecar):
         h3 = tmp_path / "hnd12.h3"
         main(["gen", "hnd", "--n", "12", "--d", "4", "--out", str(h3)])
         capsys.readouterr()
-        (tmp_path / "hnd12.json").write_text(sidecar)
+        (tmp_path / "hnd12.json").write_bytes(sidecar if isinstance(sidecar, bytes) else sidecar.encode())
         assert main(["solve", "--extremal", str(h3), "--d", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'hnd12.json'}: ") and err.count("\n") == 1

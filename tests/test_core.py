@@ -17,7 +17,6 @@ from hypermatch.core import (
     Matching,
     Partition,
     degree_profile,
-    edge_type,
     parse_h3,
     threshold,
     to_h3,
@@ -29,16 +28,17 @@ from hypermatch.constructions import (
     cut_family,
     extremal_star,
     pad_to_perfect,
-    perturb_remove,
     random_triples,
 )
 from hypermatch.cli import main
 from oracles import (
+    edge_type,
     naive_hypergraph,
     naive_parse_h3,
     naive_to_h3,
     packed_row_incidence,
     pairtable_degree_profile,
+    perturb_remove,
     tuple_canonical,
 )
 

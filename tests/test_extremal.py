@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypermatch.constructions import blocker_family, cut_family, extremal_star, perturb_remove, random_triples, splitmix64_stream
-from hypermatch.core import Hypergraph3, Matching, Partition, edge_type
+from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples, splitmix64_stream
+from hypermatch.core import Hypergraph3, Matching, Partition
 from hypermatch.exact import has_d_matching, max_matching
 from hypermatch.extremal import (
     _bottom_votes,
@@ -18,7 +18,7 @@ from hypermatch.extremal import (
     good_case_matching,
     staged_matching,
 )
-from oracles import model_badness, model_deficiency, naive_good_case_matching, naive_staged_matching
+from oracles import edge_type, model_badness, model_deficiency, naive_good_case_matching, naive_staged_matching, perturb_remove
 
 
 def complete(n):
