@@ -32,6 +32,14 @@ def run_json(tmp_path, argv, name="out.json"):
     return rc, json.loads(out.read_text())
 
 
+# every command that reads an .h3 file, with "{h3}" for its path
+READS_H3 = [
+    ["degrees", "{h3}"], ["closeness", "{h3}", "--d", "1"], ["solve", "--exact", "{h3}"],
+    ["solve", "--augment", "{h3}"], ["solve", "--extremal", "{h3}", "--d", "1"], ["solve", "--absorbing", "{h3}"],
+]
+READS_H3_IDS = ["degrees", "closeness", "exact", "augment", "extremal", "absorbing"]
+
+
 class TestGen:
     def test_star9(self, tmp_path):
         out = tmp_path / "star9.h3"
@@ -95,10 +103,11 @@ class TestDegreesCmd:
         assert main(["degrees", str(h3)]) == 2
         assert capsys.readouterr() == ("", "error: negative edge count -1 in .h3 header\n")
 
-    def test_non_utf8_input_names_its_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", READS_H3, ids=READS_H3_IDS)
+    def test_non_utf8_input_names_its_file(self, tmp_path, capsys, argv):
         h3 = tmp_path / "bin.h3"
         h3.write_bytes(b"3 1\n0 1 \xff\n")
-        assert main(["degrees", str(h3)]) == 2
+        assert main([arg.format(h3=h3) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {h3}: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
 
@@ -109,12 +118,7 @@ class TestDegreesCmd:
         assert main(["degrees", str(h3)]) == 2
         assert capsys.readouterr() == ("", "error: out of memory\n")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["degrees", "{h3}"], ["closeness", "{h3}", "--d", "1"], ["solve", "--exact", "{h3}"],
-         ["solve", "--augment", "{h3}"], ["solve", "--extremal", "{h3}", "--d", "1"], ["solve", "--absorbing", "{h3}"]],
-        ids=["degrees", "closeness", "exact", "augment", "extremal", "absorbing"],
-    )
+    @pytest.mark.parametrize("argv", READS_H3, ids=READS_H3_IDS)
     def test_vertex_count_above_maxsize_is_a_usage_error(self, tmp_path, capsys, argv):
         # no tuple holds 10^20 incidence masks: the count is refused before anything is allocated
         h3 = tmp_path / "huge.h3"
@@ -237,12 +241,15 @@ class TestSolveCmd:
         [*(json.dumps({"partition": partition}) for partition in (
             {"W": [10, 11]}, {"d": 4}, {"W": 3, "d": 4},
             {"W": [10, "x"], "d": 4}, {"W": [10, 11], "d": "4"}, [10, 11],
-            {"W": [10, 11, 99], "d": 4}, {"W": [8, 9, 10, 11], "d": 9})),
+            {"W": [10, 11, 99], "d": 4}, {"W": [8, 9, 10, 11], "d": 9},
+            {"W": [10, True], "d": 4}, {"W": [10.0, 11.0], "d": 4}, {"W": [10, 11], "d": True},
+            {"W": [10, 11], "d": 4.0}, {"W": [-1, 11], "d": 4}, {"W": [10, 11], "d": -1})),
          # 10 KB that json.load cannot read without running out of recursion depth
          '{"partition": ' + "[" * 5000 + "]" * 5000 + "}",
-         '{"partition": }', b'{"partition": "\xff"}'],
+         '{"partition": }', b'{"partition": "\xff"}', "", "[1, 2]"],
         ids=["no-d", "no-W", "W-not-list", "W-not-ints", "d-not-int", "partition-not-object",
-             "W-out-of-range", "d-out-of-range", "nested-5000-deep", "not-json", "not-utf8"],
+             "W-out-of-range", "d-out-of-range", "W-bool", "W-floats", "d-bool", "d-float", "W-negative",
+             "d-negative", "nested-5000-deep", "not-json", "not-utf8", "empty", "sidecar-not-object"],
     )
     def test_extremal_bad_sidecar_is_usage_error(self, tmp_path, capsys, sidecar):
         h3 = tmp_path / "hnd12.h3"

@@ -63,6 +63,12 @@ class TestCutFamily:
         H, _ = cut_family(9, 3)
         assert naive_has_k_matching(H, 3)
 
+    def test_w_is_the_top_d_vertices(self):
+        for n in range(0, 22):
+            for d in range(0, n // 3 + 1):
+                _, P = cut_family(n, d)
+                assert (P.n, P.W, P.d) == (n, frozenset(range(n - d, n)), d)
+
     def test_d_zero_empty(self):
         H, _ = cut_family(8, 0)
         assert H.m == 0

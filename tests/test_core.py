@@ -18,6 +18,7 @@ from hypermatch.core import (
     Partition,
     degree_profile,
     parse_h3,
+    read_h3,
     threshold,
     to_h3,
     write_h3,
@@ -285,6 +286,13 @@ def test_h3_comments_and_errors():
         parse_h3("4 2\n0 1 2\n")
     with pytest.raises(ValueError):
         parse_h3("4 1\n0 1 x\n")
+
+
+def test_read_h3_names_a_non_utf8_file(tmp_path):
+    path = tmp_path / "bin.h3"
+    path.write_bytes(b"3 1\n0 1 \xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
+        read_h3(path)
 
 
 def test_degree_profile():

@@ -82,6 +82,12 @@ class TestClassify:
             assert any(mask & pm == pm for pm in links._PM_MASKS) == naive_pattern_has_pm(mask)
             assert min(links._relabelings(mask)) == naive_canonical_form(mask)
 
+    def test_canonical_form_is_invariant(self):
+        m = B113_REF
+        rotated = mask_of([(2, 0), (2, 1), (2, 2), (1, 0), (0, 0)])
+        assert min(links._relabelings(m)) == min(links._relabelings(rotated))
+        assert set(links._relabelings(m)) == set(links._relabelings(rotated))
+
     def test_rejects_non_mask(self):
         with pytest.raises(ValueError):
             classify(512)
