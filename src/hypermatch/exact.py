@@ -40,15 +40,15 @@ child can change the search only by being expanded, and the slack is
 the same for every sibling until one is.  Every edge child keeps
 |live| - 3 free vertices, so the counting bound prunes all of them or
 none; with the cover C complete, the shared cover prunes exactly the
-edges with at least |C| - slack vertices in C, a bit-sliced count over
-the incidence of C's vertices.  The siblings pruned before the next
-survivor are added to the node count at once.  Each of them is still
-one node: the node limit stops on the same node, and the clock is read
-on every node numbered by a multiple of 256, as if they were taken one
-at a time.  A bulk count never grows the cover: a sibling that needs it
-grown is tested alone, and a lone child with no edges left is pruned
-before its cover test, so the greedy cover makes the same picks as when
-every child had its own frame.
+edges with at least |C| - slack vertices in C (1 to 3; see
+_pruned_by_cover), a bit-sliced count over the incidence of C's vertices.
+The siblings pruned before the next survivor are added to the node count
+at once.  Each of them is still one node: the node limit stops on the
+same node, and the clock is read on every node numbered by a multiple of
+256, as if they were taken one at a time.  A bulk count never grows the
+cover: while C is incomplete every sibling is tested alone, and a lone
+child with no edges left is pruned before its cover test, so the greedy
+cover makes the same picks as when every child had its own frame.
 
 Connected components: a maximum matching is the union of maximum
 matchings of the connected components (Abu-Khzam, TAMC 2009).
@@ -177,8 +177,8 @@ def _search(
                 slack = best_size - depth - 1
                 if (nlive - 3) // 3 <= slack:  # every edge child keeps nlive - 3 free vertices
                     pruned = rest
-                elif state[0] and state[3] < slack + 3:
-                    alone = True  # the shared cover must grow, which a child without edges skips
+                elif state[0]:
+                    alone = True  # only a lone child grows the cover, which a child without edges skips
                 else:
                     pruned = _pruned_by_cover(state, inc, rest, slack)
             if alone:
@@ -262,18 +262,14 @@ def _spend(nodes: int, k: int, node_limit: int, time_limit: float | None, t0: fl
 
 
 def _pruned_by_cover(state: list, inc, rest: int, slack: int) -> int:
-    """The edge children in rest that the parent's cover C prunes at this slack.
+    """The edge children in rest that the parent's complete cover C prunes at this slack.
 
-    state holds C as far as a slack of slack + 3 needs it.  Once C is
-    complete, a child is pruned iff it has at least |C| - slack vertices in
-    C; a bit-sliced count over the incidence of C's vertices finds those
-    edges.
+    A child is pruned iff it has at least |C| - slack vertices in C, and
+    1 <= |C| - slack <= 3: best_size stays at most depth + |C| (C covers
+    the frame's edges and outgrew the slack it was pushed at), and C
+    completes only on a lone edge child, within slack + 3; slack never falls.
     """
     need = state[3] - slack
-    if state[0] or need > 3:
-        return 0
-    if need <= 0:
-        return rest
     one = two = three = 0  # edges of rest with at least one, two, three vertices in C
     cover = state[2]
     while cover:

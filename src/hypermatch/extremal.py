@@ -175,7 +175,7 @@ def _bottom_votes(H: Hypergraph3) -> list[int]:
     """Vote for each matching edge's degree-3 link vertex; see find_partition."""
     rep, _ = _augment_solve(H, H.n // 3, AugmentConfig(k_max=2))
     M = rep.edges
-    uncovered = [v for v in range(H.n) if all(v not in e for e in M)][:_VOTERS]
+    uncovered = Matching(H, M).uncovered[:_VOTERS]
     votes: dict[int, int] = {}
     for i, E in enumerate(M):
         for j, F in enumerate(M):

@@ -21,7 +21,7 @@ from hypermatch.absorbing import (
 )
 from hypermatch.constructions import cut_family, extremal_star, random_triples, splitmix64_stream
 from hypermatch.core import Hypergraph3, Matching
-from hypermatch.exact import max_matching, max_matching_in_subset
+from hypermatch.exact import SolveReport, max_matching, max_matching_in_subset
 from oracles import naive_absorb_leftover, perround_find_absorbing
 
 
@@ -49,6 +49,11 @@ class TestAbsorbs:
         H = Hypergraph3(9, [(0, 1, 2)])
         with pytest.raises(ValueError):
             absorbs(H, (3, 4, 5), (0, 1, 2))
+
+    @pytest.mark.parametrize("T", [(3, 3, 4), (3, 4), (3, 4, 9), (-1, 3, 4)])
+    def test_rejects_t_not_three_host_vertices(self, T):
+        with pytest.raises(ValueError, match="T must be a set of 3 distinct vertices of the host"):
+            absorbs(complete(9), (0, 1, 2), T)
 
     def test_agrees_with_subset_solver(self):
         rng = splitmix64_stream(99)
@@ -246,6 +251,14 @@ class TestPerfectViaAbsorbing:
     def test_non_divisible(self):
         rep = perfect_via_absorbing(complete(10))
         assert not rep.optimal
+
+    def test_leftover_phase_failure(self):
+        # the augment phase leaves a triple that no absorbing edge can fold in:
+        # the report keeps the augment edges and M*, and names the phase
+        rep = perfect_via_absorbing(random_triples(9, 0.1, 1))
+        assert rep == SolveReport(
+            2, ((0, 4, 7), (1, 2, 3)), False, 3, "phase leftover: no assignment of leftover triples to absorbing edges"
+        )
 
     def test_redundancy_shortfall_still_folds(self):
         # the search corpus's held-out absorbing-n21 instance: one tracked

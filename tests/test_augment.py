@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypermatch.augment
-from hypermatch.augment import AugmentConfig, augment_once, greedy_matching, replay, solve
-from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples
+from hypermatch.augment import AugmentConfig, Move, MoveTrace, _subsets, augment_once, greedy_matching, replay, solve
+from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples, splitmix64_stream
 from hypermatch.core import Hypergraph3, Matching
 from hypermatch.exact import max_matching
 from oracles import naive_augment_once, naive_greedy_matching, naive_max_matching
@@ -145,6 +145,18 @@ class TestSolve:
             final = replay(H, trace)
             assert set(final.edges) == set(rep.edges)
 
+    def test_replay_applies_and_checks_each_move(self):
+        # greedy stops at 9 edges and one 2-for-3 move reaches 10
+        H = random_triples(30, 0.05, 3)
+        rep, trace = solve(H, 10, AugmentConfig(k_max=3))
+        assert rep.size == 10 and len(trace.moves) == 1
+        assert replay(H, trace).edges == rep.edges
+        # the move re-adds an edge it kept: the step's matching overlaps itself
+        move = trace.moves[0]
+        tampered = Move(move.removed, move.added + (trace.initial[-1],), move.uncovered_used)
+        with pytest.raises(ValueError, match="overlaps another matching edge"):
+            replay(H, MoveTrace(trace.initial, [tampered]))
+
     def test_never_exceeds_oracle(self):
         for seed in range(25):
             n = 8 + seed % 5
@@ -277,6 +289,21 @@ def test_property_move_lies_inside_the_union(n, p, seed, drop, cfg):
     assert touched <= freed | set(M.uncovered)
     assert move.uncovered_used == tuple(sorted(touched - freed))
     assert new.size == M.size + 1
+
+
+def test_subsets_sample_distinct_subsets_above_the_cap():
+    # C(18, 3) = 816 > 200: 224 samples of three draws each, 24 of them repeats
+    draws = 0
+
+    def stream():
+        nonlocal draws
+        for x in splitmix64_stream(0):
+            draws += 1
+            yield x
+
+    out = _subsets(tuple(range(18)), 3, 200, stream())
+    assert len(set(out)) == len(out) == 200 and all(a < b < c < 18 for a, b, c in out)
+    assert draws == 3 * 224
 
 
 def test_config_validation():

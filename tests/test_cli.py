@@ -22,7 +22,7 @@ import hypermatch
 from hypermatch import absorbing, augment, cli, exact, extremal, thresholds
 from hypermatch.cli import _build_parser, main
 from hypermatch.constructions import cut_family, random_triples
-from hypermatch.core import Hypergraph3, degree_profile, read_h3, threshold, write_h3
+from hypermatch.core import Hypergraph3, Partition, degree_profile, read_h3, threshold, write_h3
 from oracles import intersecting_family_count, naive_threshold_scan, pairtable_degree_profile, walk_threshold_scan
 
 
@@ -237,6 +237,28 @@ class TestSolveCmd:
         assert rep["size"] == k and rep["stage_log"]["stalled_stage"] is None
 
     @pytest.mark.parametrize(
+        "gen,d",
+        [(["hnd", "--n", "15", "--d", "5"], 5), (["random", "--n", "9", "--p", "0.1", "--seed", "1"], 3)],
+        ids=["sidecar-deleted", "partition-null"],
+    )
+    def test_extremal_without_a_partition_finds_one(self, tmp_path, gen, d):
+        h3 = tmp_path / "h.h3"
+        main(["gen", *gen, "--out", str(h3)])
+        if gen[0] == "hnd":
+            (tmp_path / "h.json").unlink()
+        else:
+            assert json.loads((tmp_path / "h.json").read_text())["partition"] is None
+        rc, rep = run_json(tmp_path, ["solve", "--extremal", str(h3), "--d", str(d)])
+        H = read_h3(h3)
+        m, log = extremal.staged_matching(H, Partition(H.n, extremal.find_partition(H, d).W, d), d)
+        if m is None:
+            want = exact.SolveReport(0, (), False, 0, f"stalled at {log.stalled_stage}: {log.detail}")
+        else:
+            want = exact.SolveReport(m.size, m.edges, True, 0, "target reached")
+        assert rc == 0
+        assert rep == json.loads(json.dumps({**want.to_json_dict(), "stage_log": log.to_json_dict()}))
+
+    @pytest.mark.parametrize(
         "sidecar",
         [*(json.dumps({"partition": partition}) for partition in (
             {"W": [10, 11]}, {"d": 4}, {"W": 3, "d": 4},
@@ -283,6 +305,13 @@ class TestSolveCmd:
         rc, rep = run_json(tmp_path, ["solve", "--absorbing", str(h3)])
         assert rc == 0
         assert rep["size"] == 5 and rep["optimal"]
+
+    def test_absorbing_leftover_phase_failure_exits_0(self, tmp_path):
+        h3 = tmp_path / "r9.h3"
+        main(["gen", "random", "--n", "9", "--p", "0.1", "--seed", "1", "--out", str(h3)])
+        rc, rep = run_json(tmp_path, ["solve", "--absorbing", str(h3)])
+        assert rc == 0 and (rep["size"], rep["optimal"], rep["nodes"]) == (2, False, 3)
+        assert rep["detail"] == "phase leftover: no assignment of leftover triples to absorbing edges"
 
     @pytest.mark.parametrize("gamma", ["inf", "1e200", "1e60", "nan"])
     def test_absorbing_non_finite_or_overflowing_gamma_is_usage_error(self, tmp_path, capsys, gamma):
@@ -371,6 +400,16 @@ class TestVerifyCmd:
         rc, rep = run_json(tmp_path, ["verify", "fact1"])
         assert rc == 0
         assert rep["total"] == 512 and rep["violations"] == 0
+
+    def test_fact1_violation_exits_1_with_one_line(self, capsys, monkeypatch):
+        def violated():
+            raise AssertionError("expected one 6-edge PM-free class, found 2")
+
+        monkeypatch.setattr(cli, "verify_fact1", violated)
+        assert main(["verify", "fact1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "classification violated: expected one 6-edge PM-free class, found 2\n"
 
     def test_tightness(self, tmp_path):
         rc, rep = run_json(tmp_path, ["verify", "tightness", "--n-max", "12"])

@@ -73,6 +73,11 @@ class TestCutFamily:
         H, _ = cut_family(8, 0)
         assert H.m == 0
 
+    @pytest.mark.parametrize("d", [-1, 4])
+    def test_refuses_d_out_of_range(self, d):
+        with pytest.raises(ValueError, match="need 0 <= d <= n/3"):
+            cut_family(9, d)
+
     def test_edge_count_9_3(self):
         # 45 with one W endpoint plus 18 with two
         H, _ = cut_family(9, 3)
@@ -101,6 +106,11 @@ class TestBlockerFamily:
     def test_d1_empty(self):
         H, _ = blocker_family(10, 1)
         assert H.m == 0
+
+    @pytest.mark.parametrize("d", [0, 4])
+    def test_refuses_d_out_of_range(self, d):
+        with pytest.raises(ValueError, match="need 1 <= d <= n/3"):
+            blocker_family(9, d)
 
     def test_12_2_delta(self):
         H, _ = blocker_family(12, 2)
@@ -281,6 +291,11 @@ class TestPadToPerfect:
         H, _ = cut_family(10, 2)
         Hp = pad_to_perfect(H, 2)
         assert H.edge_set <= Hp.edge_set
+
+    @pytest.mark.parametrize("d", [-1, 4])
+    def test_refuses_d_out_of_range(self, d):
+        with pytest.raises(ValueError, match="need 0 <= d <= n/3"):
+            pad_to_perfect(cut_family(10, 2)[0], d)
 
     @pytest.mark.parametrize("n", range(16))
     def test_matches_canonicalising_constructor(self, n):

@@ -92,6 +92,10 @@ class TestHasDMatching:
         status, _ = has_d_matching(Hypergraph3(4, []), 0)
         assert status == "yes"
 
+    def test_negative_d_is_a_value_error(self):
+        with pytest.raises(ValueError, match="d must be non-negative"):
+            has_d_matching(Hypergraph3(4, []), -1)
+
     def test_unknown_on_tiny_budget(self):
         H, _ = extremal_star(12)
         status, _ = has_d_matching(H, 4, SolveBudget(node_limit=3))

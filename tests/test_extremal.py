@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hypermatch.extremal
 from hypermatch.constructions import blocker_family, cut_family, extremal_star, random_triples, splitmix64_stream
 from hypermatch.core import Hypergraph3, Matching, Partition
 from hypermatch.exact import has_d_matching, max_matching
@@ -18,6 +19,7 @@ from hypermatch.extremal import (
     good_case_matching,
     staged_matching,
 )
+from hypermatch.links import classify
 from oracles import edge_type, model_badness, model_deficiency, naive_good_case_matching, naive_staged_matching, perturb_remove
 
 
@@ -162,6 +164,20 @@ class TestFindPartition:
         rep = find_partition(H, 8, mode="local", seed="bottom")
         assert (rep.W, rep.deficiency) == ((0, 1, 18, 19, 20, 21, 22, 23), 256)
 
+    def test_bottom_voters_see_every_pattern_class_but_b033(self, monkeypatch):
+        # only the b113 links vote; the other classes pass without a vote
+        kinds = set()
+
+        def spy(mask):
+            cls = classify(mask)
+            kinds.add(cls.kind.value)
+            return cls
+
+        monkeypatch.setattr(hypermatch.extremal, "classify", spy)
+        rep = find_partition(random_triples(14, 0.4, 3), 4, seed="bottom")
+        assert kinds == {"pm", "deficient", "b023", "b113"}
+        assert rep.W == (7, 8, 12, 13)
+
     def test_bad_arguments(self):
         H = complete(9)
         with pytest.raises(ValueError):
@@ -182,6 +198,11 @@ class TestGoodCase:
     def test_d_zero(self):
         H, P = cut_family(9, 3)
         assert good_case_matching(H, P, 0).size == 0
+
+    def test_negative_d_is_a_value_error(self):
+        H, P = cut_family(9, 3)
+        with pytest.raises(ValueError, match="d must be non-negative"):
+            good_case_matching(H, P, -1)
 
     def test_large_perturbed(self):
         H, P = cut_family(30, 10)
@@ -284,6 +305,21 @@ class TestStaged:
         assert M is not None and M.edges == ((0, 1, 6), (2, 3, 7), (4, 5, 8))
         assert log.stages["M2"] == [(0, 1, 6)] and log.m2 == 1
         assert log.stalled_stage is None
+
+    def test_m4_rebalances_after_m3(self):
+        # vertex 0 keeps two VVW edges, both through 1: it is bad, and two are
+        # too few for M2; M3 buries it in (0, 1, 2) and M4 rebalances with a V-W-W edge
+        H, P = cut_family(15, 5)
+        drop = {e for e in H.edges if 0 in e and sum(v in P.W for v in e) == 1} - {(0, 1, 10), (0, 1, 11)}
+        H = Hypergraph3(15, [e for e in H.edges if e not in drop] + [(0, 1, 2), (0, 3, 4)])
+        assert H.m == 284
+        M, log = staged_matching(H, P, 5)
+        assert classify_goodness(H, P, 0.05).bad_vertices == (0,)
+        assert log.stages == {
+            "M1": [], "M2": [], "M3": [(0, 1, 2)], "M4": [(3, 10, 11)], "M5": [(4, 5, 12), (6, 7, 13), (8, 9, 14)]
+        }
+        assert M is not None and M.size == 5 and log.stalled_stage is None
+        assert log.to_json_dict() == naive_staged_matching(H, P, 5)[1].to_json_dict()
 
     def test_m1_backtracks(self):
         # 6 first takes (0, 1, 6), which leaves 7 no edge; M1 backs up and
