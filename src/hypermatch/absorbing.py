@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, tee
+from itertools import combinations
 
 from .augment import AugmentConfig, solve as _augment_solve
 from .constructions import splitmix64_stream
@@ -106,8 +106,7 @@ class AbsorbingMatching(Report):
 def _tracked_triples(outside: list[int], stream) -> list:
     """The triples to track over `outside`: all of them, or 10^4 sampled when there are more.
 
-    Samples are drawn from `stream`, the seeded splitmix64 stream read from
-    its start.
+    Samples are drawn from `stream`, a splitmix64 stream fresh from its seed.
     """
     pool = sorted(outside)
     size = len(pool)
@@ -241,8 +240,6 @@ def find_absorbing(
     chosen: list[int] = []  # edge indices
     covered = 0
     free = (1 << H.m) - 1  # the edges disjoint from V(M*)
-    # base is never advanced: a sampling round tees a fresh copy from its start
-    base = splitmix64_stream(seed)
     indexed = False  # triples holds every triple over the last round's outside
     while True:
         outside = [v for v in range(n) if not covered >> v & 1]
@@ -251,8 +248,7 @@ def find_absorbing(
             # this round's triples are the index's that miss (a, b, c), the edge just added
             tracked &= ~(touch[a] | touch[b] | touch[c])
         else:
-            base, stream = tee(base)
-            triples = _tracked_triples(outside, stream)
+            triples = _tracked_triples(outside, splitmix64_stream(seed))
             masks = touch = None  # a sampled round's masks go before the next build
             masks, touch = _absorb_masks(H, links, triples)
             tracked = (1 << len(triples)) - 1

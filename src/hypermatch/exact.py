@@ -65,7 +65,7 @@ including node counts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Edge, Hypergraph3, Report
 
@@ -410,8 +410,7 @@ def has_d_matching(
         raise ValueError("d must be non-negative")
     if d == 0:
         return "yes", SolveReport(size=0, edges=(), optimal=True, nodes=0)
-    base = budget or SolveBudget()
-    rep = max_matching(H, SolveBudget(base.node_limit, base.time_limit_ms, target=d))
+    rep = max_matching(H, replace(budget or SolveBudget(), target=d))
     if rep.size >= d:
         return "yes", rep
     return ("no", rep) if rep.optimal else ("unknown", rep)

@@ -132,15 +132,15 @@ def deficiency(H: Hypergraph3, P: Partition) -> int:
     return _model_size(H.n, len(P.W)) - (or_w & or_v).bit_count()
 
 
-def _check_alpha(alpha: float) -> None:
-    # a NaN alpha would make every badness comparison false
-    if not 0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and non-negative, got {alpha}")
+def _check_rate(name: str, value: float) -> None:
+    # a NaN alpha or theta would make every comparison with its threshold false
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 def classify_goodness(H: Hypergraph3, P: Partition, alpha: float) -> ClosenessReport:
     """Per-vertex badness and good/bad flags at threshold alpha * n^2."""
-    _check_alpha(alpha)
+    _check_rate("alpha", alpha)
     _check_partition(H, P)
     W = P.W
     d = len(W)
@@ -205,7 +205,7 @@ def find_partition(
     patterns of uncovered vertices vote on each matching edge's special
     vertex (heuristic, no guarantee) and fills up by degree.
     """
-    _check_alpha(alpha)
+    _check_rate("alpha", alpha)
     if not 0 <= d <= H.n // 3:
         raise ValueError("need 0 <= d <= n/3")
     if mode == "exhaustive":
@@ -430,11 +430,12 @@ def staged_matching(
 
     Returns (matching, log) on success and (None, log) on stall, with
     the failing stage and obligation named in the log.  A negative d, a
-    partition on another vertex count, and like every alpha here a
-    negative or non-finite one, raise ValueError.
+    partition on another vertex count, and a negative or non-finite alpha
+    or theta raise ValueError.
     """
     if d < 0:
         raise ValueError("d must be non-negative")
+    _check_rate("theta", theta)
     log = StageLog(alpha=alpha, theta=theta)
     report = classify_goodness(H, P, alpha)
     bad = set(report.bad_vertices)

@@ -2,7 +2,7 @@
 
 Run from the repository root, with any pytest arguments after the script:
 
-    PYTHONPATH=src python tests/linetrace.py -q -p no:cacheprovider
+    PYTHONPATH=src python tests/linetrace.py -q -p no:cacheprovider --hypothesis-seed=0
 
 A sys.settrace hook records, in this process only (subprocesses are not
 traced), every line of src/hypermatch that runs and every line-to-line
@@ -10,6 +10,15 @@ step.  After the run it prints one MISS line per statement that never
 ran (a `nonlocal` or `global` line, which compiles to nothing, counts as
 never run) and one ONEWAY line per `if` or `while` test that only ever
 went one way: every step out of its test went to the same line.
+
+The fixed Hypothesis seed makes the trace repeatable in a checkout with
+no `.hypothesis` example database (the database replays old examples
+first).  tests/linetrace_expected.txt holds the MISS and ONEWAY lines of
+that run under CPython 3.11, line numbers stripped; CI diffs against it.
+Rewrite it after a change to what the suite runs:
+
+    PYTHONPATH=src python tests/linetrace.py -q -p no:cacheprovider --hypothesis-seed=0 \
+        | sed -nE 's/^(MISS|ONEWAY) ([^:]+):[0-9]+:/\1 \2:/p' > tests/linetrace_expected.txt
 """
 
 import ast

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -828,3 +829,18 @@ def test_mask_builds_per_call(monkeypatch, H, builds):
     A = find_absorbing(H, 0.8)
     assert calls == builds
     assert A.to_json_dict() == perround_find_absorbing(H, 0.8).to_json_dict()
+
+
+def test_sampling_rounds_keep_no_stream_buffer():
+    # two rounds sample 10^4 triples, each from a stream started afresh from
+    # the seed, so no draw outlives its round; a copy of every draw kept for
+    # the whole call adds about 3 MB to a peak of about 7 MB
+    H = random_triples(45, 0.04, 2)
+    tracemalloc.start()
+    try:
+        A = find_absorbing(H, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (A.size, A.verification) == (7, "sampled")
+    assert peak < 8 * 2**20

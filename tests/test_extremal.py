@@ -96,6 +96,10 @@ class TestGoodness:
             find_partition(H, 3, alpha=alpha)
         with pytest.raises(ValueError):
             staged_matching(H, P, 3, alpha=alpha)
+        # theta is refused on the same values: with NaN stage M2 never runs, and
+        # a negative one sends every bad V-vertex with a V-V-W edge there
+        with pytest.raises(ValueError, match="theta must be finite and non-negative"):
+            staged_matching(H, P, 3, theta=alpha)
 
     def test_alpha_one_never_flags(self):
         H = Hypergraph3(9, [])
