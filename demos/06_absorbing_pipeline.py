@@ -6,6 +6,7 @@ matching on the rest.  A blocker instance shows the honest failure path.
 """
 
 from hypermatch.absorbing import absorb_leftover, find_absorbing, perfect_via_absorbing
+from hypermatch.augment import AugmentConfig
 from hypermatch.constructions import extremal_star, random_triples
 from hypermatch.core import Matching
 
@@ -15,7 +16,7 @@ print(f"absorbing matching: {A.size} edges, success={A.success}, verification={A
 print(f"  min coverage per leftover triple: {A.min_coverage} (redundancy target {A.t})")
 print(f"  capacity: {A.capacity} leftover vertices; degree hypothesis holds: {A.delta1_hypothesis}")
 
-rep = perfect_via_absorbing(H, seed=4)
+rep = perfect_via_absorbing(H, cfg=AugmentConfig(seed=4))
 M = Matching(H, rep.edges)
 print(f"\npipeline: {rep.detail}; {rep.size} edges covering {len(M.covered)}/{H.n} vertices")
 

@@ -351,24 +351,25 @@ def perfect_via_absorbing(
     H: Hypergraph3,
     gamma: float = 0.8,
     cfg: AugmentConfig | None = None,
-    seed: int = 0,
 ) -> SolveReport:
     """Absorb, match the rest, fold the leftover: a perfect matching or the failing phase.
 
     Phases: find_absorbing on H (redundancy t = 2); the augmenting solver
-    on H - V(M*); absorb_leftover on whatever stayed uncovered.  An M*
-    that falls short of its redundancy is used all the same: the fold is
-    exact, so the pipeline fails only in the augment or leftover phase
+    on H - V(M*); absorb_leftover on whatever stayed uncovered.  cfg.seed
+    seeds the sampled rounds of find_absorbing and the augment phase.  An
+    M* that falls short of its redundancy is used all the same: the fold
+    is exact, so the pipeline fails only in the augment or leftover phase
     that cannot go on.  The report's detail names the phase that failed,
     if any, and its nodes are the B&B nodes of the augment phase's probes.
     """
     n = H.n
     if n % 3 != 0:
         return SolveReport(0, (), False, 0, "phase absorbing: n not divisible by 3")
-    A = find_absorbing(H, gamma, seed=seed)
+    cfg = cfg or AugmentConfig()
+    A = find_absorbing(H, gamma, seed=cfg.seed)
     star_vertices = sorted(v for e in A.edges for v in e)
     sub, new_to_old = H.remove_vertices(star_vertices)
-    rep, _ = _augment_solve(sub, sub.n // 3, cfg or AugmentConfig())
+    rep, _ = _augment_solve(sub, sub.n // 3, cfg)
     outer = [tuple(sorted(new_to_old[v] for v in e)) for e in rep.edges]
     covered = {v for e in outer for v in e} | set(star_vertices)
     leftover = [v for v in range(n) if v not in covered]

@@ -157,7 +157,7 @@ def _cmd_solve(args) -> int:
         extra["stage_log"] = log.to_json_dict()
     else:
         cfg = augment.AugmentConfig(**_given(args, "k_max", "seed"))
-        rep = absorbing.perfect_via_absorbing(H, cfg=cfg, **_given(args, "gamma", "seed"))
+        rep = absorbing.perfect_via_absorbing(H, cfg=cfg, **_given(args, "gamma"))
     _emit({**rep.to_json_dict(), **extra}, args.out)
     return EXIT_BUDGET if method == "exact" and not rep.optimal else EXIT_OK
 

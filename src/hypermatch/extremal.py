@@ -208,6 +208,8 @@ def find_partition(
     _check_rate("alpha", alpha)
     if not 0 <= d <= H.n // 3:
         raise ValueError("need 0 <= d <= n/3")
+    if seed not in ("degree", "bottom"):
+        raise ValueError("seed must be 'degree' or 'bottom'")
     if mode == "exhaustive":
         if math.comb(H.n, d) > _EXHAUSTIVE_CAP:
             raise ValueError(
@@ -231,10 +233,8 @@ def find_partition(
         voted = set(cand)
         cand.extend(v for v in by_degree if v not in voted)
         W = set(cand[:d])
-    elif seed == "degree":
-        W = set(by_degree[:d])
     else:
-        raise ValueError("seed must be 'degree' or 'bottom'")
+        W = set(by_degree[:d])
 
     inc = H.incidence
     model = _model_size(H.n, d)

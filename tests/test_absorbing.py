@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from hypermatch.absorbing import (
     find_absorbing,
     perfect_via_absorbing,
 )
+from hypermatch.augment import AugmentConfig
 from hypermatch.constructions import cut_family, extremal_star, random_triples, splitmix64_stream
 from hypermatch.core import Hypergraph3, Matching
 from hypermatch.exact import SolveReport, max_matching, max_matching_in_subset
@@ -139,6 +141,14 @@ def _counting(calls, name, fn):
     return counted
 
 
+# the fold of 15 leftover vertices on random_triples(36, 0.06, 3), recorded
+# from the full enumeration of their partitions
+FOLD_15 = (
+    (0, 17, 27), (1, 15, 34), (2, 3, 9), (4, 6, 7), (5, 14, 19), (8, 22, 33),
+    (10, 12, 35), (11, 16, 25), (13, 18, 23), (20, 24, 29), (21, 26, 28),
+)  # fmt: skip
+
+
 class TestAbsorbLeftover:
     def test_empty_leftover_returns_star(self):
         K12 = complete(12)
@@ -193,26 +203,30 @@ class TestAbsorbLeftover:
         with pytest.raises(ValueError, match="not an edge"):
             absorb_leftover(H, A, left)
 
-    def test_sparse_fold_is_pruned(self, monkeypatch):
-        # 15 of the 18 vertices outside a 6-edge M*: the full enumeration
-        # made 377,622 absorbs() calls here, the pruned search makes 300
-        # _split2 calls; the edges were recorded from the full enumeration.
-        # _bits runs once per _split2 call and once per search node (and
-        # twice per assigned edge), so its count bounds the nodes: 324 calls
-        # with the prune, 68,434 with every partition tried to its end
+    @pytest.mark.parametrize("k,edges", [(15, FOLD_15), (18, None)], ids=["k15", "k18"])
+    def test_sparse_fold_is_pruned(self, monkeypatch, k, edges):
+        # k of the 18 vertices outside a 6-edge M* (capacity 18).  At k = 15
+        # the full enumeration made 377,622 absorbs() calls, the pruned search
+        # makes 300 _split2 calls; at k = 18 trying every partition did not
+        # finish in 200 s.  _bits runs once per _split2 call and once per
+        # search node (and twice per assigned edge), so its count bounds the
+        # nodes: 324 calls at k = 15 with the prune, 68,434 with every
+        # partition tried to its end
         H = random_triples(36, 0.06, 3)
         A = find_absorbing(H, 0.8, t=2)
-        Vp = [v for v in range(36) if all(v not in e for e in A.edges)][:15]
+        star = {v for e in A.edges for v in e}
+        Vp = [v for v in range(36) if v not in star][:k]
         calls = {"_split2": 0, "_bits": 0}
         for name in calls:
             monkeypatch.setattr(hypermatch.absorbing, name, _counting(calls, name, getattr(hypermatch.absorbing, name)))
         monkeypatch.setattr(hypermatch.absorbing, "absorbs", None)
+        t0 = time.perf_counter()
         M = absorb_leftover(H, A, Vp)
+        assert time.perf_counter() - t0 < 60
         assert calls["_split2"] <= 1000 and calls["_bits"] <= 1000
-        assert M.edges == (
-            (0, 17, 27), (1, 15, 34), (2, 3, 9), (4, 6, 7), (5, 14, 19), (8, 22, 33),
-            (10, 12, 35), (11, 16, 25), (13, 18, 23), (20, 24, 29), (21, 26, 28),
-        )  # fmt: skip
+        assert M.covered == star | set(Vp)
+        if edges is not None:
+            assert M.edges == edges
 
 
 class TestPerfectViaAbsorbing:
@@ -241,6 +255,23 @@ class TestPerfectViaAbsorbing:
         rep = perfect_via_absorbing(random_triples(18, 0.5, seed=1))
         assert rep.optimal
         assert rep.nodes == sum(seen) > 0
+
+    def test_one_seed_drives_both_phases(self, monkeypatch):
+        seen = []
+        find, solve = hypermatch.absorbing.find_absorbing, hypermatch.absorbing._augment_solve
+
+        def find_spy(H, gamma, seed):
+            seen.append(("find_absorbing", seed))
+            return find(H, gamma, seed=seed)
+
+        def solve_spy(H, d, cfg):
+            seen.append(("augment", cfg.seed))
+            return solve(H, d, cfg)
+
+        monkeypatch.setattr(hypermatch.absorbing, "find_absorbing", find_spy)
+        monkeypatch.setattr(hypermatch.absorbing, "_augment_solve", solve_spy)
+        assert perfect_via_absorbing(random_triples(15, 0.8, 4), cfg=AugmentConfig(seed=7)).optimal
+        assert seen == [("find_absorbing", 7), ("augment", 7)]
 
     def test_star_fails_with_phase(self):
         H, _ = extremal_star(15)

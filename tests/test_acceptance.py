@@ -156,7 +156,7 @@ def test_criterion_7_absorbing_pipeline():
         for seed in range(1, 21):
             n = 12 if seed % 2 else 15
             H = random_triples(n, 0.8, seed)
-            rep = perfect_via_absorbing(H, seed=seed)
+            rep = perfect_via_absorbing(H, cfg=AugmentConfig(seed=seed))
             assert rep.optimal, f"seed={seed}: {rep.detail}"
             M = Matching(H, rep.edges)
             assert len(M.covered) == n

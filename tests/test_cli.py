@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -21,9 +22,15 @@ from hypothesis import strategies as st
 import hypermatch
 from hypermatch import absorbing, augment, cli, exact, extremal, thresholds
 from hypermatch.cli import _build_parser, main
-from hypermatch.constructions import cut_family, random_triples
+from hypermatch.constructions import cut_family, extremal_star, random_triples
 from hypermatch.core import Hypergraph3, Partition, degree_profile, read_h3, threshold, write_h3
-from oracles import intersecting_family_count, naive_threshold_scan, pairtable_degree_profile, walk_threshold_scan
+from oracles import (
+    intersecting_family_count,
+    naive_random_triples,
+    naive_threshold_scan,
+    pairtable_degree_profile,
+    walk_threshold_scan,
+)
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -55,10 +62,15 @@ class TestGen:
         assert main(["gen", "hnd", "--n", "9", "--d", "3", "--out", str(out)]) == 0
         assert read_h3(out).m == 63
 
-    def test_random_p0(self, tmp_path):
+    # n = 150 has 551,300 candidate triples in many 512-lane blocks
+    @pytest.mark.parametrize("n,p,seed", [(12, 0.0, 1), (150, 0.01, 3)])
+    def test_random_file_holds_the_stream_loop_edges(self, tmp_path, n, p, seed):
+        # the edges of the generator loop that steps splitmix64_stream once per triple
         out = tmp_path / "r.h3"
-        assert main(["gen", "random", "--n", "12", "--p", "0", "--seed", "1", "--out", str(out)]) == 0
-        assert read_h3(out).m == 0
+        t0 = time.perf_counter()
+        assert main(["gen", "random", "--n", str(n), "--p", str(p), "--seed", str(seed), "--out", str(out)]) == 0
+        assert time.perf_counter() - t0 < 60
+        assert read_h3(out).edges == naive_random_triples(n, p, seed).edges
 
     def test_roundtrip_bytes(self, tmp_path):
         out = tmp_path / "b.h3"
@@ -141,11 +153,21 @@ class TestDegreesCmd:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: vertex count {10**20} exceeds sys.maxsize ({sys.maxsize})\n"
 
-    def test_sparse_file_needs_no_pair_table(self, tmp_path):
-        # 1000 disjoint edges on 3000 vertices: delta2 is 0 without the
-        # C(3000, 2) = 4.5M codegrees of the pair table
+    @pytest.mark.parametrize(
+        "n,edges,peak_mb",
+        [
+            (3000, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)], 6),
+            # labels up to 69,999 need a third byte: the canonical file loads through the widest bit planes
+            (70_000, [(i, 65_536 + i, 69_999 - i) for i in range(2000)] + [(0, 1, 69_999), (2, 65_535, 69_999)], 16),
+        ],
+        ids=["disjoint-3000", "wide-70000"],
+    )
+    def test_sparse_file_needs_no_pair_table(self, tmp_path, n, edges, peak_mb):
+        # delta2 is 0 from a vertex on 1 < (n - 1) / 2 edges, without the
+        # C(n, 2) codegrees of the pair table (4.5M for n = 3000)
         h3, out = tmp_path / "d.h3", tmp_path / "d.json"
-        write_h3(Hypergraph3(3000, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)]), h3)
+        write_h3(Hypergraph3(n, edges), h3)
+        t0 = time.perf_counter()
         tracemalloc.start()
         try:
             assert main(["degrees", str(h3), "--out", str(out)]) == 0
@@ -153,9 +175,13 @@ class TestDegreesCmd:
         finally:
             tracemalloc.stop()
         rep = json.loads(out.read_text())
-        assert (rep["n"], rep["m"], rep["delta1"], rep["delta2"]) == (3000, 1000, 1, 0)
-        assert rep["degrees"] == [1] * 3000
-        assert peak < 6 * 2**20
+        # the library's degree_profile is the same report
+        assert rep == degree_profile(read_h3(h3)).to_json_dict()
+        assert time.perf_counter() - t0 < 60
+        count = Counter(v for e in edges for v in e)
+        assert (rep["n"], rep["m"], rep["delta2"]) == (n, len(edges), 0)
+        assert rep["degrees"] == [count[v] for v in range(n)] and rep["delta1"] == min(rep["degrees"])
+        assert peak < peak_mb * 2**20
 
 
 @settings(max_examples=200, deadline=None)
@@ -176,6 +202,10 @@ def test_property_degrees_match_the_profile(n, p, seed):
     assert rep == prof.to_json_dict() and (rep["n"], rep["m"]) == (H.n, H.m)
 
 
+# 10 KB that json.load cannot read without running out of recursion depth
+NESTED_SIDECAR = '{"partition": ' + "[" * 5000 + "]" * 5000 + "}"
+
+
 class TestSolveCmd:
     def test_exact_star(self, tmp_path):
         h3 = tmp_path / "star9.h3"
@@ -184,12 +214,21 @@ class TestSolveCmd:
         assert rc == 0
         assert rep["size"] == 2 and rep["optimal"]
 
-    def test_exact_budget_exit_code(self, tmp_path):
-        h3 = tmp_path / "k12.h3"
-        main(["gen", "random", "--n", "12", "--p", "1", "--seed", "0", "--out", str(h3)])
-        out = tmp_path / "r.json"
-        rc = main(["solve", "--exact", str(h3), "--budget-nodes", "2", "--out", str(out)])
+    @pytest.mark.parametrize(
+        "gen,budget,size,nodes",
+        [
+            (["random", "--n", "12", "--p", "1", "--seed", "0"], 2, 1, 3),
+            # a budget that runs out among siblings counted in bulk stops on the same node
+            (["star", "--n", "24"], 100, 7, 101),
+        ],
+        ids=["k12", "star24"],
+    )
+    def test_exact_budget_exit_code(self, tmp_path, gen, budget, size, nodes):
+        h3 = tmp_path / "x.h3"
+        main(["gen", *gen, "--out", str(h3)])
+        rc, rep = run_json(tmp_path, ["solve", "--exact", str(h3), "--budget-nodes", str(budget)])
         assert rc == 3
+        assert (rep["size"], rep["nodes"], rep["optimal"], rep["detail"]) == (size, nodes, False, "node budget exhausted")
 
     @pytest.mark.parametrize("budget_ms", ["nan", "0", "-1"])
     def test_exact_non_positive_or_nan_time_budget_is_usage_error(self, tmp_path, budget_ms):
@@ -197,12 +236,26 @@ class TestSolveCmd:
         main(["gen", "star", "--n", "9", "--out", str(h3)])
         assert main(["solve", "--exact", str(h3), "--budget-ms", budget_ms]) == 2
 
-    def test_augment(self, tmp_path):
-        h3 = tmp_path / "hnd12.h3"
-        main(["gen", "hnd", "--n", "12", "--d", "4", "--out", str(h3)])
-        rc, rep = run_json(tmp_path, ["solve", "--augment", str(h3), "--d", "4"])
+    @pytest.mark.parametrize(
+        "H,flags,size,detail",
+        [
+            (cut_family(12, 4)[0], ["--d", "4"], 4, "target reached"),
+            # the star stalls at 7 edges, which the union probes prove: exit 0
+            (extremal_star(24)[0], ["--k-max", "2"], 7, "stalled"),
+            # 1000 disjoint edges: the greedy start walks 1000 picks
+            (Hypergraph3(3000, [(3 * i, 3 * i + 1, 3 * i + 2) for i in range(1000)]), ["--d", "1000"], 1000,
+             "target reached"),
+        ],
+        ids=["hnd12", "star24", "disjoint-3000"],
+    )
+    def test_augment(self, tmp_path, H, flags, size, detail):
+        h3 = tmp_path / "x.h3"
+        write_h3(H, h3)
+        t0 = time.perf_counter()
+        rc, rep = run_json(tmp_path, ["solve", "--augment", str(h3), *flags])
+        assert time.perf_counter() - t0 < 60
         assert rc == 0
-        assert rep["size"] == 4
+        assert (rep["size"], rep["optimal"], rep["detail"]) == (size, detail != "stalled", detail)
         assert rep["trace"]["initial"] is not None
 
     def test_extremal_uses_sidecar(self, tmp_path):
@@ -210,7 +263,7 @@ class TestSolveCmd:
         main(["gen", "hnd", "--n", "30", "--d", "10", "--out", str(h3)])
         rc, rep = run_json(tmp_path, ["solve", "--extremal", str(h3), "--d", "10"])
         assert rc == 0
-        assert rep["size"] == 10
+        assert (rep["size"], rep["nodes"], rep["detail"]) == (10, 0, "target reached")
         assert rep["stage_log"]["stalled_stage"] is None
 
     def test_extremal_m2_does_not_cover_a_vertex_twice(self, tmp_path):
@@ -237,11 +290,11 @@ class TestSolveCmd:
         assert rep["size"] == k and rep["stage_log"]["stalled_stage"] is None
 
     @pytest.mark.parametrize(
-        "gen,d",
-        [(["hnd", "--n", "15", "--d", "5"], 5), (["random", "--n", "9", "--p", "0.1", "--seed", "1"], 3)],
+        "gen,d,stalled",
+        [(["hnd", "--n", "15", "--d", "5"], 5, None), (["random", "--n", "9", "--p", "0.1", "--seed", "1"], 3, "M3")],
         ids=["sidecar-deleted", "partition-null"],
     )
-    def test_extremal_without_a_partition_finds_one(self, tmp_path, gen, d):
+    def test_extremal_without_a_partition_finds_one(self, tmp_path, gen, d, stalled):
         h3 = tmp_path / "h.h3"
         main(["gen", *gen, "--out", str(h3)])
         if gen[0] == "hnd":
@@ -255,7 +308,7 @@ class TestSolveCmd:
             want = exact.SolveReport(0, (), False, 0, f"stalled at {log.stalled_stage}: {log.detail}")
         else:
             want = exact.SolveReport(m.size, m.edges, True, 0, "target reached")
-        assert rc == 0
+        assert rc == 0 and log.stalled_stage == stalled
         assert rep == json.loads(json.dumps({**want.to_json_dict(), "stage_log": log.to_json_dict()}))
 
     @pytest.mark.parametrize(
@@ -266,8 +319,7 @@ class TestSolveCmd:
             {"W": [10, 11, 99], "d": 4}, {"W": [8, 9, 10, 11], "d": 9},
             {"W": [10, True], "d": 4}, {"W": [10.0, 11.0], "d": 4}, {"W": [10, 11], "d": True},
             {"W": [10, 11], "d": 4.0}, {"W": [-1, 11], "d": 4}, {"W": [10, 11], "d": -1})),
-         # 10 KB that json.load cannot read without running out of recursion depth
-         '{"partition": ' + "[" * 5000 + "]" * 5000 + "}",
+         NESTED_SIDECAR,
          '{"partition": }', b'{"partition": "\xff"}', "", "[1, 2]"],
         ids=["no-d", "no-W", "W-not-list", "W-not-ints", "d-not-int", "partition-not-object",
              "W-out-of-range", "d-out-of-range", "W-bool", "W-floats", "d-bool", "d-float", "W-negative",
@@ -281,6 +333,7 @@ class TestSolveCmd:
         assert main(["solve", "--extremal", str(h3), "--d", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'hnd12.json'}: ") and err.count("\n") == 1
+        assert ("nests too deeply" in err) == (sidecar == NESTED_SIDECAR)
 
     @pytest.mark.parametrize("method", ["--exact", "--augment", "--extremal", "--absorbing"])
     def test_every_method_prints_the_solve_keys(self, tmp_path, method):
@@ -299,12 +352,13 @@ class TestSolveCmd:
         assert rep["detail"] == "stalled at M5: residual target 5 infeasible with 4 W-vertices left"
         assert rep["stage_log"]["stalled_stage"] == "M5"
 
-    def test_absorbing(self, tmp_path):
-        h3 = tmp_path / "r15.h3"
-        main(["gen", "random", "--n", "15", "--p", "0.8", "--seed", "4", "--out", str(h3)])
+    @pytest.mark.parametrize("n,p,seed", [(15, 0.8, 4), (24, 0.5, 1)])
+    def test_absorbing(self, tmp_path, n, p, seed):
+        h3 = tmp_path / "r.h3"
+        main(["gen", "random", "--n", str(n), "--p", str(p), "--seed", str(seed), "--out", str(h3)])
         rc, rep = run_json(tmp_path, ["solve", "--absorbing", str(h3)])
         assert rc == 0
-        assert rep["size"] == 5 and rep["optimal"]
+        assert (rep["size"], rep["optimal"], rep["detail"]) == (n // 3, True, "perfect matching")
 
     def test_absorbing_leftover_phase_failure_exits_0(self, tmp_path):
         h3 = tmp_path / "r9.h3"
@@ -358,13 +412,15 @@ class TestSolveCmd:
 
 
 class TestClosenessCmd:
-    def test_recovers_partition(self, tmp_path):
+    # hnd 45 15 is the densest file here: 9675 edges
+    @pytest.mark.parametrize("n,d", [(12, 4), (45, 15)], ids=["hnd12", "hnd45"])
+    def test_recovers_partition(self, tmp_path, n, d):
         h3 = tmp_path / "h.h3"
-        main(["gen", "hnd", "--n", "12", "--d", "4", "--out", str(h3)])
-        rc, rep = run_json(tmp_path, ["closeness", str(h3), "--d", "4"])
+        main(["gen", "hnd", "--n", str(n), "--d", str(d), "--out", str(h3)])
+        rc, rep = run_json(tmp_path, ["closeness", str(h3), "--d", str(d)])
         assert rc == 0
         assert rep["deficiency"] == 0
-        assert rep["W"] == [8, 9, 10, 11]
+        assert rep["W"] == list(range(n - d, n))
 
     def test_builds_no_edge_tuples(self, tmp_path, monkeypatch):
         # closeness works on incidence alone, so the parsed labels never become tuples
@@ -411,10 +467,11 @@ class TestVerifyCmd:
         assert captured.out == ""
         assert captured.err == "classification violated: expected one 6-edge PM-free class, found 2\n"
 
-    def test_tightness(self, tmp_path):
-        rc, rep = run_json(tmp_path, ["verify", "tightness", "--n-max", "12"])
+    @pytest.mark.parametrize("n_max,rows", [(12, 3), (24, 7)])
+    def test_tightness(self, tmp_path, n_max, rows):
+        rc, rep = run_json(tmp_path, ["verify", "tightness", "--n-max", str(n_max)])
         assert rc == 0
-        assert rep["ok"] and len(rep["rows"]) == 3
+        assert rep["ok"] and len(rep["rows"]) == rows
 
     @pytest.mark.parametrize("n_max", ["5", "4", "-3"])
     def test_tightness_without_rows_is_a_usage_error(self, tmp_path, capsys, n_max):
@@ -478,7 +535,9 @@ class TestVerifyCmd:
         assert (rep["without_d_matching"], rep["max_delta1_without_d_matching"]) == (1_278_686, 5)
 
     def test_thresholds_n8(self, tmp_path):
+        t0 = time.perf_counter()
         rc, rep = run_json(tmp_path, ["verify", "thresholds", "--n", "8", "--d", "2"])
+        assert time.perf_counter() - t0 < 60
         assert rc == 0
         assert rep["total_hypergraphs"] == 2**56
         assert (rep["without_d_matching"], rep["max_delta1_without_d_matching"]) == (32_095_507, 6)
@@ -560,11 +619,15 @@ class TestSweepCmd:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_columns_and_agreement(self, tmp_path):
+    # local search reaches the oracle optimum on every row, on the default grid too
+    @pytest.mark.parametrize(
+        "grid,count", [(["--trials", "4", "--p-grid", "0.8"], 4), (["--trials", "3"], 15)], ids=["p0.8", "default-grid"]
+    )
+    def test_columns_and_agreement(self, tmp_path, grid, count):
         out = tmp_path / "s.csv"
-        main(["sweep", "--n", "9", "--d", "3", "--trials", "4", "--p-grid", "0.8", "--out", str(out)])
+        main(["sweep", "--n", "9", "--d", "3", *grid, "--out", str(out)])
         rows = out.read_text().strip().splitlines()
-        assert rows[0].count(",") == 8
+        assert rows[0].count(",") == 8 and len(rows) == count + 1
         for row in rows[1:]:
             fields = row.split(",")
             assert fields[0] == "9" and fields[1] == "3"
@@ -667,7 +730,7 @@ class TestFlagsPerCommand:
             (["solve", "--extremal", "--d", "5", "--alpha", "0.2"], {"staged_matching": {"alpha": 0.2}}),
             (["solve", "--absorbing"], {"AugmentConfig": {}, "perfect_via_absorbing": {}}),
             (["solve", "--absorbing", "--gamma", "0.5", "--k-max", "2", "--seed", "7"],
-             {"AugmentConfig": {"k_max": 2, "seed": 7}, "perfect_via_absorbing": {"gamma": 0.5, "seed": 7}}),
+             {"AugmentConfig": {"k_max": 2, "seed": 7}, "perfect_via_absorbing": {"gamma": 0.5}}),
             (["closeness", "--d", "5"], {"find_partition": {}}),
             (["closeness", "--d", "3", "--mode", "exhaustive", "--alpha", "0.2"],
              {"find_partition": {"mode": "exhaustive", "alpha": 0.2}}),

@@ -471,6 +471,25 @@ def test_to_h3_matches_original_writer(case):
     assert to_h3(Hypergraph3(0, [])) == naive_to_h3(Hypergraph3(0, [])) == "0 0\n"
 
 
+def h45_copies():
+    """Near-canonical copies of the dense cut family's file (n = 45, 9675 edges), as pytest params.
+
+    Each fails the bit-plane order check and loads through the constructor:
+    every triple reversed in shuffled lines, two neighbouring lines swapped,
+    one line repeated under header m + 1 (the original reader keeps m = 9675)
+    and a label of n.
+    """
+    head, *body = to_h3(cut_family(45, 15)[0]).splitlines()
+    n, m = map(int, head.split())
+    copies = {
+        "h45-shuffled": [head, *(" ".join(line.split()[::-1]) for line in random.Random(1).sample(body, m))],
+        "h45-swapped": [head, *body[:100], body[101], body[100], *body[102:]],
+        "h45-repeated": [f"{n} {m + 1}", *body[:101], *body[100:]],
+        "h45-label-n": [head, *body[:-1], " ".join(body[-1].split()[:2] + [str(n)])],
+    }
+    return [pytest.param("\n".join(lines) + "\n", id=name) for name, lines in copies.items()]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -489,6 +508,7 @@ def test_to_h3_matches_original_writer(case):
         "4 2\n0 1 2 # x\r\n1 2 3\n",
         *(f"4 2 # a{eol}0 1 2 #b{eol}1 2 3 # 9{eol}" for eol in LINE_BOUNDARIES),
         "4 1\n0 1 2 #\x1f1 2 3\n",  # \x1f is whitespace but not a line boundary
+        *h45_copies(),
     ],
 )
 def test_parse_near_canonical_bodies(text):

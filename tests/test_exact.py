@@ -647,11 +647,15 @@ def _child_masks(search, H):
 
 
 @pytest.mark.parametrize(
-    "H,nodes", [(extremal_star(24)[0], 400), (random_triples(30, 0.5, 1), 709)], ids=["star-24", "random-30-0.5-1"]
+    "H,size,nodes",
+    [(extremal_star(24)[0], 7, 400), (random_triples(30, 0.5, 1), 10, 709)],
+    ids=["star-24", "random-30-0.5-1"],
 )
-def test_pruned_siblings_build_no_child_mask(H, nodes):
+def test_pruned_siblings_build_no_child_mask(H, size, nodes):
     # one frame per child builds a mask for every node but the root (399 and
     # 708); taking children from the parent's frame builds 21 and 20
+    rep = max_matching(H)
+    assert (rep.size, rep.nodes, rep.optimal) == (size, nodes, True)
     assert _child_masks(childframe_search, H) == (nodes, nodes - 1)
     found, built = _child_masks(exact._search, H)
     assert found == nodes

@@ -190,6 +190,8 @@ class TestFindPartition:
             find_partition(H, 3, mode="fancy")
         with pytest.raises(ValueError):
             find_partition(H, 3, seed="nope")
+        with pytest.raises(ValueError, match="seed must be"):
+            find_partition(cut_family(9, 3)[0], 3, mode="exhaustive", seed="bogus")
 
 
 class TestGoodCase:
