@@ -13,7 +13,8 @@ exactly V(M*) ∪ leftover.
 Construction is greedy: repeatedly add the disjoint edge that newly
 absorbs the most still-undercovered triples.  The tracked triples are
 the bits of an index, and one pass gives every edge an absorb mask over
-it (9 ANDs per edge, see _absorb_masks).  Once a round tracks every
+it: the masks behind it hold one block per triple position, so an edge
+costs 3 wide ANDs (see _absorb_masks).  Once a round tracks every
 triple over its outside vertices, so does every later round, over a
 subset of those triples.  Absorption does not depend on what is tracked,
 so the later rounds only narrow a `tracked` mask over the same index;
@@ -29,21 +30,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations, compress, count
+from operator import or_
 
 from .augment import AugmentConfig, solve as _augment_solve
 from .constructions import splitmix64_stream
-from .core import Edge, Hypergraph3, Matching, Report
+from .core import Edge, Hypergraph3, Matching, Report, _columns, _union
 from .exact import SolveReport
 
 __all__ = ["AbsorbingMatching", "absorbs", "find_absorbing", "absorb_leftover", "perfect_via_absorbing"]
 
 _SAMPLE_TRIPLES = 10_000
 _EXHAUSTIVE_LIMIT = 12
+_DIGIT = bytes.maketrans(b"01", b"\0\1")  # binary digits to selector bytes
 
 
 def _bits(mask: int) -> list[int]:
-    return [k for k, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    """The positions of the set bits of a non-negative mask, lowest first."""
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_DIGIT)))
 
 
 def _split2(H: Hypergraph3, pool: int) -> tuple[int, int] | None:
@@ -146,53 +151,42 @@ def _pair_links(H: Hypergraph3) -> dict[tuple[int, int], list[int]]:
     return links
 
 
-def _absorb_masks(H: Hypergraph3, links, triples) -> tuple[list[int], list[int]]:
+def _absorb_masks(H: Hypergraph3, links, triples) -> tuple[list[int], tuple[int, ...]]:
     """masks[i]: the triples (bit k for triples[k]) that edge i absorbs; touch[v]: those holding v.
 
-    The rule is the module docstring's, for T = (t0, t1, t2).  Per position
-    j: posj[w] holds the triples with t_j = w; restj[u n + v] those whose
-    two other vertices are u < v; Qj[z] ORs restj over the edges {z, u, v};
-    Rj[x n + y] ORs posj over the third vertices of the pair's edges.
-    One pass over the pairs, then 9 ANDs per edge.
+    The rule is the module docstring's, for T = (t0, t1, t2).  core's
+    column split of the triples gives posj[w], those with t_j = w.  The
+    masks below pack three |T|-bit blocks, block j for position j: P[w]
+    holds the posj[w]; R[x, y] the triples with {x, y, t_j} an edge, the
+    OR of P over the pair's third vertices; Q[z] those with {z} ∪ (T - t_j)
+    an edge.  A pair {z, u} adds pos1[u] & R2, pos0[u] & R2 and
+    pos0[u] & R1 to the blocks of Q[z], one AND of S[u] (blocks pos1[u],
+    pos0[u], pos0[u]) with R2, R2, R1; is_edge collects pos0[u] & pos1[v]
+    & R2 of each pair u < v.  Then an edge costs 3 wide ANDs and a fold.
     """
-    n, inc = H.n, H.incidence
-    pos0, pos1, pos2 = [0] * n, [0] * n, [0] * n
-    rest0, rest1, rest2 = [0] * (n * n), [0] * (n * n), [0] * (n * n)
-    is_edge = 0
-    for k, (a, b, c) in enumerate(triples):
-        bit = 1 << k
-        pos0[a] |= bit
-        pos1[b] |= bit
-        pos2[c] |= bit
-        rest0[b * n + c] |= bit
-        rest1[a * n + c] |= bit
-        rest2[a * n + b] |= bit
-        # three distinct vertices form an edge iff their incidences meet
-        if inc[a] & inc[b] & inc[c]:
-            is_edge |= bit
-    touch = [p0 | p1 | p2 for p0, p1, p2 in zip(pos0, pos1, pos2)]
-    Q0, Q1, Q2 = [0] * n, [0] * n, [0] * n
-    R0, R1, R2 = [0] * (n * n), [0] * (n * n), [0] * (n * n)
+    n, size = H.n, len(triples)
+    if not size:
+        return [0] * H.m, (0,) * n
+    columns = pos0, pos1, _ = _columns(n, size, chain.from_iterable(triples))
+    touch = _union(columns)
+    P = [p0 | p1 << size | p2 << 2 * size for p0, p1, p2 in zip(*columns)]
+    S = [p1 | p0 << size | p0 << 2 * size for p0, p1 in zip(pos0, pos1)]
+    R, Q, is_edge = {}, [0] * n, 0
     for (u, v), ws in links.items():
-        i = u * n + v
-        for rest, Q in ((rest0, Q0), (rest1, Q1), (rest2, Q2)):
-            if tm := rest[i]:
-                for z in ws:
-                    Q[z] |= tm
-        r0 = r1 = r2 = 0
-        for w in ws:
-            r0 |= pos0[w]
-            r1 |= pos1[w]
-            r2 |= pos2[w]
-        R0[i], R1[i], R2[i] = r0, r1, r2
+        r = R[u, v] = reduce(or_, map(P.__getitem__, ws))
+        r2 = r >> 2 * size
+        y = r2 | r2 << size | r >> size << 2 * size  # R2, R2, R1; S ANDs off the top block
+        q = S[v] & y
+        Q[u] |= q
+        Q[v] |= S[u] & y
+        is_edge |= q & pos0[u]
+    keep = [((1 << size) - 1) ^ mask for mask in touch]
     masks = []
     labels = iter(H.labels)
     for a, b, c in zip(labels, labels, labels):
-        ab, ac, bc = a * n + b, a * n + c, b * n + c
-        acc = is_edge | R0[ab] & Q0[c] | R1[ab] & Q1[c] | R2[ab] & Q2[c]
-        acc |= R0[ac] & Q0[b] | R1[ac] & Q1[b] | R2[ac] & Q2[b]
-        acc |= R0[bc] & Q0[a] | R1[bc] & Q1[a] | R2[bc] & Q2[a]
-        masks.append(acc & ~(touch[a] | touch[b] | touch[c]))
+        x = R[a, b] & Q[c] | R[a, c] & Q[b] | R[b, c] & Q[a]
+        x |= x >> 2 * size | is_edge
+        masks.append((x | x >> size) & keep[a] & keep[b] & keep[c])
     return masks, touch
 
 

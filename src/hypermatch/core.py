@@ -26,8 +26,10 @@ set, from a strided byte slice translated to "0"/"1" digits.  Splitting
 the all-edges mask on a column's planes from the top bit down gives each
 vertex its edges in that column, and the three columns are ORed.  That
 is O(m log n) bytes of C-level work plus about 4n big-int operations per
-column.  The canonical test runs a bit-sliced comparator over the same
-planes, top bit first: column 0 against column 1 and column 1 against
+column.  Split over the tracked triples of `absorbing` in place of
+edges, the columns are that module's per-position vertex masks.  The
+canonical test runs a bit-sliced comparator over the same planes, top
+bit first: column 0 against column 1 and column 1 against
 column 2 (a < b < c), and each column against itself shifted by one
 edge, which orders consecutive edges lexicographically.  The range
 check rides along: a label below 0 or too wide fails the packing, one
@@ -133,8 +135,10 @@ def _ordered(m: int, planes) -> bool:
     return (lt0 | eq0 & (lt1 | eq1 & lt2)) == full >> 1
 
 
-def _split(n: int, m: int, planes) -> tuple[int, ...] | None:
-    """Per-vertex edge masks from the bit planes of the three columns; None if a label lies in n..2^top - 1.
+def _split(n: int, m: int, planes) -> tuple[list[int], list[int], list[int]] | None:
+    """Per-column vertex masks from the bit planes of the three columns; None if a label lies in n..2^top - 1.
+
+    Column c's list gives each vertex the edges that hold it as vertex c.
 
     Splitting the all-edges mask on the planes of a column from the top
     bit down leaves, for each prefix, the edges whose vertex in that
@@ -157,12 +161,22 @@ def _split(n: int, m: int, planes) -> tuple[int, ...] | None:
                 return None
             del level[width - 1 :: width]
             width -= 1
-    return tuple(map(or_, map(or_, level[:n], level[n : 2 * n]), level[2 * n :]))
+    return level[:n], level[n : 2 * n], level[2 * n :]
+
+
+def _union(columns) -> tuple[int, ...]:
+    """The incidence: each vertex's masks of the three columns ORed."""
+    return tuple(map(or_, map(or_, columns[0], columns[1]), columns[2]))
+
+
+def _columns(n: int, m: int, flat) -> tuple[list[int], list[int], list[int]]:
+    """Per-column vertex masks of m >= 1 triples over 0..n-1, given as the flat sequence of their 3m labels."""
+    return _split(n, m, _planes(n, m, *_pack(n, flat)))
 
 
 def _incidence(n: int, m: int, flat) -> tuple[int, ...]:
     """Per-vertex edge masks of m canonical edges, given as the flat sequence of their 3m labels."""
-    return _split(n, m, _planes(n, m, *_pack(n, flat))) if m else (0,) * n
+    return _union(_columns(n, m, flat)) if m else (0,) * n
 
 
 def _canonical_incidence(n: int, m: int, flat: tuple) -> tuple[int, ...] | None:
@@ -184,7 +198,8 @@ def _canonical_incidence(n: int, m: int, flat: tuple) -> tuple[int, ...] | None:
     if any(raw[j::size].translate(None, _LOW[max(0, top - 8 * j)]) for j in range(top >> 3, size)):
         return None
     planes = _planes(n, m, raw, size)
-    return _split(n, m, planes) if _ordered(m, planes) else None
+    columns = _ordered(m, planes) and _split(n, m, planes)
+    return _union(columns) if columns else None
 
 
 def _canon_labels(edges: list, n: int) -> tuple[int, ...]:

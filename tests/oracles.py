@@ -18,7 +18,9 @@ count in lexicographic order, pattern relabelings bit by bit, the Fact 1
 classes grouped by canonical form, the exact branch and bound by its original form,
 with a fresh greedy cover at every node, and by its form with one stack
 frame and one edge mask per child, the absorbing construction by its
-original form, with fresh absorb masks in every round, and the leftover
+original form, with fresh absorb masks in every round, its absorb masks
+also by the pass over vertex-pair lists that preceded the block-packed
+builder, and the leftover
 fold by its original enumeration of every partition with a public
 absorbs() test per (edge, triple) pair.  They are slow and obviously
 correct, which is the point.
@@ -1193,6 +1195,56 @@ def perround_find_absorbing(
         delta1_hypothesis=hyp,
         detail=None if lacking_n == 0 else f"{lacking_n} tracked triples below redundancy {t}",
     )
+
+
+def pairlist_absorb_masks(H: Hypergraph3, links, triples) -> tuple[list[int], list[int]]:
+    """masks[i]: the triples (bit k for triples[k]) that edge i absorbs; touch[v]: those holding v.
+
+    The rule is that of hypermatch.absorbing, for T = (t0, t1, t2).  Per
+    position j: posj[w] holds the triples with t_j = w; restj[u n + v] those whose
+    two other vertices are u < v; Qj[z] ORs restj over the edges {z, u, v};
+    Rj[x n + y] ORs posj over the third vertices of the pair's edges.
+    One pass over the pairs, then 9 ANDs per edge.
+    """
+    n, inc = H.n, H.incidence
+    pos0, pos1, pos2 = [0] * n, [0] * n, [0] * n
+    rest0, rest1, rest2 = [0] * (n * n), [0] * (n * n), [0] * (n * n)
+    is_edge = 0
+    for k, (a, b, c) in enumerate(triples):
+        bit = 1 << k
+        pos0[a] |= bit
+        pos1[b] |= bit
+        pos2[c] |= bit
+        rest0[b * n + c] |= bit
+        rest1[a * n + c] |= bit
+        rest2[a * n + b] |= bit
+        # three distinct vertices form an edge iff their incidences meet
+        if inc[a] & inc[b] & inc[c]:
+            is_edge |= bit
+    touch = [p0 | p1 | p2 for p0, p1, p2 in zip(pos0, pos1, pos2)]
+    Q0, Q1, Q2 = [0] * n, [0] * n, [0] * n
+    R0, R1, R2 = [0] * (n * n), [0] * (n * n), [0] * (n * n)
+    for (u, v), ws in links.items():
+        i = u * n + v
+        for rest, Q in ((rest0, Q0), (rest1, Q1), (rest2, Q2)):
+            if tm := rest[i]:
+                for z in ws:
+                    Q[z] |= tm
+        r0 = r1 = r2 = 0
+        for w in ws:
+            r0 |= pos0[w]
+            r1 |= pos1[w]
+            r2 |= pos2[w]
+        R0[i], R1[i], R2[i] = r0, r1, r2
+    masks = []
+    labels = iter(H.labels)
+    for a, b, c in zip(labels, labels, labels):
+        ab, ac, bc = a * n + b, a * n + c, b * n + c
+        acc = is_edge | R0[ab] & Q0[c] | R1[ab] & Q1[c] | R2[ab] & Q2[c]
+        acc |= R0[ac] & Q0[b] | R1[ac] & Q1[b] | R2[ac] & Q2[b]
+        acc |= R0[bc] & Q0[a] | R1[bc] & Q1[a] | R2[bc] & Q2[a]
+        masks.append(acc & ~(touch[a] | touch[b] | touch[c]))
+    return masks, touch
 
 
 # --- leftover fold ----------------------------------------------------------------

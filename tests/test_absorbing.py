@@ -3,18 +3,20 @@
 import hashlib
 import json
 import math
+import random
 import time
 import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hypermatch.absorbing
 import hypermatch.augment
 from hypermatch.absorbing import (
     _absorb_masks,
+    _bits,
     _pair_links,
     absorb_leftover,
     absorbs,
@@ -25,7 +27,7 @@ from hypermatch.augment import AugmentConfig
 from hypermatch.constructions import cut_family, extremal_star, random_triples, splitmix64_stream
 from hypermatch.core import Hypergraph3, Matching
 from hypermatch.exact import SolveReport, max_matching, max_matching_in_subset
-from oracles import naive_absorb_leftover, perround_find_absorbing
+from oracles import naive_absorb_leftover, pairlist_absorb_masks, perround_find_absorbing
 
 
 def complete(n):
@@ -330,6 +332,32 @@ def test_property_absorb_masks_match_absorbs(case):
             want = not set(e) & set(T) and absorbs(H, e, T)
             assert (mask >> k & 1) == want, (e, T)
         assert mask >> len(triples) == 0
+
+
+# labels 250..264 of 300 vertices: the column split packs them two bytes wide
+_WIDE_LABELS = Hypergraph3(300, [(a + 250, b + 250, c + 250) for a, b, c in random_triples(15, 0.6, 1).edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+@example((random_triples(9, 0.6, 1), []))
+@example((_WIDE_LABELS, list(combinations(range(245, 268), 3))[::-1]))
+def test_property_absorb_masks_match_pairlist_oracle(case):
+    # the same masks and touch lists as the builder over vertex-pair lists,
+    # shuffled and partial triple lists included; no triples tracks nothing
+    H, triples = case
+    links = _pair_links(H)
+    masks, touch = _absorb_masks(H, links, triples)
+    assert (masks, list(touch)) == pairlist_absorb_masks(H, links, triples)
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [0, 1, 1 << 63, 1 << 9_999, (1 << 10_000) - 1, random.Random(1).getrandbits(10_000) | 1 << 9_999],
+    ids=["zero", "bit0", "bit63", "bit9999", "all-10000", "random-10000"],
+)
+def test_bits_lists_the_set_bits_lowest_first(mask):
+    assert _bits(mask) == [k for k in range(mask.bit_length()) if mask >> k & 1]
 
 
 @st.composite
@@ -875,3 +903,18 @@ def test_sampling_rounds_keep_no_stream_buffer():
         tracemalloc.stop()
     assert (A.size, A.verification) == (7, "sampled")
     assert peak < 8 * 2**20
+
+
+def test_block_packed_masks_keep_the_peak_below_the_pairlist_builder():
+    # two sampled rounds index 10^4 triples each over 7244 edges; with the
+    # masks built over vertex-pair lists the call peaked at 16.9 MB, with the
+    # block-packed ones at 15.2 MB (tracemalloc, CPython 3.11.7)
+    H = random_triples(45, 0.5, 1)
+    tracemalloc.start()
+    try:
+        A = find_absorbing(H, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (A.size, A.verification) == (4, "sampled")
+    assert peak < 16 * 2**20
