@@ -225,7 +225,7 @@ def _cmd_sweep(args) -> int:
         pgrid = [float(x) for x in args.p_grid.split(",") if x.strip()]
     except ValueError:
         raise ValueError("bad --p-grid; expected comma-separated floats") from None
-    thr = threshold(args.n, args.d)  # raises ValueError (exit 2) unless 1 <= d <= n/3
+    thr = threshold(args.n, args.d)  # refuses a bad d or n (exit 2) before any trial runs
     if args.trials < 0:
         raise ValueError("--trials must be non-negative")
     lines = ["n,d,p,seed,delta1,threshold,oracle_size,augment_size,agree"]

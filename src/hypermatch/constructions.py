@@ -21,7 +21,7 @@ from functools import cache
 from itertools import chain, combinations, compress
 from math import comb
 
-from .core import Hypergraph3, Partition
+from .core import Hypergraph3, Partition, _check_matching_size, _vertex_count
 
 __all__ = [
     "extremal_star",
@@ -109,8 +109,7 @@ def cut_family(n: int, d: int) -> tuple[Hypergraph3, Partition]:
     It has a d-matching (pair up W with V two at a time) and minimum
     degree C(n-1,2) - C(n-d-1,2), attained on V.
     """
-    if d < 0 or 3 * d > n:
-        raise ValueError("need 0 <= d <= n/3")
+    _check_matching_size(n, d)
     low = n - d
     # W is the top index range: the smallest vertex in V, the largest in W
     edges = (e for e in combinations(range(n), 3) if e[0] < low <= e[2])
@@ -124,8 +123,7 @@ def blocker_family(n: int, d: int) -> tuple[Hypergraph3, Partition]:
     the minimum degree equals the d-matching boundary C(n-1,2) - C(n-d,2)
     exactly (attained on V; boundary, not exceeding).
     """
-    if d < 1 or 3 * d > n:
-        raise ValueError("need 1 <= d <= n/3")
+    _check_matching_size(n, d, 1)
     low = n - (d - 1)
     # W is the top index range, so "meets W" = largest vertex in W
     edges = (e for e in combinations(range(n), 3) if e[2] >= low)
@@ -141,8 +139,7 @@ def random_triples(n: int, p: float, seed: int) -> Hypergraph3:
     produce identical edge sets.  Output i is computed from its state
     s_i = seed + i·γ, in blocks, not by stepping `splitmix64_stream`.
     """
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
+    _vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     flags = chain.from_iterable(_keep_flags(seed, int(p * 2**64), comb(n, 3)))
@@ -157,8 +154,7 @@ def pad_to_perfect(H: Hypergraph3, d: int) -> Hypergraph3:
     original minimum degree exceeds the d-matching boundary, the padded
     one exceeds the floor(n'/3)-matching boundary on its order n'.
     """
-    if d < 0 or 3 * d > H.n:
-        raise ValueError("need 0 <= d <= n/3")
+    _check_matching_size(H.n, d)
     a = (H.n - 3 * d) // 2
     if a == 0:
         return H

@@ -353,6 +353,13 @@ class Hypergraph3:
         return f"Hypergraph3(n={self.n}, m={self.m})"
 
 
+def _check_matching_size(n: int, d: int, least: int = 0) -> None:
+    """ValueError unless least <= d <= n/3 (tested first) and n is a vertex count: a d-matching covers 3d vertices."""
+    if d < least or 3 * d > n:
+        raise ValueError(f"need {least} <= d <= n/3")
+    _vertex_count(n)
+
+
 def threshold(n: int, d: int) -> int:
     """Minimum-degree boundary for a d-matching: C(n-1,2) - C(n-d,2).
 
@@ -364,8 +371,7 @@ def threshold(n: int, d: int) -> int:
     n + d/2 - 1 below the quadratic form (1 - (1 - d/n)^2) n^2/2 = d(n - d/2).
     Acceptance check 9a asserts this identity in exact integers.
     """
-    if d < 1 or 3 * d > n:
-        raise ValueError("need 1 <= d <= n/3")
+    _check_matching_size(n, d, 1)
     return math.comb(n - 1, 2) - math.comb(n - d, 2)
 
 
@@ -388,8 +394,7 @@ class Partition:
         object.__setattr__(self, "d", int(d))
         if any(v < 0 or v >= self.n for v in self.W):
             raise ValueError("W contains a vertex outside 0..n-1")
-        if self.d < 0 or 3 * self.d > self.n:
-            raise ValueError("need 0 <= d <= n/3")
+        _check_matching_size(self.n, self.d)
 
     @property
     def V(self) -> tuple[int, ...]:
@@ -427,19 +432,15 @@ class Matching:
             if seen & set(e):
                 raise ValueError(f"edge {e} overlaps another matching edge")
             seen.update(e)
-        self._covered = frozenset(seen)
+        self.covered = frozenset(seen)
 
     @property
     def size(self) -> int:
         return len(self.edges)
 
     @property
-    def covered(self) -> frozenset[int]:
-        return self._covered
-
-    @property
     def uncovered(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.host.n) if v not in self._covered)
+        return tuple(v for v in range(self.host.n) if v not in self.covered)
 
     def __len__(self):
         return len(self.edges)

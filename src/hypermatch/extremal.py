@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .augment import AugmentConfig, solve as _augment_solve
-from .core import Edge, Hypergraph3, Matching, Partition, Report
+from .core import Edge, Hypergraph3, Matching, Partition, Report, _check_matching_size
 from .links import PatternKind, classify, link_pattern
 
 __all__ = [
@@ -206,8 +206,7 @@ def find_partition(
     vertex (heuristic, no guarantee) and fills up by degree.
     """
     _check_rate("alpha", alpha)
-    if not 0 <= d <= H.n // 3:
-        raise ValueError("need 0 <= d <= n/3")
+    _check_matching_size(H.n, d)
     if seed not in ("degree", "bottom"):
         raise ValueError("seed must be 'degree' or 'bottom'")
     if mode == "exhaustive":
@@ -239,9 +238,7 @@ def find_partition(
     inc = H.incidence
     model = _model_size(H.n, d)
     cur = deficiency(H, Partition(H.n, W, d))
-    improved = True
-    while improved and cur > 0:
-        improved = False
+    while cur > 0:
         best_swap = None
         best_val = cur
         Ws = sorted(W)
@@ -254,11 +251,11 @@ def find_partition(
                 val = model - ((or_w_but | inc[v]) & (or_v_but_v | inc_w)).bit_count()
                 if val < best_val:
                     best_val, best_swap = val, (w, v)
-        if best_swap is not None:
-            w, v = best_swap
-            W = (W - {w}) | {v}
-            cur = best_val
-            improved = True
+        if best_swap is None:
+            break
+        w, v = best_swap
+        W = (W - {w}) | {v}
+        cur = best_val
     return classify_goodness(H, Partition(H.n, W, d), alpha)
 
 
@@ -330,8 +327,7 @@ def good_case_matching(H: Hypergraph3, P: Partition, d: int) -> Matching | None:
     Intended for the regime where every vertex is good; out-of-regime
     calls may stall, which is a result rather than an error.
     """
-    if d < 0:
-        raise ValueError("d must be non-negative")
+    _check_matching_size(H.n, d)
     _check_partition(H, P)
     _, twice_w = _meets(H, P.w_sorted())
     edges = _good_case(H, P, d, 0, (1 << H.m) - 1, twice_w)
@@ -429,12 +425,11 @@ def staged_matching(
     """Five-stage d-matching construction tolerating bad vertices.
 
     Returns (matching, log) on success and (None, log) on stall, with
-    the failing stage and obligation named in the log.  A negative d, a
-    partition on another vertex count, and a negative or non-finite alpha
-    or theta raise ValueError.
+    the failing stage and obligation named in the log.  A d outside
+    0..n/3, a partition on another vertex count, and a negative or
+    non-finite alpha or theta raise ValueError.
     """
-    if d < 0:
-        raise ValueError("d must be non-negative")
+    _check_matching_size(H.n, d)
     _check_rate("theta", theta)
     log = StageLog(alpha=alpha, theta=theta)
     report = classify_goodness(H, P, alpha)

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import Report, threshold
+from .core import Report, _check_matching_size, threshold
 
 __all__ = ["ThresholdCensus", "census"]
 
@@ -91,8 +91,7 @@ def census(n: int, d: int) -> ThresholdCensus:
     """Count the hypergraphs on n <= 8 vertices without a d-matching, and their largest delta1."""
     if n > 8:
         raise ValueError("the down-set count is limited to n <= 8")
-    if not 1 <= d <= n // 3:
-        raise ValueError("need 1 <= d <= n/3")
+    _check_matching_size(n, d, 1)
     triples = list(combinations(range(n), 3))
     inc, disjoint = _disjoint(n, triples)
     m = len(triples)

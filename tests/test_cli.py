@@ -130,13 +130,27 @@ class TestDegreesCmd:
         assert main(["degrees", str(h3)]) == 2
         assert capsys.readouterr() == ("", "error: out of memory\n")
 
-    @pytest.mark.parametrize("argv", READS_H3, ids=READS_H3_IDS)
+    @pytest.mark.parametrize(
+        "argv",
+        READS_H3
+        + [
+            ["gen", "star", "--n", str(3 * 10**20), "--out", "{out}"],
+            ["gen", "hnd", "--n", str(10**20), "--d", "1", "--out", "{out}"],
+            ["gen", "bde", "--n", str(10**20), "--d", "1", "--out", "{out}"],
+            ["gen", "random", "--n", str(10**20), "--p", "0.5", "--out", "{out}"],
+            ["sweep", "--n", str(10**20), "--d", "1", "--trials", "0", "--out", "{out}"],
+        ],
+        ids=READS_H3_IDS + ["gen-star", "gen-hnd", "gen-bde", "gen-random", "sweep"],
+    )
     def test_vertex_count_above_maxsize_is_a_usage_error(self, tmp_path, capsys, argv):
-        # no tuple holds 10^20 incidence masks: the count is refused before anything is allocated
+        # no tuple holds 10^20 incidence masks: the count, from the file's header or
+        # from --n, is refused before anything is allocated or written
         h3 = tmp_path / "huge.h3"
         h3.write_text(f"{10**20} 0\n")
-        assert main([arg.format(h3=h3) for arg in argv]) == 2
-        assert capsys.readouterr() == ("", f"error: vertex count {10**20} exceeds sys.maxsize ({sys.maxsize})\n")
+        assert main([arg.format(h3=h3, out=tmp_path / "out") for arg in argv]) == 2
+        n = int(argv[argv.index("--n") + 1]) if "--n" in argv else 10**20
+        assert capsys.readouterr() == ("", f"error: vertex count {n} exceeds sys.maxsize ({sys.maxsize})\n")
+        assert os.listdir(tmp_path) == ["huge.h3"]
 
     def test_vertex_count_above_maxsize_with_an_edge_allocates_nothing(self, tmp_path):
         # the canonical check would split the edge over O(n) vertices, so run under a 1 GiB address-space cap
@@ -397,13 +411,17 @@ class TestSolveCmd:
         assert captured.out == "" and captured.err.startswith("error: ")
 
     def test_extremal_negative_target_is_usage_error(self, tmp_path, capsys):
-        # the sidecar gives the partition, so only the staged matcher sees --d
-        h3 = tmp_path / "hnd9.h3"
-        main(["gen", "hnd", "--n", "9", "--d", "3", "--out", str(h3)])
+        # with the sidecar only the staged matcher sees --d, without it the partition
+        # search does; both refuse a d outside 0..n/3 alike
+        h3 = tmp_path / "bde15.h3"
+        main(["gen", "bde", "--n", "15", "--d", "5", "--out", str(h3)])
         capsys.readouterr()
-        assert main(["solve", "--extremal", str(h3), "--d", "-1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "error: d must be non-negative\n"
+        for sidecar in (True, False):
+            if not sidecar:
+                (tmp_path / "bde15.json").unlink()
+            for d in ("-1", "6"):
+                assert main(["solve", "--extremal", str(h3), "--d", d]) == 2
+                assert capsys.readouterr() == ("", "error: need 0 <= d <= n/3\n")
 
     def test_method_required(self, tmp_path):
         h3 = tmp_path / "x.h3"
@@ -891,6 +909,36 @@ def test_fuzzed_inputs_exit_cleanly(command, h3, sidecar, d, k_max, budget_nodes
     assert "Traceback" not in err.getvalue()
     if rc == 0:
         json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from([["gen", "star"], ["gen", "hnd"], ["gen", "bde"], ["gen", "random"], ["sweep"]]),
+    # no n in 31..sys.maxsize: the generators would list astronomically many triples
+    n=st.integers(-3, 30) | st.sampled_from([10**20, 3 * 10**20, 2**64]),
+    d=st.integers(-2, 12),
+    p=st.floats(0, 1) | st.sampled_from([math.nan, 2.0, -0.5, math.inf]),
+    trials=st.integers(0, 2),
+)
+def test_fuzzed_gen_and_sweep_exit_cleanly(command, n, d, p, trials):
+    """Any --n, --d, --p and --trials of the commands that take a vertex count: an exit code in 0..3, no traceback.
+
+    `p` is the --p of gen random and the one value of sweep's --p-grid.
+    """
+    argv = command + ["--n", str(n)]
+    if command[-1] in ("hnd", "bde", "sweep"):
+        argv += ["--d", str(d)]
+    if command[-1] == "random":
+        # --p=value, so argparse cannot read "-0.5" as an option
+        argv.append(f"--p={p!r}")
+    if command[-1] == "sweep":
+        argv += ["--trials", str(trials), f"--p-grid={p!r}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv + ["--out", os.path.join(tmp, "x.h3")])
+    assert rc in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
 
 
 def _reject_constant(name):

@@ -770,6 +770,11 @@ def test_vertex_count_above_maxsize_has_its_own_message():
     # no tuple holds 10^20 incidence masks: both builders name the count before allocating
     want = f"vertex count {10**20} exceeds sys.maxsize ({sys.maxsize})"
     assert error_of(Hypergraph3, 10**20) == error_of(parse_h3, f"{10**20} 0\n") == want
+    # with a d in range, the generators and the boundary refuse the count the same way
+    huge = 3 * 10**20
+    want = f"vertex count {huge} exceeds sys.maxsize ({sys.maxsize})"
+    assert error_of(extremal_star, huge) == error_of(cut_family, huge, 1) == error_of(blocker_family, huge, 1) == want
+    assert error_of(random_triples, huge, 0.5, 1) == error_of(threshold, huge, 1) == want
     assert error_of(Hypergraph3, -1) == error_of(parse_h3, "-1 0\n") == "vertex count must be non-negative"
 
 

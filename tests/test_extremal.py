@@ -206,9 +206,11 @@ class TestGoodCase:
         assert good_case_matching(H, P, 0).size == 0
 
     def test_negative_d_is_a_value_error(self):
+        # and so is a d above n/3, which no d-matching of 9 vertices reaches
         H, P = cut_family(9, 3)
-        with pytest.raises(ValueError, match="d must be non-negative"):
-            good_case_matching(H, P, -1)
+        for d in (-1, 4):
+            with pytest.raises(ValueError, match="need 0 <= d <= n/3"):
+                good_case_matching(H, P, d)
 
     def test_large_perturbed(self):
         H, P = cut_family(30, 10)
@@ -251,10 +253,12 @@ def test_partition_on_another_vertex_count_is_a_value_error():
 
 class TestStaged:
     def test_negative_d_is_a_value_error(self):
-        # a stall would report "residual target -1 infeasible", which is no answer
+        # a stall would report "residual target -1 infeasible", which is no answer;
+        # a d above n/3 has no d-matching to stall on either
         H, P = cut_family(9, 3)
-        with pytest.raises(ValueError, match="d must be non-negative"):
-            staged_matching(H, P, -1)
+        for d in (-1, 4):
+            with pytest.raises(ValueError, match="need 0 <= d <= n/3"):
+                staged_matching(H, P, d)
 
     def test_exact_family_skips_stages(self):
         H, P = cut_family(9, 3)
