@@ -203,10 +203,10 @@ def verify_fact1() -> dict:
     table = _derive_classification()
     counts: dict[str, int] = {}
     by_edges: dict[int, dict[str, int]] = {}
-    for (e, kind), k in Counter((mask.bit_count(), cls.kind) for mask, cls in table.items()).items():
-        counts[kind.value] = counts.get(kind.value, 0) + k
-        row = by_edges.setdefault(e, {})
-        row[kind.value] = k
+    # keyed by the kind's string; Enum.__hash__ and the .value property are Python-level calls
+    for (e, kind), k in Counter((mask.bit_count(), cls.kind._value_) for mask, cls in table.items()).items():
+        counts[kind] = counts.get(kind, 0) + k
+        by_edges.setdefault(e, {})[kind] = k
     return {
         "schema": "hypermatch.fact1/1",
         "total": len(table),

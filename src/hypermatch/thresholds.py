@@ -28,14 +28,22 @@ delta1 only grows as triples are added, so the minimum over v of
 |(chosen | open) & inc[v]| bounds delta1 of every family below a node.
 `grow`, in lexicographic order, cuts a node only when that bound is at
 most the best delta1 found so far, which no family below it can beat; so
-the maximum it returns is exact.  The memo and the best value live in
-one call: a repeated call does all the work again.
+the maximum it returns is exact.  Relabelling the vertices keeps a family
+intersecting and keeps its delta1, so for d = 2 `grow` skips families
+that have a relabelled copy it searches.  Rule 1: a nonempty family has
+a copy holding triple 0 = {0,1,2}, so the search starts with triple 0
+taken, the empty family (delta1 = 0) as the first best.  Rule 2: the
+stabiliser of {0,1,2}, Sym{0,1,2} x Sym{3..n-1}, maps any triple meeting
+{0,1,2} in two vertices to triple 1 = {0,1,3}; so the search then takes
+{0,1,3}, or leaves out every such triple.  The memo and the best value
+live in one call: a repeated call does all the work again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import and_
 
 from .core import Report, _check_matching_size, threshold
 
@@ -97,8 +105,24 @@ def census(n: int, d: int) -> ThresholdCensus:
     m = len(triples)
     memo = {0: 1}
     known = memo.get
+    best = -1
+
+    def grow(chosen: int, open_: int) -> None:
+        nonlocal best
+        bound = min(map(int.bit_count, map(and_, repeat(chosen | open_, n), inc)))
+        if bound <= best:
+            return
+        if not open_:
+            best = bound
+            return
+        low = open_ & -open_
+        rest = open_ ^ low
+        grow(chosen | low, rest & ~disjoint[low.bit_length() - 1])
+        grow(chosen, rest)
+
     if d == 1:
         root = 0
+        grow(0, root)
     else:
         root = (1 << m) - 1
         _, mcs_disjoint = _disjoint(n, [triples[j] for j in _mcs_order(disjoint)])
@@ -112,23 +136,11 @@ def census(n: int, d: int) -> ThresholdCensus:
             return got
 
         count(root)
-
-    best = -1
-
-    def grow(chosen: int, open_: int) -> None:
-        nonlocal best
-        bound = min(((chosen | open_) & mask).bit_count() for mask in inc)
-        if bound <= best:
-            return
-        if not open_:
-            best = bound
-            return
-        low = open_ & -open_
-        rest = open_ ^ low
-        grow(chosen | low, rest & ~disjoint[low.bit_length() - 1])
-        grow(chosen, rest)
-
-    grow(0, root)
+        # rules 1 and 2: take triple 0, then triple 1 or no triple meeting triple 0 in two vertices
+        best = 0
+        open_ = (root & ~disjoint[0]) ^ 1
+        grow(3, (open_ & ~disjoint[1]) ^ 2)
+        grow(1, open_ & ~(inc[0] & inc[1] | inc[0] & inc[2] | inc[1] & inc[2]))
     return ThresholdCensus(
         n=n,
         d=d,
